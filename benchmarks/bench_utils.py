@@ -16,7 +16,7 @@ import json
 import os
 import platform
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import pytest
 
@@ -24,6 +24,9 @@ from repro.sim.results import ExperimentReport
 
 #: Directory holding the ``BENCH_*.json`` trajectory files.
 BENCH_DIR = Path(__file__).resolve().parent
+
+#: Environment variable that opts a run into appending trajectory records.
+RECORD_ENV = "REPRO_BENCH_RECORD"
 
 #: Canonical schema of every record in the ``engine`` trajectory
 #: (``BENCH_engine.json``): one engine measured against one baseline on one
@@ -137,19 +140,24 @@ def run_experiment_benchmark(
     return report
 
 
-def record_bench_trajectory(name: str, record: Dict) -> Path:
+def record_bench_trajectory(name: str, record: Dict) -> Optional[Path]:
     """Append one record to the ``BENCH_<name>.json`` trajectory file.
 
-    Each trajectory file is a JSON list; every benchmark run appends one
-    record, so successive runs build a wall-clock history (e.g. the
-    engine-vs-baseline timings) that can be compared across commits.
-    Records of the ``engine`` trajectory are normalized onto
+    Each trajectory file is a JSON list; every recorded benchmark run
+    appends one record, so successive measurements build a wall-clock
+    history (e.g. the engine-vs-baseline timings) that can be compared
+    across commits.  The files are tracked, so a run records only when
+    :data:`RECORD_ENV` is ``"1"``: an ordinary test run leaves them
+    untouched.  Records of the ``engine`` trajectory are normalized onto
     :data:`ENGINE_SCHEMA_KEYS` before being appended, so the file stays on
-    one schema from now on.  Returns the path written.
+    one schema from now on.  Returns the path written, or ``None`` when
+    recording is off.
     """
     if name == "engine":
         record = normalize_engine_record(record)
         record.setdefault("host", machine_fingerprint())
+    if os.environ.get(RECORD_ENV) != "1":
+        return None
     path = BENCH_DIR / f"BENCH_{name}.json"
     if path.exists():
         trajectory = json.loads(path.read_text(encoding="utf-8"))

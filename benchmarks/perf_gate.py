@@ -29,8 +29,9 @@ therefore applies two tolerances:
 When the trajectory holds no vectorized record at all (fresh clone, or
 after trimming stray records), the gate measures once via
 ``test_bench_engine.measure_vectorized_engine``, **appends** the result as
-the trajectory's first vectorized record, and passes — so the very next
-run has something to guard against.  ``--measure`` forces that path;
+the trajectory's first vectorized record (when ``REPRO_BENCH_RECORD=1``,
+like every trajectory write), and passes — so the very next run has
+something to guard against.  ``--measure`` forces that path;
 ``--require-record`` (the CI mode) forbids it, failing with a clear
 message instead when no record exists — in CI a missing record means the
 preceding benchmark step silently failed to record, which the gate must
@@ -97,7 +98,8 @@ def load_trajectory() -> list:
     text = path.read_text(encoding="utf-8").strip()
     regenerate = (
         "delete the file and re-run the benchmarks to regenerate it "
-        "(PYTHONPATH=src python -m pytest benchmarks -x -q -s)"
+        "(REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest benchmarks "
+        "-x -q -s)"
     )
     if not text:
         raise TrajectoryError(f"{path} exists but is empty; {regenerate}")
@@ -184,7 +186,7 @@ def check_knowledge_kernel(
                 "perf gate error: BENCH_engine.json holds no "
                 "vectorized_knowledge-vs-fast record; the benchmark step "
                 "that precedes the gate should have appended one (run "
-                "PYTHONPATH=src python -m pytest "
+                "REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest "
                 "benchmarks/test_bench_engine.py -x -q -s)"
             )
             if gates is not None:
@@ -234,8 +236,9 @@ def check_opt_kernel(
             print(
                 "perf gate error: BENCH_engine.json holds no ratio_kernel-"
                 "vs-offline_python record; the benchmark step that precedes "
-                "the gate should have appended one (run PYTHONPATH=src "
-                "python -m pytest benchmarks/test_bench_opt.py -x -q -s)"
+                "the gate should have appended one (run REPRO_BENCH_RECORD=1 "
+                "PYTHONPATH=src python -m pytest benchmarks/test_bench_opt.py "
+                "-x -q -s)"
             )
             if gates is not None:
                 gates["ratio_kernel"] = {"ok": False, "error": "missing record"}
@@ -293,12 +296,12 @@ def measure_and_record() -> dict:
         "baseline_seconds": round(reference_seconds, 6),
         "speedup": round(speedup, 3),
     }
-    record_bench_trajectory("engine", record)
+    recorded = record_bench_trajectory("engine", record) is not None
     print(
         f"measured (n={BENCH_N}, trials={BENCH_TRIALS}): reference "
         f"{reference_seconds:.3f}s, fast {fast_seconds:.3f}s, vectorized "
         f"{vectorized_seconds:.3f}s -> {speedup:.1f}x vs reference "
-        "(recorded)"
+        f"({'recorded' if recorded else 'not recorded: REPRO_BENCH_RECORD unset'})"
     )
     return record
 
@@ -383,8 +386,9 @@ def _run(argv: list, gates: dict) -> int:
             "perf gate error: BENCH_engine.json holds no vectorized-vs-"
             "reference record for the gated config; the benchmark step "
             "that precedes the gate should have appended one (run "
-            "PYTHONPATH=src python -m pytest benchmarks -x -q -s, or pass "
-            "--measure to let the gate measure and record itself)"
+            "REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest benchmarks "
+            "-x -q -s, or pass --measure to let the gate measure and record "
+            "itself)"
         )
         gates["vectorized"] = {"ok": False, "error": "missing record"}
         return 2

@@ -27,6 +27,14 @@ perf gate (``perf_gate.py --require-record``) requires the record and its
 floor.  The hard floor asserted here (:data:`MIN_OPT_KERNEL_SPEEDUP`,
 10x — the acceptance criterion) is deliberately below locally measured
 figures so a loaded CI runner cannot flake the suite.
+
+A second gate guards the kernel's window scaling: the engines hand it the
+whole window the *algorithm* consumed, which grows far past where the
+optimum ends, and the kernel sweeps only the prefixes the optimum needs.
+On the same committed futures, readback plus kernel on an 8x longer
+window must give the same ends and cost at most
+:data:`MAX_LONG_WINDOW_COST` times the short one.  Both timings come from
+one process, so host speed cancels out.
 """
 
 import time
@@ -52,17 +60,40 @@ MIN_OPT_KERNEL_SPEEDUP = 10.0
 #: Kernel timing keeps the best of this many rounds (the Python baseline
 #: is timed once — at hundreds of ms per round it dwarfs scheduler noise).
 TIMING_ROUNDS = 3
+#: The scaling gate's long window: 8x BENCH_WINDOW of the same futures.
+LONG_WINDOW = 32768
+#: The long window may cost at most this multiple of BENCH_WINDOW.  A
+#: sweep over the whole window costs 8x or more.
+MAX_LONG_WINDOW_COST = 3.0
 
 
-def build_cell():
-    """B committed uniform futures of BENCH_WINDOW interactions each."""
+def build_cell(window=BENCH_WINDOW):
+    """B committed uniform futures of ``window`` interactions each."""
     nodes = list(range(BENCH_N))
     adversaries = [
         RandomizedAdversary(nodes, seed=seed) for seed in range(BENCH_TRIALS)
     ]
     for adversary in adversaries:
-        adversary.ensure_committed(BENCH_WINDOW)
+        adversary.ensure_committed(window)
     return nodes, adversaries
+
+
+def time_kernel(adversaries, window):
+    """Best-of-rounds seconds of readback plus kernel, and the ends."""
+    kernel_seconds = None
+    for _ in range(TIMING_ROUNDS):
+        started = time.perf_counter()
+        matrix_i, matrix_j, lengths = (
+            CommittedBlockAdversary.committed_index_matrix(
+                adversaries, 0, window, pad=0
+            )
+        )
+        ends = opt_end_matrix(matrix_i, matrix_j, lengths, BENCH_N, 0)
+        elapsed = time.perf_counter() - started
+        kernel_seconds = (
+            elapsed if kernel_seconds is None else min(kernel_seconds, elapsed)
+        )
+    return kernel_seconds, ends
 
 
 def measure_opt_kernel():
@@ -85,19 +116,7 @@ def measure_opt_kernel():
     ]
     python_seconds = time.perf_counter() - started
 
-    kernel_seconds = None
-    for _ in range(TIMING_ROUNDS):
-        started = time.perf_counter()
-        matrix_i, matrix_j, lengths = (
-            CommittedBlockAdversary.committed_index_matrix(
-                adversaries, 0, BENCH_WINDOW, pad=0
-            )
-        )
-        ends = opt_end_matrix(matrix_i, matrix_j, lengths, BENCH_N, 0)
-        elapsed = time.perf_counter() - started
-        kernel_seconds = (
-            elapsed if kernel_seconds is None else min(kernel_seconds, elapsed)
-        )
+    kernel_seconds, ends = time_kernel(adversaries, BENCH_WINDOW)
 
     assert np.array_equal(
         ends, np.asarray([float(value) for value in python_values])
@@ -146,4 +165,22 @@ def test_opt_kernel_speedup_and_equality(benchmark):
         f"opt kernel speedup {speedup:.2f}x below the required "
         f"{MIN_OPT_KERNEL_SPEEDUP:.0f}x (python {python_seconds:.3f}s, "
         f"kernel {kernel_seconds:.3f}s)"
+    )
+
+
+def test_opt_kernel_cost_follows_opt_not_window():
+    """An 8x longer window of the same futures costs at most 3x."""
+    _, adversaries = build_cell(LONG_WINDOW)
+    short_seconds, short_ends = time_kernel(adversaries, BENCH_WINDOW)
+    long_seconds, long_ends = time_kernel(adversaries, LONG_WINDOW)
+    cost = long_seconds / short_seconds
+    print(
+        f"\nopt kernel window scaling (n={BENCH_N}, B={BENCH_TRIALS}): "
+        f"L={BENCH_WINDOW} {short_seconds:.3f}s, L={LONG_WINDOW} "
+        f"{long_seconds:.3f}s -> {cost:.2f}x"
+    )
+    assert np.array_equal(short_ends, long_ends)
+    assert cost <= MAX_LONG_WINDOW_COST, (
+        f"readback plus kernel on L={LONG_WINDOW} costs {cost:.2f}x "
+        f"L={BENCH_WINDOW}, above {MAX_LONG_WINDOW_COST:.0f}x"
     )

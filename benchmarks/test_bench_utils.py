@@ -2,12 +2,16 @@
 
 import json
 
+import bench_utils
 import pytest
 
 from bench_utils import (
+    BENCH_DIR,
     ENGINE_SCHEMA_KEYS,
+    RECORD_ENV,
     migrate_engine_trajectory,
     normalize_engine_record,
+    record_bench_trajectory,
 )
 
 
@@ -82,10 +86,29 @@ class TestMigrateEngineTrajectory:
         assert path.read_text() == before
 
     def test_committed_trajectory_is_fully_normalized(self):
-        from bench_utils import BENCH_DIR
-
         trajectory = json.loads(
             (BENCH_DIR / "BENCH_engine.json").read_text(encoding="utf-8")
         )
         for record in trajectory:
             assert set(ENGINE_SCHEMA_KEYS) <= set(record), record
+
+
+def trajectory_bytes():
+    return {path.name: path.read_bytes() for path in BENCH_DIR.glob("BENCH_*.json")}
+
+
+class TestRecordBenchTrajectory:
+    def test_without_opt_in_tracked_files_stay_byte_identical(self, monkeypatch):
+        monkeypatch.delenv(RECORD_ENV, raising=False)
+        before = trajectory_bytes()
+        assert record_bench_trajectory("engine", dict(LEGACY_FAST)) is None
+        assert record_bench_trajectory("blocksize", {"n": 120}) is None
+        assert trajectory_bytes() == before
+
+    def test_opt_in_appends_one_record(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bench_utils, "BENCH_DIR", tmp_path)
+        monkeypatch.setenv(RECORD_ENV, "1")
+        path = record_bench_trajectory("engine", dict(LEGACY_FAST))
+        assert path == tmp_path / "BENCH_engine.json"
+        (record,) = json.loads(path.read_text())
+        assert set(ENGINE_SCHEMA_KEYS) <= set(record)

@@ -31,6 +31,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from ..obs import current_collector
 from .semantics import UNREACHABLE
 
 __all__ = [
@@ -52,6 +53,18 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError(f"expected a (B, L) matrix, got shape {matrix.shape}")
     return matrix
+
+
+def _index_matrices(
+    i_nodes: np.ndarray, j_nodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    i_nodes = _as_matrix(i_nodes)
+    j_nodes = _as_matrix(j_nodes)
+    if j_nodes.shape != i_nodes.shape:
+        raise ValueError(
+            f"I/J shape mismatch: {i_nodes.shape} vs {j_nodes.shape}"
+        )
+    return i_nodes, j_nodes
 
 
 def _starts_vector(starts: StartSpec, batch: int) -> np.ndarray:
@@ -89,13 +102,8 @@ def foremost_arrival_matrix(
     Returns:
         ``(B, n)`` float64 arrival-time matrix.
     """
-    i_nodes = _as_matrix(i_nodes)
-    j_nodes = _as_matrix(j_nodes)
+    i_nodes, j_nodes = _index_matrices(i_nodes, j_nodes)
     batch, width = i_nodes.shape
-    if j_nodes.shape != i_nodes.shape:
-        raise ValueError(
-            f"I/J shape mismatch: {i_nodes.shape} vs {j_nodes.shape}"
-        )
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = _starts_vector(starts, batch)
     if batch == 0 or n == 0:
@@ -184,18 +192,57 @@ def opt_end_matrix(
     row ``b`` starting at ``starts[b]``, or
     :data:`~repro.ratio.semantics.UNREACHABLE` when none completes within
     the row's window.  Returns a ``(B,)`` float64 vector.
+
+    The backward sweep runs over doubling prefixes ``[start, start + w)``
+    of each row's window (``w = 4n, 8n, 16n, ...``, capped at the row's
+    length) instead of the whole window.  A row is final once every
+    non-sink arrival in its prefix is finite, or once its prefix is the
+    whole window; only the rows still pending sweep the next, longer
+    prefix.  This is exact: a foremost journey arriving before the cut
+    uses only interactions before it, and cutting the window can only
+    remove journeys, so a prefix whose arrivals are all finite has the
+    full window's arrivals.  The cost therefore follows ``opt`` rather
+    than the length of the window passed in.  The number of time steps
+    swept is emitted as the ``ratio.swept_columns`` counter.
     """
-    i_nodes = _as_matrix(i_nodes)
-    batch = i_nodes.shape[0]
+    i_nodes, j_nodes = _index_matrices(i_nodes, j_nodes)
+    batch, width = i_nodes.shape
     starts = _starts_vector(starts, batch)
     if n <= 1:
         # Degenerate single-node instances: nothing to aggregate (oracle
         # convention: the convergecast is already complete).
         return np.maximum(starts - 1, 0).astype(np.float64)
-    arrival = foremost_arrival_matrix(i_nodes, j_nodes, lengths, n, sink, starts=starts)
+    limits = np.minimum(np.asarray(lengths, dtype=np.int64), width)
+    origins = np.maximum(starts, 0)
     non_sink = np.ones(n, dtype=bool)
     non_sink[sink] = False
-    return arrival[:, non_sink].max(axis=1)
+    ends = np.full(batch, UNREACHABLE, dtype=np.float64)
+    # Rows whose window is empty have no convergecast; leaving them out
+    # keeps their lengths from stretching the first pass's sweep.
+    pending = np.flatnonzero(origins < limits)
+    prefix = 4 * n
+    swept = 0
+    while pending.size:
+        cuts = np.minimum(origins[pending] + prefix, limits[pending])
+        stop = int(cuts.max())
+        swept += stop - int(origins[pending].min())
+        arrival = foremost_arrival_matrix(
+            i_nodes[pending, :stop],
+            j_nodes[pending, :stop],
+            cuts,
+            n,
+            sink,
+            starts=starts[pending],
+        )
+        row_ends = arrival[:, non_sink].max(axis=1)
+        final = np.isfinite(row_ends) | (cuts == limits[pending])
+        ends[pending[final]] = row_ends[final]
+        pending = pending[~final]
+        prefix *= 2
+    collector = current_collector()
+    if collector.enabled:
+        collector.counter("ratio.swept_columns", swept)
+    return ends
 
 
 def successive_convergecast_end_matrix(
@@ -221,8 +268,7 @@ def successive_convergecast_end_matrix(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    i_nodes = _as_matrix(i_nodes)
-    j_nodes = _as_matrix(j_nodes)
+    i_nodes, j_nodes = _index_matrices(i_nodes, j_nodes)
     batch, width = i_nodes.shape
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = _starts_vector(starts, batch).copy()
@@ -231,8 +277,8 @@ def successive_convergecast_end_matrix(
     for round_index in range(count):
         if not active.any():
             break
-        # Inactive rows sweep an empty window (start beyond the row), so
-        # one matrix call serves every row each round.
+        # Inactive rows start past their window, which opt_end_matrix
+        # answers without sweeping, so one call serves every row each round.
         round_starts = np.where(active, starts, width)
         round_ends = opt_end_matrix(
             i_nodes, j_nodes, lengths, n, sink, starts=round_starts

@@ -321,6 +321,24 @@ class TestEngineInstrumentation:
         traced, _ = traced_cell(engine)
         assert untraced == traced
 
+    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
+    def test_tracing_does_not_change_ratio_metrics(self, engine):
+        from repro.algorithms.gathering import Gathering
+
+        untraced = run_sweep_cell(
+            lambda n: Gathering(), n=12, trials=4, master_seed=5,
+            engine=engine, capture_opt=True,
+        )
+        runs = [traced_cell(engine, capture_opt=True) for _ in range(2)]
+        swept = [
+            [c.value for c in collector.counters
+             if c.name == "ratio.swept_columns"]
+            for _, collector in runs
+        ]
+        assert all(metrics == untraced for metrics, _ in runs)
+        assert swept[0] and all(value > 0 for value in swept[0])
+        assert swept[0] == swept[1]
+
 
 def campaign_spec(**overrides):
     kwargs = dict(

@@ -18,12 +18,15 @@ import random
 
 import numpy as np
 import pytest
-from strategies import random_sequence
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from strategies import common_settings, interaction_sequences, random_sequence
 
 from repro.adversaries.committed import CommittedBlockAdversary
 from repro.adversaries.factory import make_adversary
 from repro.adversaries.mobility import TraceReplayAdversary
 from repro.core.interaction import InteractionSequence
+from repro.obs import RecordingCollector, use_collector
 from repro.offline.convergecast import (
     INFINITY,
     foremost_arrival_times,
@@ -31,6 +34,7 @@ from repro.offline.convergecast import (
     successive_convergecasts,
 )
 from repro.ratio.kernels import (
+    _TIME_CHUNK,
     foremost_arrival_matrix,
     opt_end_matrix,
     sequence_index_blocks,
@@ -51,6 +55,58 @@ def single_row(sequence: InteractionSequence, n: int):
     index_of = {node: node for node in range(n)}
     i, j = sequence_index_blocks(sequence, index_of)
     return i[None, :], j[None, :], np.array([len(sequence)], dtype=np.int64)
+
+
+def cell_rows(sequences, n: int):
+    """``(I, J, lengths)`` of one cell, one row per sequence, zero-padded."""
+    index_of = {node: node for node in range(n)}
+    blocks = [sequence_index_blocks(s, index_of) for s in sequences]
+    width = max(len(s) for s in sequences)
+    I = np.zeros((len(sequences), width), dtype=np.int64)
+    J = np.zeros((len(sequences), width), dtype=np.int64)
+    for row, (i, j) in enumerate(blocks):
+        I[row, : i.shape[0]] = i
+        J[row, : j.shape[0]] = j
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    return I, J, lengths
+
+
+def late_node_sequence(rng: random.Random, n: int, late_at, length: int):
+    """A sequence whose ``opt(0)`` is exactly ``late_at``.
+
+    Nodes ``1 .. n-2`` meet the sink (node 0) first, then random traffic
+    among them runs until node ``n-1`` meets the sink, for the first time,
+    at ``late_at``; random traffic among all nodes follows.  With
+    ``late_at=None`` node ``n-1`` never interacts and no convergecast
+    completes.
+    """
+    pairs = [(node, 0) for node in range(1, n - 1)]
+    quiet = (length if late_at is None else late_at) - len(pairs)
+    pairs += random_sequence(rng, n - 1, quiet).pairs
+    if late_at is not None:
+        pairs.append((n - 1, 0))
+        pairs += random_sequence(rng, n, length - late_at - 1).pairs
+    return InteractionSequence.from_pairs(pairs)
+
+
+def bursty_sequence(rng: random.Random, n: int, length: int):
+    """Random traffic in which node ``n-1`` falls silent for long stretches."""
+    pairs = []
+    while len(pairs) < length:
+        pairs += random_sequence(rng, n, rng.randint(n, 4 * n)).pairs
+        pairs += random_sequence(rng, n - 1, rng.randint(4 * n, 20 * n)).pairs
+    return InteractionSequence.from_pairs(pairs[:length])
+
+
+def traced_opt_ends(*args, **kwargs):
+    """``opt_end_matrix`` plus the ``ratio.swept_columns`` it emitted."""
+    collector = RecordingCollector()
+    with use_collector(collector):
+        ends = opt_end_matrix(*args, **kwargs)
+    (swept,) = [
+        c.value for c in collector.counters if c.name == "ratio.swept_columns"
+    ]
+    return ends, swept
 
 
 class TestForemostArrivalMatrix:
@@ -79,15 +135,7 @@ class TestForemostArrivalMatrix:
         rng = random.Random(13)
         n = 6
         sequences = [random_sequence(rng, n, length) for length in (0, 5, 40, 17)]
-        index_of = {node: node for node in range(n)}
-        blocks = [sequence_index_blocks(s, index_of) for s in sequences]
-        width = max(len(s) for s in sequences)
-        I = np.zeros((len(sequences), width), dtype=np.int64)
-        J = np.zeros((len(sequences), width), dtype=np.int64)
-        for row, (i, j) in enumerate(blocks):
-            I[row, : i.shape[0]] = i
-            J[row, : j.shape[0]] = j
-        lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+        I, J, lengths = cell_rows(sequences, n)
         kernel = foremost_arrival_matrix(I, J, lengths, n, 0)
         for row, sequence in enumerate(sequences):
             oracle = foremost_arrival_times(sequence, list(range(n)), 0)
@@ -177,6 +225,118 @@ class TestSuccessiveConvergecastMatrix:
             successive_convergecast_end_matrix(
                 I, I, np.array([0]), 3, 0, 0
             )
+
+
+class TestPrefixSweep:
+    """``opt_end_matrix`` sweeps doubling prefixes ``[start, start + w)``.
+
+    ``w`` runs 4n, 8n, 16n, ... capped at each row's window; a row is final
+    once its prefix yields a finite opt end or covers the whole window.
+    Windows here are at least 40n long, so several passes run, and every
+    result is compared with the pure-Python oracle.
+    """
+
+    def test_rows_finish_in_different_passes(self):
+        rng = random.Random(41)
+        n = 6
+        length = 48 * n
+        # Resolved by the [0, 4n), [0, 8n), [0, 16n), [0, 32n) passes and
+        # by the whole-window pass respectively.
+        late = [n, 5 * n, 10 * n, 20 * n, 40 * n]
+        sequences = [late_node_sequence(rng, n, at, length) for at in late]
+        I, J, lengths = cell_rows(sequences, n)
+        ends, swept = traced_opt_ends(I, J, lengths, n, 0)
+        assert ends.tolist() == [float(at) for at in late]
+        for row, sequence in enumerate(sequences):
+            assert ends[row] == float(opt(sequence, list(range(n)), 0))
+        assert swept == (4 + 8 + 16 + 32 + 48) * n
+
+    def test_row_that_never_completes_sweeps_its_window(self):
+        rng = random.Random(43)
+        n = 6
+        length = 48 * n
+        sequence = late_node_sequence(rng, n, None, length)
+        ends, swept = traced_opt_ends(*single_row(sequence, n), n, 0)
+        assert ends[0] == UNREACHABLE
+        assert opt(sequence, list(range(n)), 0) == INFINITY
+        # Every pass, the last one over the whole window: less than three
+        # windows in total.
+        assert swept == (4 + 8 + 16 + 32 + 48) * n
+        assert swept < 3 * length
+
+    def test_per_row_starts_at_and_past_the_window_end(self):
+        rng = random.Random(47)
+        n = 5
+        length = 40 * n
+        sequences = [
+            random_sequence(rng, n, length),
+            late_node_sequence(rng, n, 30 * n, length),
+            bursty_sequence(rng, n, length),
+        ]
+        starts = [0, 9, length // 2, length - 3 * n, length - 1, length, length + 7]
+        rows = [(s, start) for s in sequences for start in starts]
+        I, J, lengths = cell_rows([s for s, _ in rows], n)
+        row_starts = np.array([start for _, start in rows], dtype=np.int64)
+        ends = opt_end_matrix(I, J, lengths, n, 0, starts=row_starts)
+        for row, (sequence, start) in enumerate(rows):
+            assert ends[row] == float(
+                opt(sequence, list(range(n)), 0, start=start)
+            )
+
+    def test_window_longer_than_the_time_chunk(self):
+        rng = random.Random(53)
+        n = 8
+        length = _TIME_CHUNK + 4000
+        late_at = _TIME_CHUNK + 1000
+        sequences = [
+            late_node_sequence(rng, n, late_at, length),
+            late_node_sequence(rng, n, None, length),
+        ]
+        I, J, lengths = cell_rows(sequences, n)
+        ends = opt_end_matrix(I, J, lengths, n, 0)
+        assert ends.tolist() == [float(late_at), UNREACHABLE]
+        assert [opt(s, list(range(n)), 0) for s in sequences] == [
+            late_at,
+            INFINITY,
+        ]
+
+    def test_successive_convergecasts_over_long_windows(self):
+        rng = random.Random(59)
+        n = 5
+        count = 12
+        sequences = [
+            bursty_sequence(rng, n, rng.randint(40 * n, 80 * n)) for _ in range(6)
+        ]
+        I, J, lengths = cell_rows(sequences, n)
+        kernel = successive_convergecast_end_matrix(I, J, lengths, n, 0, count)
+        for row, sequence in enumerate(sequences):
+            oracle = successive_convergecasts(
+                sequence, list(range(n)), 0, count=count
+            )
+            expected = [float(value) for value in oracle]
+            expected += [INFINITY] * (count - len(expected))
+            assert kernel[row].tolist() == expected
+
+    @common_settings
+    @given(data=st.data())
+    def test_appending_after_a_finite_opt_end_changes_nothing(self, data):
+        n, sequence = data.draw(interaction_sequences())
+        start = data.draw(st.integers(min_value=0, max_value=len(sequence)))
+        end = opt_end_matrix(*single_row(sequence, n), n, 0, starts=start)[0]
+        assume(np.isfinite(end))
+        keep = data.draw(
+            st.integers(min_value=int(end) + 1, max_value=len(sequence))
+        )
+        _, tail = data.draw(
+            interaction_sequences(min_nodes=n, max_nodes=n, min_len=0)
+        )
+        extended = InteractionSequence.from_pairs(
+            sequence.pairs[:keep] + tail.pairs
+        )
+        extended_end = opt_end_matrix(
+            *single_row(extended, n), n, 0, starts=start
+        )[0]
+        assert extended_end == end
 
 
 class TestHardenedSuccessiveConvergecasts:
