@@ -52,8 +52,8 @@ broadcast) that run trial-vectorized through their own decision kernels
 ``test_bench_engine.test_knowledge_kernel_speedup_and_equality`` under
 the distinct engine tag ``vectorized_knowledge`` so the main vectorized
 ratchet keeps its single-workload meaning).  ``--require-record`` demands
-that a vectorized_knowledge-vs-fast record exists and its recorded
-speedup stays above ``MIN_KNOWLEDGE_VS_FAST``.
+that a vectorized_knowledge-vs-reference record exists and its recorded
+speedup stays above ``MIN_KNOWLEDGE_VS_REFERENCE``.
 
 Run from the repository root::
 
@@ -149,7 +149,7 @@ def opt_kernel_records() -> list:
 
 
 def knowledge_kernel_records() -> list:
-    """All vectorized_knowledge-vs-fast records, in trajectory order.
+    """All vectorized_knowledge-vs-reference records, in trajectory order.
 
     These are appended by ``test_bench_engine.
     test_knowledge_kernel_speedup_and_equality`` (the decision kernels of
@@ -163,7 +163,7 @@ def knowledge_kernel_records() -> list:
         record
         for record in load_trajectory()
         if record.get("engine") == "vectorized_knowledge"
-        and record.get("baseline") == "fast"
+        and record.get("baseline") == "reference"
     ]
 
 
@@ -173,18 +173,17 @@ def check_knowledge_kernel(
     """Gate the knowledge-kernel record: presence (CI mode) and hard floor.
 
     Like the opt kernel, this workload gets a single acceptance floor
-    (the same ``MIN_KNOWLEDGE_VS_FAST`` the benchmark asserts) rather
-    than a ratchet: the margin over the fast engine is structurally
-    modest (both engines share the per-trial plan/oracle construction
-    cost), so a host-relative ratchet would mostly track noise.  Returns
-    the exit-code contribution (0 ok, 1 regression, 2 missing required
-    record).
+    (the same ``MIN_KNOWLEDGE_VS_REFERENCE`` the benchmark asserts)
+    rather than a ratchet: both engines share the per-trial plan/oracle
+    construction cost, which dominates the workload, so a host-relative
+    ratchet would mostly track noise.  Returns the exit-code contribution
+    (0 ok, 1 regression, 2 missing required record).
     """
     if not records:
         if require_record:
             print(
                 "perf gate error: BENCH_engine.json holds no "
-                "vectorized_knowledge-vs-fast record; the benchmark step "
+                "vectorized_knowledge-vs-reference record; the benchmark step "
                 "that precedes the gate should have appended one (run "
                 "REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest "
                 "benchmarks/test_bench_engine.py -x -q -s)"
@@ -196,25 +195,25 @@ def check_knowledge_kernel(
         if gates is not None:
             gates["knowledge_kernel"] = {"ok": True, "bootstrap": True}
         return 0
-    from test_bench_engine import MIN_KNOWLEDGE_VS_FAST
+    from test_bench_engine import MIN_KNOWLEDGE_VS_REFERENCE
 
     latest = records[-1]["speedup"]
     if gates is not None:
         gates["knowledge_kernel"] = {
-            "ok": latest >= MIN_KNOWLEDGE_VS_FAST,
+            "ok": latest >= MIN_KNOWLEDGE_VS_REFERENCE,
             "speedup": latest,
-            "floor": MIN_KNOWLEDGE_VS_FAST,
-            "margin": round(latest - MIN_KNOWLEDGE_VS_FAST, 3),
+            "floor": MIN_KNOWLEDGE_VS_REFERENCE,
+            "margin": round(latest - MIN_KNOWLEDGE_VS_REFERENCE, 3),
             "record": records[-1],
         }
     print(
         f"latest recorded knowledge-kernel speedup: {latest:.1f}x vs the "
-        f"fast engine (floor {MIN_KNOWLEDGE_VS_FAST:.1f}x)"
+        f"reference engine (floor {MIN_KNOWLEDGE_VS_REFERENCE:.1f}x)"
     )
-    if latest < MIN_KNOWLEDGE_VS_FAST:
+    if latest < MIN_KNOWLEDGE_VS_REFERENCE:
         print(
             f"FAIL: knowledge-kernel speedup {latest:.1f}x below the "
-            f"{MIN_KNOWLEDGE_VS_FAST:.1f}x floor"
+            f"{MIN_KNOWLEDGE_VS_REFERENCE:.1f}x floor"
         )
         return 1
     return 0
@@ -281,9 +280,7 @@ def measure_and_record() -> dict:
         measure_vectorized_engine,
     )
 
-    reference_seconds, fast_seconds, vectorized_seconds = (
-        measure_vectorized_engine()
-    )
+    reference_seconds, vectorized_seconds = measure_vectorized_engine()
     speedup = reference_seconds / vectorized_seconds
     record = {
         "engine": "vectorized",
@@ -299,7 +296,7 @@ def measure_and_record() -> dict:
     recorded = record_bench_trajectory("engine", record) is not None
     print(
         f"measured (n={BENCH_N}, trials={BENCH_TRIALS}): reference "
-        f"{reference_seconds:.3f}s, fast {fast_seconds:.3f}s, vectorized "
+        f"{reference_seconds:.3f}s, vectorized "
         f"{vectorized_seconds:.3f}s -> {speedup:.1f}x vs reference "
         f"({'recorded' if recorded else 'not recorded: REPRO_BENCH_RECORD unset'})"
     )

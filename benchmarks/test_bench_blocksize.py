@@ -1,4 +1,4 @@
-"""Micro-benchmark: tune the batched engines' ``block_size`` option.
+"""Micro-benchmark: tune the vectorized engine's ``block_size`` option.
 
 Sweeps the committed-future window consumed per engine step over a range of
 powers of two, running the standard n=120 vectorized cell (``gathering`` +
@@ -8,7 +8,7 @@ Two things are asserted:
 * **correctness is block-size independent** — every size reproduces the
   reference metrics trial for trial (the block boundaries are pure
   consumption windows, never semantics);
-* the engine's **default** (:data:`repro.core.fast_execution.
+* the engine's **default** (:data:`repro.core.vector_execution.
   DEFAULT_BLOCK_SIZE`, exposed as the ``block_size`` engine option) is not
   badly mistuned: it must reach at least half the throughput of the best
   size measured in this run.
@@ -21,7 +21,7 @@ import time
 
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting import Waiting
-from repro.core.fast_execution import DEFAULT_BLOCK_SIZE
+from repro.core.vector_execution import DEFAULT_BLOCK_SIZE
 from repro.sim.batch import run_sweep_cell
 
 from bench_utils import record_bench_trajectory

@@ -1,24 +1,21 @@
-"""Differential benchmarks: fast and vectorized engines vs. reference.
+"""Differential benchmarks: the vectorized engine vs. the reference engine.
 
-Three engine benchmarks share this file:
+Two engine benchmarks share this file:
 
-* the legacy **fast-engine gate** — the ``gathering`` / ``waiting_greedy``
-  randomized-adversary sweep at n >= 100 through the reference and fast
-  engines, asserting identical trials and a >= 3x speedup;
 * the **trial-vectorized gate** — the paper's three-algorithm workload
   (Waiting / Gathering / Waiting Greedy, the Monte-Carlo sweep the
-  reproduction's claims rest on) at the same n, with each cell executed as
+  reproduction's claims rest on) at n >= 100, with each cell executed as
   one :class:`~repro.core.vector_execution.VectorizedExecutor` batch.
-  Results must be identical trial for trial to the per-trial reference
-  sweep; the measured speedups vs. the reference *and* vs. the fast engine
-  are appended to the ``BENCH_engine.json`` trajectory (canonical schema,
-  see :func:`bench_utils.normalize_engine_record`);
+  Results must be identical trial for trial to the reference sweep; the
+  measured speedup vs. the reference is appended to the
+  ``BENCH_engine.json`` trajectory (canonical schema, see
+  :func:`bench_utils.normalize_engine_record`);
 * the **knowledge-kernel gate** — the three knowledge-heavy algorithms
   (spanning tree / full knowledge / future broadcast) that gained decision
   kernels, at the same n.  Their vectorized cells must run with **zero
   engine fallbacks** (``EngineFallbackWarning`` is an error here), be
-  identical trial for trial to the reference sweep, and beat the fast
-  engine; the record is appended under the distinct engine tag
+  identical trial for trial to the reference sweep, and beat it; the
+  record is appended under the distinct engine tag
   ``vectorized_knowledge`` so the long-standing vectorized-vs-reference
   ratchet in ``perf_gate.py`` keeps its single-workload meaning.
 
@@ -38,31 +35,23 @@ from repro.algorithms.spanning_tree import SpanningTreeAggregation
 from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
 from repro.core.vector_execution import EngineFallbackWarning
-from repro.sim.batch import sweep_adversary_batched
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
-from repro.sim.runner import sweep_random_adversary
+from repro.sim.parallel import sweep_random_adversary
 
 from bench_utils import record_bench_trajectory
 
 #: The benchmark sweep: acceptance requires n >= 100.
 BENCH_N = 120
 BENCH_TRIALS = 5
-MIN_SPEEDUP = 3.0
-#: CI-safe hard floors for the vectorized engine (locally measured values
+#: CI-safe hard floor for the vectorized engine (locally measured values
 #: are ~3x higher and live in the trajectory; perf_gate.py guards those).
 MIN_VECTORIZED_VS_REFERENCE = 10.0
-MIN_VECTORIZED_VS_FAST = 1.2
 #: CI-safe hard floor for the knowledge-kernel gate (locally measured
-#: ~2.1x vs fast; perf_gate.py requires and floors the recorded value).
-MIN_KNOWLEDGE_VS_FAST = 1.2
+#: 2.6-5.2x vs reference; perf_gate.py requires and floors the recorded
+#: value).
+MIN_KNOWLEDGE_VS_REFERENCE = 1.5
 #: Each engine is timed this many times and the best run is kept, so a
 #: single noisy measurement on a loaded machine cannot fail the gate.
 TIMING_ROUNDS = 3
-
-FACTORIES = {
-    "gathering": lambda n: Gathering(),
-    "waiting_greedy": lambda n: WaitingGreedy(tau=optimal_tau(n)),
-}
 
 #: The full paper workload for the trial-vectorized gate.
 VECTOR_FACTORIES = {
@@ -79,7 +68,7 @@ KNOWLEDGE_FACTORIES = {
 }
 
 
-def _timed_sweep(engine: str, factories=FACTORIES) -> "tuple":
+def _timed_sweep(engine: str, factories) -> "tuple":
     """Run the benchmark sweep on one engine, best wall clock of N rounds.
 
     The results are identical across rounds (fully seeded); only the timing
@@ -105,27 +94,6 @@ def _timed_sweep(engine: str, factories=FACTORIES) -> "tuple":
     return results, best
 
 
-def _timed_vectorized_sweep(factories=VECTOR_FACTORIES) -> "tuple":
-    """The same sweep through one vectorized batch per cell, best of N."""
-    best = None
-    for _ in range(TIMING_ROUNDS):
-        started = time.perf_counter()
-        results = {
-            name: sweep_adversary_batched(
-                factory,
-                ns=[BENCH_N],
-                trials=BENCH_TRIALS,
-                master_seed=7,
-                experiment="bench_engine",
-                engine="vectorized",
-            )
-            for name, factory in factories.items()
-        }
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return results, best
-
-
 def _assert_sweeps_identical(candidate, expected, factories):
     for name in factories:
         for candidate_point, expected_point in zip(
@@ -134,209 +102,103 @@ def _assert_sweeps_identical(candidate, expected, factories):
             assert candidate_point.trials == expected_point.trials, name
 
 
-def test_fast_engine_speedup_and_equality(benchmark):
-    """The fast engine reproduces the reference sweep >= 3x faster."""
-    reference, reference_seconds = _timed_sweep("reference")
-    (fast, fast_seconds) = benchmark.pedantic(
-        lambda: _timed_sweep("fast"), rounds=1, iterations=1, warmup_rounds=0
-    )
-    _assert_sweeps_identical(fast, reference, FACTORIES)
-    speedup = reference_seconds / fast_seconds
-    benchmark.extra_info["n"] = BENCH_N
-    benchmark.extra_info["trials"] = BENCH_TRIALS
-    benchmark.extra_info["reference_seconds"] = reference_seconds
-    benchmark.extra_info["fast_seconds"] = fast_seconds
-    benchmark.extra_info["speedup"] = speedup
-    record_bench_trajectory(
-        "engine",
-        {
-            "engine": "fast",
-            "baseline": "reference",
-            "adversary": "uniform",
-            "algorithms": sorted(FACTORIES),
-            "n": BENCH_N,
-            "trials": BENCH_TRIALS,
-            "seconds": round(fast_seconds, 6),
-            "baseline_seconds": round(reference_seconds, 6),
-            "speedup": round(speedup, 3),
-        },
-    )
-    print(
-        f"\nengine benchmark (n={BENCH_N}, trials={BENCH_TRIALS}, "
-        f"algorithms={sorted(FACTORIES)}): reference {reference_seconds:.3f}s, "
-        f"fast {fast_seconds:.3f}s, speedup {speedup:.1f}x"
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"fast engine speedup {speedup:.2f}x below the required "
-        f"{MIN_SPEEDUP:.0f}x (reference {reference_seconds:.3f}s, "
-        f"fast {fast_seconds:.3f}s)"
-    )
+def _measure(factories) -> "tuple":
+    """``(reference_seconds, vectorized_seconds)`` of one gate workload.
+
+    The vectorized leg runs with ``EngineFallbackWarning`` promoted to an
+    error and is asserted trial-identical to the reference sweep.
+    """
+    reference, reference_seconds = _timed_sweep("reference", factories)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineFallbackWarning)
+        vectorized, vectorized_seconds = _timed_sweep("vectorized", factories)
+    _assert_sweeps_identical(vectorized, reference, factories)
+    return reference_seconds, vectorized_seconds
 
 
 def measure_vectorized_engine():
     """One full vectorized-gate measurement (shared with perf_gate.py).
 
-    Returns ``(reference_seconds, fast_seconds, vectorized_seconds)`` for
-    the three-algorithm n=120 sweep, after asserting that the vectorized
-    batch reproduces the reference sweep trial for trial.
+    Returns ``(reference_seconds, vectorized_seconds)`` for the
+    three-algorithm n=120 sweep, after asserting that the vectorized sweep
+    reproduces the reference sweep trial for trial.
     """
-    reference, reference_seconds = _timed_sweep(
-        "reference", factories=VECTOR_FACTORIES
+    return _measure(VECTOR_FACTORIES)
+
+
+def _record_and_report(engine, factories, reference_seconds, vectorized_seconds):
+    speedup = reference_seconds / vectorized_seconds
+    record_bench_trajectory(
+        "engine",
+        {
+            "engine": engine,
+            "baseline": "reference",
+            "adversary": "uniform",
+            "algorithms": sorted(factories),
+            "n": BENCH_N,
+            "trials": BENCH_TRIALS,
+            "seconds": round(vectorized_seconds, 6),
+            "baseline_seconds": round(reference_seconds, 6),
+            "speedup": round(speedup, 3),
+        },
     )
-    fast, fast_seconds = _timed_sweep("fast", factories=VECTOR_FACTORIES)
-    vectorized, vectorized_seconds = _timed_vectorized_sweep()
-    _assert_sweeps_identical(vectorized, reference, VECTOR_FACTORIES)
-    _assert_sweeps_identical(fast, reference, VECTOR_FACTORIES)
-    return reference_seconds, fast_seconds, vectorized_seconds
+    print(
+        f"\n{engine} benchmark (n={BENCH_N}, trials={BENCH_TRIALS}, "
+        f"algorithms={sorted(factories)}): reference "
+        f"{reference_seconds:.3f}s, vectorized {vectorized_seconds:.3f}s "
+        f"-> {speedup:.1f}x vs reference"
+    )
+    return speedup
 
 
 def test_vectorized_engine_speedup_and_equality(benchmark):
     """The trial-vectorized engine reproduces the paper sweep, much faster."""
-    (reference_seconds, fast_seconds, vectorized_seconds) = benchmark.pedantic(
+    (reference_seconds, vectorized_seconds) = benchmark.pedantic(
         measure_vectorized_engine, rounds=1, iterations=1, warmup_rounds=0
     )
-    vs_reference = reference_seconds / vectorized_seconds
-    vs_fast = fast_seconds / vectorized_seconds
+    vs_reference = _record_and_report(
+        "vectorized", VECTOR_FACTORIES, reference_seconds, vectorized_seconds
+    )
     benchmark.extra_info["n"] = BENCH_N
     benchmark.extra_info["trials"] = BENCH_TRIALS
     benchmark.extra_info["reference_seconds"] = reference_seconds
-    benchmark.extra_info["fast_seconds"] = fast_seconds
     benchmark.extra_info["vectorized_seconds"] = vectorized_seconds
     benchmark.extra_info["speedup_vs_reference"] = vs_reference
-    benchmark.extra_info["speedup_vs_fast"] = vs_fast
-    for baseline, baseline_seconds, speedup in (
-        ("reference", reference_seconds, vs_reference),
-        ("fast", fast_seconds, vs_fast),
-    ):
-        record_bench_trajectory(
-            "engine",
-            {
-                "engine": "vectorized",
-                "baseline": baseline,
-                "adversary": "uniform",
-                "algorithms": sorted(VECTOR_FACTORIES),
-                "n": BENCH_N,
-                "trials": BENCH_TRIALS,
-                "seconds": round(vectorized_seconds, 6),
-                "baseline_seconds": round(baseline_seconds, 6),
-                "speedup": round(speedup, 3),
-            },
-        )
-    print(
-        f"\nvectorized benchmark (n={BENCH_N}, trials={BENCH_TRIALS}, "
-        f"algorithms={sorted(VECTOR_FACTORIES)}): reference "
-        f"{reference_seconds:.3f}s, fast {fast_seconds:.3f}s, vectorized "
-        f"{vectorized_seconds:.3f}s -> {vs_reference:.1f}x vs reference, "
-        f"{vs_fast:.1f}x vs fast"
-    )
     assert vs_reference >= MIN_VECTORIZED_VS_REFERENCE, (
         f"vectorized speedup {vs_reference:.2f}x vs reference below the CI "
         f"floor {MIN_VECTORIZED_VS_REFERENCE:.0f}x"
-    )
-    assert vs_fast >= MIN_VECTORIZED_VS_FAST, (
-        f"vectorized speedup {vs_fast:.2f}x vs fast below the CI floor "
-        f"{MIN_VECTORIZED_VS_FAST:.1f}x"
     )
 
 
 def measure_knowledge_engines():
     """One full knowledge-kernel-gate measurement (shared with perf_gate.py).
 
-    Returns ``(reference_seconds, fast_seconds, vectorized_seconds)`` for
-    the three knowledge-heavy algorithms on the n=120 sweep.  The
-    vectorized leg runs with ``EngineFallbackWarning`` promoted to an
-    error — the gate's premise is that these algorithms now run through
-    their own decision kernels, so a single fallback trial fails the
-    measurement — and both optimised legs are asserted trial-identical to
-    the reference sweep.
+    Returns ``(reference_seconds, vectorized_seconds)`` for the three
+    knowledge-heavy algorithms on the n=120 sweep.  The gate's premise is
+    that these algorithms run through their own decision kernels, so a
+    single fallback trial fails the measurement.
     """
-    reference, reference_seconds = _timed_sweep(
-        "reference", factories=KNOWLEDGE_FACTORIES
-    )
-    fast, fast_seconds = _timed_sweep("fast", factories=KNOWLEDGE_FACTORIES)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", EngineFallbackWarning)
-        vectorized, vectorized_seconds = _timed_vectorized_sweep(
-            factories=KNOWLEDGE_FACTORIES
-        )
-    _assert_sweeps_identical(vectorized, reference, KNOWLEDGE_FACTORIES)
-    _assert_sweeps_identical(fast, reference, KNOWLEDGE_FACTORIES)
-    return reference_seconds, fast_seconds, vectorized_seconds
+    return _measure(KNOWLEDGE_FACTORIES)
 
 
 def test_knowledge_kernel_speedup_and_equality(benchmark):
-    """The newly kernelized algorithms beat the fast engine, zero fallbacks."""
-    (reference_seconds, fast_seconds, vectorized_seconds) = benchmark.pedantic(
+    """The newly kernelized algorithms beat the reference, zero fallbacks."""
+    (reference_seconds, vectorized_seconds) = benchmark.pedantic(
         measure_knowledge_engines, rounds=1, iterations=1, warmup_rounds=0
     )
-    vs_reference = reference_seconds / vectorized_seconds
-    vs_fast = fast_seconds / vectorized_seconds
+    vs_reference = _record_and_report(
+        "vectorized_knowledge", KNOWLEDGE_FACTORIES,
+        reference_seconds, vectorized_seconds,
+    )
     benchmark.extra_info["n"] = BENCH_N
     benchmark.extra_info["trials"] = BENCH_TRIALS
     benchmark.extra_info["reference_seconds"] = reference_seconds
-    benchmark.extra_info["fast_seconds"] = fast_seconds
     benchmark.extra_info["vectorized_seconds"] = vectorized_seconds
     benchmark.extra_info["speedup_vs_reference"] = vs_reference
-    benchmark.extra_info["speedup_vs_fast"] = vs_fast
-    for baseline, baseline_seconds, speedup in (
-        ("reference", reference_seconds, vs_reference),
-        ("fast", fast_seconds, vs_fast),
-    ):
-        record_bench_trajectory(
-            "engine",
-            {
-                "engine": "vectorized_knowledge",
-                "baseline": baseline,
-                "adversary": "uniform",
-                "algorithms": sorted(KNOWLEDGE_FACTORIES),
-                "n": BENCH_N,
-                "trials": BENCH_TRIALS,
-                "seconds": round(vectorized_seconds, 6),
-                "baseline_seconds": round(baseline_seconds, 6),
-                "speedup": round(speedup, 3),
-            },
-        )
-    print(
-        f"\nknowledge-kernel benchmark (n={BENCH_N}, trials={BENCH_TRIALS}, "
-        f"algorithms={sorted(KNOWLEDGE_FACTORIES)}): reference "
-        f"{reference_seconds:.3f}s, fast {fast_seconds:.3f}s, vectorized "
-        f"{vectorized_seconds:.3f}s -> {vs_reference:.1f}x vs reference, "
-        f"{vs_fast:.1f}x vs fast"
+    assert vs_reference >= MIN_KNOWLEDGE_VS_REFERENCE, (
+        f"knowledge-kernel speedup {vs_reference:.2f}x vs reference below "
+        f"the CI floor {MIN_KNOWLEDGE_VS_REFERENCE:.1f}x"
     )
-    assert vs_fast >= MIN_KNOWLEDGE_VS_FAST, (
-        f"knowledge-kernel speedup {vs_fast:.2f}x vs fast below the CI "
-        f"floor {MIN_KNOWLEDGE_VS_FAST:.1f}x"
-    )
-
-
-def test_parallel_sweep_matches_serial(benchmark):
-    """workers > 1 reproduces the serial sweep bit for bit."""
-    factory = FACTORIES["gathering"]
-    serial = sweep_random_adversary(
-        factory,
-        ns=[BENCH_N],
-        trials=BENCH_TRIALS,
-        master_seed=7,
-        experiment="bench_engine",
-        engine="fast",
-    )
-    parallel = benchmark.pedantic(
-        lambda: parallel_sweep(
-            factory,
-            ns=[BENCH_N],
-            trials=BENCH_TRIALS,
-            master_seed=7,
-            experiment="bench_engine",
-            engine="fast",
-            workers=4,
-        ),
-        rounds=1,
-        iterations=1,
-        warmup_rounds=0,
-    )
-    assert parallel.points[0].trials == serial.points[0].trials
-    benchmark.extra_info["workers"] = 4
-    benchmark.extra_info["identical_to_serial"] = True
 
 
 def test_parallel_vectorized_cells_match_serial(benchmark):
@@ -351,7 +213,7 @@ def test_parallel_vectorized_cells_match_serial(benchmark):
         engine="reference",
     )
     parallel = benchmark.pedantic(
-        lambda: parallel_sweep(
+        lambda: sweep_random_adversary(
             factory,
             ns=[60, 90, BENCH_N],
             trials=BENCH_TRIALS,
@@ -359,7 +221,6 @@ def test_parallel_vectorized_cells_match_serial(benchmark):
             experiment="bench_engine",
             engine="vectorized",
             workers=3,
-            batched=True,
         ),
         rounds=1,
         iterations=1,

@@ -1,19 +1,18 @@
-"""Differential benchmark: batched mobility sweeps vs. the reference engine.
+"""Differential benchmark: vectorized mobility sweeps vs. the reference engine.
 
 Runs the same mobility-adversary sweep (``community`` and ``waypoint``
-families, n >= 100) through the reference per-trial path and the batched
-fast-engine path (one ``FastExecutor.run_many`` invocation per sweep cell),
-asserts the results are identical trial for trial, and that the batched
-path is measurably faster.  Timings are appended to the
-``BENCH_engine.json`` trajectory next to the uniform-adversary engine
-benchmark so the speedup can be tracked across commits.
+families, n >= 100) through the reference engine and the vectorized engine
+(one ``VectorizedExecutor.run_many`` invocation per sweep cell), asserts
+the results are identical trial for trial, and that the vectorized sweep
+is measurably faster.  Timings are appended to the ``BENCH_engine.json``
+trajectory under the engine tag ``vectorized_mobility``, apart from the
+uniform-adversary ``vectorized`` records the perf gate ratchets.
 """
 
 import time
 
 from repro.algorithms.waiting import Waiting
-from repro.sim.batch import sweep_adversary_batched
-from repro.sim.runner import sweep_random_adversary
+from repro.sim.parallel import sweep_random_adversary
 
 from bench_utils import record_bench_trajectory
 
@@ -38,65 +37,51 @@ def _timed(run) -> "tuple":
     return result, best
 
 
-def test_batched_mobility_sweep_speedup_and_equality(benchmark):
-    """The batched fast path reproduces the reference mobility sweeps, faster."""
-    reference = {}
-    reference_seconds = 0.0
-    for family in FAMILIES:
-        result, seconds = _timed(
-            lambda family=family: sweep_random_adversary(
-                lambda n: Waiting(),
-                ns=[BENCH_N],
-                trials=BENCH_TRIALS,
-                master_seed=7,
-                experiment="bench_mobility",
-                engine="reference",
-                adversary=family,
-            )
+def _sweeps(engine: str) -> dict:
+    return {
+        family: sweep_random_adversary(
+            lambda n: Waiting(),
+            ns=[BENCH_N],
+            trials=BENCH_TRIALS,
+            master_seed=7,
+            experiment="bench_mobility",
+            engine=engine,
+            adversary=family,
         )
-        reference[family] = result
-        reference_seconds += seconds
+        for family in FAMILIES
+    }
 
-    def run_batched():
-        return {
-            family: sweep_adversary_batched(
-                lambda n: Waiting(),
-                ns=[BENCH_N],
-                trials=BENCH_TRIALS,
-                master_seed=7,
-                experiment="bench_mobility",
-                engine="fast",
-                adversary=family,
-            )
-            for family in FAMILIES
-        }
 
-    batched, batched_seconds = benchmark.pedantic(
-        _timed, args=(run_batched,), rounds=1, iterations=1, warmup_rounds=0
+def test_vectorized_mobility_sweep_speedup_and_equality(benchmark):
+    """The vectorized sweep reproduces the reference mobility sweeps, faster."""
+    reference, reference_seconds = _timed(lambda: _sweeps("reference"))
+    vectorized, vectorized_seconds = benchmark.pedantic(
+        _timed, args=(lambda: _sweeps("vectorized"),),
+        rounds=1, iterations=1, warmup_rounds=0,
     )
     for family in FAMILIES:
-        for ref_point, fast_point in zip(
-            reference[family].points, batched[family].points
+        for ref_point, point in zip(
+            reference[family].points, vectorized[family].points
         ):
-            assert fast_point.trials == ref_point.trials, family
+            assert point.trials == ref_point.trials, family
 
-    speedup = reference_seconds / batched_seconds
+    speedup = reference_seconds / vectorized_seconds
     benchmark.extra_info["n"] = BENCH_N
     benchmark.extra_info["trials"] = BENCH_TRIALS
     benchmark.extra_info["families"] = list(FAMILIES)
     benchmark.extra_info["reference_seconds"] = reference_seconds
-    benchmark.extra_info["batched_fast_seconds"] = batched_seconds
+    benchmark.extra_info["vectorized_seconds"] = vectorized_seconds
     benchmark.extra_info["speedup"] = speedup
     record_bench_trajectory(
         "engine",
         {
-            "engine": "fast_batched",
+            "engine": "vectorized_mobility",
             "baseline": "reference",
             "adversary": "+".join(FAMILIES),
             "algorithms": ["waiting"],
             "n": BENCH_N,
             "trials": BENCH_TRIALS,
-            "seconds": round(batched_seconds, 6),
+            "seconds": round(vectorized_seconds, 6),
             "baseline_seconds": round(reference_seconds, 6),
             "speedup": round(speedup, 3),
         },
@@ -104,10 +89,10 @@ def test_batched_mobility_sweep_speedup_and_equality(benchmark):
     print(
         f"\nmobility sweep benchmark (n={BENCH_N}, trials={BENCH_TRIALS}, "
         f"families={list(FAMILIES)}): reference {reference_seconds:.3f}s, "
-        f"batched fast {batched_seconds:.3f}s, speedup {speedup:.1f}x"
+        f"vectorized {vectorized_seconds:.3f}s, speedup {speedup:.1f}x"
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"batched mobility sweep speedup {speedup:.2f}x below the required "
+        f"vectorized mobility sweep speedup {speedup:.2f}x below the required "
         f"{MIN_SPEEDUP:.1f}x (reference {reference_seconds:.3f}s, "
-        f"batched {batched_seconds:.3f}s)"
+        f"vectorized {vectorized_seconds:.3f}s)"
     )

@@ -66,7 +66,6 @@ from .core import (
     DataToken,
     ExecutionResult,
     Executor,
-    FastExecutor,
     Interaction,
     InteractionSequence,
     NetworkState,
@@ -109,11 +108,10 @@ from .sim import (
     ExperimentReport,
     ResultTable,
     run_random_trial,
-    sweep_adversary_batched,
     sweep_random_adversary,
 )
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 from .campaign import (  # noqa: E402  (needs __version__ for store manifests)
     CampaignReport,
@@ -142,7 +140,6 @@ __all__ = [
     "ExecutionResult",
     "Executor",
     "ExperimentReport",
-    "FastExecutor",
     "FullKnowledge",
     "FullKnowledgeOracle",
     "FutureBroadcast",
@@ -188,7 +185,6 @@ __all__ = [
     "run_algorithm",
     "run_campaign",
     "run_random_trial",
-    "sweep_adversary_batched",
     "sweep_random_adversary",
     "theorem4_delaying_sequence",
     "uniform_random_sequence",

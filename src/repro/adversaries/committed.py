@@ -12,12 +12,13 @@ Q3), and the mobility families in :mod:`repro.adversaries.mobility`:
   O(1) growth (:meth:`CommittedBlockAdversary.draw_block`);
 * fixed-chunk extension (:data:`COMMIT_CHUNK`) so the committed future for a
   given seed does not depend on the query pattern — single
-  ``interaction_at`` calls, block reads from the fast engine, oracle
+  ``interaction_at`` calls, block reads from the vectorized engine, oracle
   extensions from ``next_meeting``, or parallel workers re-deriving the same
   trial all observe the same sequence;
-* batched reads (:meth:`CommittedBlockAdversary.committed_index_block`),
-  which is what lets :class:`~repro.core.fast_execution.FastExecutor`
-  consume *any* committed adversary without per-interaction allocations;
+* batched reads (:meth:`CommittedBlockAdversary.committed_index_block` and
+  :meth:`CommittedBlockAdversary.committed_index_matrix`), which is what
+  lets :class:`~repro.core.vector_execution.VectorizedExecutor` consume
+  *any* committed adversary without per-interaction allocations;
 * lazily built per-pair meeting indices backing ``next_meeting``.
 
 Subclasses implement a single hook, :meth:`_sample_block`, which draws the
@@ -230,7 +231,7 @@ class CommittedBlockAdversary(Adversary):
         Commits further draws as needed; the returned block is truncated at
         ``max_horizon`` (or at a finite future's end), so it may be shorter
         than requested — empty once the committed future is exhausted.  This
-        is the fast engine's batched alternative to per-interaction
+        is the batched alternative to per-interaction
         :meth:`interaction_at` calls.
         """
         self.ensure_committed(stop)

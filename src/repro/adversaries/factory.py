@@ -5,7 +5,8 @@ The sim layer and the CLI refer to committed adversaries by *family name*
 sweep can swap the interaction distribution without touching anything else.
 Every family listed here implements the committed-block protocol of
 :class:`~repro.adversaries.committed.CommittedBlockAdversary` and is
-therefore supported by both execution engines (the fast one in batches) and
+therefore supported by both execution engines (the vectorized one in
+batches) and
 by the ``meetTime``/``future`` knowledge oracles.
 
 Trace replay (:class:`~repro.adversaries.mobility.TraceReplayAdversary`) is

@@ -11,8 +11,8 @@ RandomizedAdversary` does, so that
 * the ``meetTime`` and ``future`` oracles answer consistently with the
   interactions the executor replays (``next_meeting`` over the committed
   future), and
-* :class:`~repro.core.fast_execution.FastExecutor` consumes them in numpy
-  blocks through the shared committed-block protocol
+* :class:`~repro.core.vector_execution.VectorizedExecutor` consumes them in
+  numpy blocks through the shared committed-block protocol
   (:class:`~repro.adversaries.committed.CommittedBlockAdversary`).
 
 Three families are provided:

@@ -13,8 +13,8 @@ two endpoints' weights, which covers the natural skews:
 The committed-future machinery is shared with :class:`RandomizedAdversary`
 through :class:`~repro.adversaries.committed.CommittedBlockAdversary`, so
 the ``meetTime`` and ``future`` oracles stay consistent with the replayed
-interactions, both engines can consume the adversary (the fast one in
-batches), and the ablation experiment (E18) can rerun the paper's
+interactions, both engines can consume the adversary (the vectorized one
+in batches), and the ablation experiment (E18) can rerun the paper's
 algorithms unchanged under the skewed distribution.
 """
 

@@ -12,7 +12,7 @@ one ``randrange`` pair at a time, so the committed future for a given
 ``(nodes, seed)`` is a pure function of the seed: it does not depend on the
 query pattern (single ``interaction_at`` calls, block extensions from
 ``next_meeting``, parallel workers re-deriving the same trial) — a property
-the fast execution engine and the parallel sweep runner rely on.  The
+the vectorized execution engine and the parallel sweep rely on.  The
 committed-block machinery itself lives in
 :class:`~repro.adversaries.committed.CommittedBlockAdversary` and is shared
 with the non-uniform and mobility adversary families.

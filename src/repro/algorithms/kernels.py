@@ -26,8 +26,8 @@ Two kernel flavours exist:
 
 A kernel validates its preconditions in :meth:`DecisionKernel.prepare` and
 raises :class:`KernelUnsupported` when the trial's source or knowledge shape
-is not one it can reproduce **exactly**; the engine then falls back to
-:class:`~repro.core.fast_execution.FastExecutor` for that trial and reports
+is not one it can reproduce **exactly**; the engine then falls back to the
+reference :class:`~repro.core.execution.Executor` for that trial and reports
 the reason (see ``VectorizedExecutor.last_fallbacks``).  **Every registered
 algorithm has a kernel** — :func:`get_kernel` raises on a miss — so a
 fallback is an observable exception, never a routine code path.  Equality

@@ -6,7 +6,7 @@ reproduction system:
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the declarative
   experiment grid (algorithms × adversary families × ``n`` × trials),
   loadable from TOML/JSON and validated against the live registries;
-* :mod:`repro.campaign.runner` — sharded execution over the batched sweep
+* :mod:`repro.campaign.runner` — sharded execution over the sweep-cell
   machinery, checkpointing each completed cell and **resuming**
   interrupted campaigns by skipping cells the store can prove;
 * :mod:`repro.campaign.store` — the content-addressed on-disk store

@@ -1,7 +1,7 @@
 """Sharded, resumable campaign execution.
 
 The runner decomposes a :class:`~repro.campaign.spec.CampaignSpec` into its
-sweep cells, runs each cell through the existing batched sweep machinery
+sweep cells, runs each cell through the sweep machinery
 (:func:`repro.sim.batch.run_sweep_cell`, distributed over worker processes
 by :func:`repro.sim.parallel.run_sweep_cells`), and checkpoints every
 completed cell to a :class:`~repro.campaign.store.CampaignStore` before

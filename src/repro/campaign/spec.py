@@ -11,7 +11,7 @@ Invariants:
 * A spec is **validated on construction** against the live registries
   (:data:`repro.core.algorithm.registry` for algorithms,
   :data:`repro.adversaries.factory.ADVERSARY_FAMILIES` for adversary
-  families, :data:`repro.sim.runner.ENGINES` for engines), so an invalid
+  families, :func:`repro.sim.runner.resolve_engine` for engines), so an invalid
   campaign fails before any cell runs.
 * :meth:`CampaignSpec.spec_hash` covers exactly the *result-determining*
   fields (algorithms, adversaries, ns, trials, master seed, experiment
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..adversaries.factory import ADVERSARY_FAMILIES
 from ..core.algorithm import DODAAlgorithm, registry
-from ..sim.runner import ENGINES, AlgorithmFactory, validate_sweep_parameters
+from ..sim.runner import AlgorithmFactory, resolve_engine, validate_sweep_parameters
 
 __all__ = [
     "CampaignCell",
@@ -85,8 +85,8 @@ class CampaignCell:
     """One sweep cell of a campaign: all trials of one grid point.
 
     The cell is the unit of execution *and* of checkpointing: the runner
-    executes a whole cell through one batched engine invocation and the
-    store persists it as one shard.
+    executes a whole cell through one engine invocation and the store
+    persists it as one shard.
     """
 
     adversary: str
@@ -115,8 +115,9 @@ class CampaignSpec:
             the plain sweep runners.
         experiment: seed-derivation label (changing it changes every seed).
         engine: default execution engine (overridable at run time — results
-            are engine-invariant, wall-clock is not).
-        block_size: committed-window override for the batched engines.
+            are engine-invariant, wall-clock is not).  The retired name
+            ``"fast"`` is still accepted and runs the vectorized engine.
+        block_size: committed-window override for the vectorized engine.
         adversary_params: per-family parameter overrides, e.g.
             ``{"zipf": {"exponent": 1.5}}``.
         ratio: when True every trial also captures the offline-optimum
@@ -135,7 +136,7 @@ class CampaignSpec:
     trials: int = 12
     master_seed: int = 0
     experiment: str = "campaign"
-    engine: str = "fast"
+    engine: str = "vectorized"
     block_size: Optional[int] = None
     adversary_params: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     ratio: bool = False
@@ -160,11 +161,8 @@ class CampaignSpec:
                     f"unknown adversary family {adversary!r}; "
                     f"available: {sorted(ADVERSARY_FAMILIES)}"
                 )
-        if self.engine not in ENGINES:
-            raise CampaignSpecError(
-                f"unknown engine {self.engine!r}; available: {sorted(ENGINES)}"
-            )
         try:
+            resolve_engine(self.engine)
             validate_sweep_parameters(self.ns, self.trials)
         except ValueError as error:
             raise CampaignSpecError(str(error)) from None

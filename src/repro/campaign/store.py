@@ -262,7 +262,7 @@ class CampaignStore:
         """Checkpoint one completed cell: shard first, then manifest entry.
 
         ``fallback_count`` records how many of the cell's trials the
-        vectorized engine routed to the fast fallback — engine bookkeeping,
+        vectorized engine routed to the reference fallback — engine bookkeeping,
         so it lives in the manifest entry (like ``engine`` and the wall
         clock), never in the shard bytes: shards stay deterministic
         functions of the spec.

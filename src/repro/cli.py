@@ -14,9 +14,9 @@ Usage examples::
     # one-off trial of an algorithm against the randomized adversary
     python -m repro trial gathering --n 100 --seed 3
 
-    # fast-engine n sweep across 4 worker processes
+    # vectorized n sweep across 3 worker processes (one trial range each per n)
     python -m repro sweep gathering --ns 50,100,200 --trials 20 \
-        --engine fast --workers 4
+        --engine vectorized --workers 3
 
     # adversarial worst-case search, persisting the find as a replayable corpus
     python -m repro search gathering --family uniform --n 60 --budget 192 \
@@ -28,14 +28,15 @@ Usage examples::
     python -m repro campaign report campaigns/paper-grid --output report.md
 
 Knob composition (details in ``docs/engines.md``): ``--engine`` selects the
-executor everywhere it appears; ``--workers`` fans trials (or, with
-``--batched``, whole sweep cells) over processes; ``--block-size`` tunes
-the batched engines' committed window and therefore requires ``--batched``
-on the sweep subcommand.  ``--ratio`` (on ``run``, ``run-all``, ``trial``
-and ``sweep``) additionally captures the offline-optimum baseline per
-trial, adding ``opt_cost``/``competitive_ratio`` metrics and ratio table
-columns (``docs/metrics.md``); campaign specs opt in with ``ratio = true``
-and their reports then carry ratio columns automatically.  Every
+executor everywhere it appears; ``--workers`` fans sweep cells (one per
+``n``, split into one trial range per worker, or one per campaign grid
+point) over processes; ``--block-size``
+tunes the vectorized engine's committed window.  ``--ratio`` (on ``run``,
+``run-all``, ``trial`` and ``sweep``) additionally captures the
+offline-optimum baseline per trial, adding ``opt_cost``/
+``competitive_ratio`` metrics and ratio table columns
+(``docs/metrics.md``); campaign specs opt in with ``ratio = true`` and
+their reports then carry ratio columns automatically.  Every
 combination produces identical results — the knobs trade wall-clock time
 only, and ``--ratio`` only *adds* metrics without changing any existing
 one.
@@ -75,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(ENGINES),
             default="reference",
             help="execution engine: 'reference' is the semantics oracle, "
-            "'fast' removes per-interaction overhead, 'vectorized' runs "
-            "whole sweep cells as numpy arrays (kernel-less algorithms "
-            "fall back to the fast engine) — all three produce identical "
-            "results seed for seed (default: reference)",
+            "'vectorized' runs whole sweep cells as numpy arrays (trials "
+            "its kernels cannot mirror fall back to the reference engine) "
+            "— both produce identical results seed for seed "
+            "(default: reference)",
         )
 
     def add_workers_option(target: argparse.ArgumentParser) -> None:
@@ -86,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=1,
-            help="worker processes for trial sweeps; composes with --engine "
-            "and (on sweep/campaign) with --batched, which switches the "
-            "task unit from single trials to whole cells; results are "
-            "identical for any worker count (default: 1)",
+            help="worker processes for sweeps; each sweep cell (one n, or "
+            "one campaign grid point) is one task, and a sweep splits each "
+            "n into up to N trial ranges; results are identical for any "
+            "worker count (default: 1)",
         )
 
     def add_ratio_option(target: argparse.ArgumentParser) -> None:
@@ -170,20 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_adversary_option(sweep_parser)
     add_ratio_option(sweep_parser)
     sweep_parser.add_argument(
-        "--batched",
-        action="store_true",
-        help="run each sweep cell as one batched engine invocation "
-        "(fast or vectorized engine; composes with --workers, which then "
-        "distributes whole cells; results identical to the per-trial path)",
-    )
-    sweep_parser.add_argument(
         "--block-size",
         type=int,
         default=None,
-        help="committed-future window consumed per batched-engine step "
-        "(tuning knob for --engine fast/vectorized; only effective "
-        "together with --batched; default: the engine's benchmarked "
-        "default)",
+        help="committed-future window consumed per vectorized-engine step "
+        "(ignored by the reference engine; default: the engine's "
+        "benchmarked default)",
     )
 
     search_parser = subparsers.add_parser(
@@ -238,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=sorted(ENGINES),
         default="vectorized",
-        help="scoring engine; under 'vectorized' any fallback aborts the "
+        help="scoring engine; any vectorized-engine fallback aborts the "
         "search instead of silently downgrading (default: vectorized)",
     )
     search_parser.add_argument(
@@ -302,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the spec's committed-window block size for the "
-        "batched engines (campaign cells always run batched)",
+        "vectorized engine",
     )
 
     campaign_status_parser = campaign_sub.add_parser(
@@ -445,6 +438,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             resolve_engine(args.engine)
             if args.workers < 1:
                 raise ValueError(f"workers must be >= 1, got {args.workers}")
+            if args.block_size is not None and args.block_size < 1:
+                raise ValueError(
+                    f"--block-size must be >= 1, got {args.block_size}"
+                )
             if args.algorithm not in registry.names():
                 raise ValueError(
                     f"unknown algorithm {args.algorithm!r}; "
@@ -452,19 +449,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
         except ValueError as error:
             parser.error(str(error))
-        if args.batched and args.engine == "reference":
-            print(
-                "note: --batched is a batched-engine feature; engine "
-                "'reference' falls back to per-trial execution "
-                "(identical results, none of the batching)",
-                file=sys.stderr,
-            )
-        if args.block_size is not None and not args.batched:
-            print(
-                "note: --block-size only affects batched engine "
-                "invocations; pass --batched to use it",
-                file=sys.stderr,
-            )
         sweep = sweep_random_adversary(
             lambda n: _create_algorithm(args.algorithm, n),
             ns,
@@ -473,8 +457,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine=args.engine,
             workers=args.workers,
             adversary=args.adversary,
-            batched=args.batched,
-            block_size=args.block_size if args.batched else None,
+            block_size=args.block_size,
             capture_opt=args.ratio,
         )
         _emit(sweep.to_table().to_markdown(), args.output)

@@ -52,7 +52,6 @@ from .execution import (
     Transmission,
     run_algorithm,
 )
-from .fast_execution import FastExecutor
 from .interaction import Interaction, InteractionSequence
 from .node import NetworkState, NodeView
 
@@ -67,7 +66,6 @@ __all__ = [
     "DataToken",
     "ExecutionResult",
     "Executor",
-    "FastExecutor",
     "HorizonExhaustedError",
     "Interaction",
     "InteractionProvider",

@@ -110,6 +110,22 @@ class Transmission:
 
 
 @dataclass
+class BatchTrial:
+    """One trial of a ``run_many`` batch.
+
+    ``algorithm`` / ``knowledge`` default to the executor's own when None —
+    pass per-trial instances when each trial carries its own oracle state
+    (e.g. a ``meetTime`` oracle bound to that trial's adversary).
+    """
+
+    source: Any
+    max_interactions: Optional[int] = None
+    algorithm: Optional[Any] = None
+    knowledge: Optional[Any] = None
+    initial_payloads: Optional[dict] = None
+
+
+@dataclass
 class ExecutionResult:
     """Outcome of running a DODA algorithm on a sequence of interactions.
 
@@ -291,6 +307,35 @@ class Executor:
                 else None
             ),
         )
+
+    def run_many(self, trials: Iterable[BatchTrial]) -> List[ExecutionResult]:
+        """Run trials one after another, each on a fresh executor.
+
+        Every trial shares this executor's nodes, sink, aggregation,
+        ``enforce_oblivious`` and ``capture_opt``; its algorithm and
+        knowledge default to the executor's own when None.  ``trials`` is
+        consumed lazily, so a caller that builds each trial on demand holds
+        one committed future at a time.
+        """
+        results: List[ExecutionResult] = []
+        for trial in trials:
+            executor = Executor(
+                self.nodes,
+                self.sink,
+                self.algorithm if trial.algorithm is None else trial.algorithm,
+                aggregation=self.aggregation,
+                knowledge=self.knowledge if trial.knowledge is None else trial.knowledge,
+                enforce_oblivious=self.enforce_oblivious,
+                capture_opt=self.capture_opt,
+            )
+            results.append(
+                executor.run(
+                    trial.source,
+                    max_interactions=trial.max_interactions,
+                    initial_payloads=trial.initial_payloads,
+                )
+            )
+        return results
 
     # ------------------------------------------------------------------ #
     def _captured_opt_cost(

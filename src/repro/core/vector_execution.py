@@ -1,12 +1,12 @@
 """Trial-vectorized execution: a whole sweep cell as struct-of-arrays.
 
-:class:`VectorizedExecutor` is the third interchangeable execution engine
-(after the reference :class:`~repro.core.execution.Executor` and the
-per-trial-optimised :class:`~repro.core.fast_execution.FastExecutor`).  It
-executes a *batch* of B trials simultaneously in struct-of-arrays form —
-``owns_data[B, n]``, ``transmitted_at[B, n]``, ``origin_counts[B, n]``
-(payloads fold scalar-side in event order, in per-row lists, to reproduce
-the reference engine's float semantics exactly) — consuming the committed
+:class:`VectorizedExecutor` is the optimised execution engine, the twin of
+the reference :class:`~repro.core.execution.Executor` (the semantics
+oracle).  It executes a *batch* of B trials simultaneously in
+struct-of-arrays form — ``owns_data[B, n]``, ``transmitted_at[B, n]``,
+``origin_counts[B, n]`` (payloads fold scalar-side in event order, in
+per-row lists, to reproduce the reference engine's float semantics
+exactly) — consuming the committed
 futures of all B adversaries as ``(B, block)`` dense index matrices
 (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
 committed_index_matrix`).
@@ -35,9 +35,10 @@ decision kernel, so under the standard sim-layer trial shapes no trial ever
 leaves the lockstep.  The few trials the kernels cannot reproduce exactly —
 an adaptive / non-committed interaction source, an oracle shape a kernel
 cannot mirror, ``enforce_oblivious`` runs, unorderable node identifiers, a
-sequential-kernel (RNG) algorithm instance shared across trials — fall back
-to :class:`~repro.core.fast_execution.FastExecutor`, and the engine reports
-each downgrade through :attr:`VectorizedExecutor.last_fallbacks`
+sequential-kernel (RNG) algorithm instance shared across trials, an
+instance of a subclass of the class registered under its name — fall back to
+the reference :class:`~repro.core.execution.Executor`, and the engine
+reports each downgrade through :attr:`VectorizedExecutor.last_fallbacks`
 (per-trial :class:`EngineFallback` records with human-readable reasons);
 the sim layer surfaces nonzero counts as :class:`EngineFallbackWarning`.
 
@@ -65,33 +66,70 @@ from ..algorithms.kernels import (
     PENDING,
     get_kernel,
 )
-from .algorithm import DODAAlgorithm
+from .algorithm import DODAAlgorithm, registry
 from .data import AggregationFunction, NodeId, SUM
 from .exceptions import ConfigurationError, ModelViolationError
-from .execution import ExecutionResult, InteractionProvider, Transmission
-from .fast_execution import (
+from .execution import (
     BatchTrial,
-    DEFAULT_BLOCK_SIZE,
-    FastExecutor,
-    identifier_ranks,
-    validate_instance,
+    ExecutionResult,
+    Executor,
+    InteractionProvider,
+    Transmission,
 )
 from .interaction import InteractionSequence
 
 __all__ = [
+    "DEFAULT_BLOCK_SIZE",
     "EngineFallback",
     "EngineFallbackWarning",
     "VectorizedExecutor",
     "INITIAL_BLOCK",
 ]
 
+#: Default number of committed interactions consumed per lockstep step.
+#: Large enough to amortise the numpy slicing, small enough that an early
+#: termination does not force drawing far beyond the duration.  The engine
+#: takes a per-instance ``block_size`` option; the default is pinned by the
+#: micro-benchmark in ``benchmarks/test_bench_blocksize.py``.
+DEFAULT_BLOCK_SIZE = 4096
+
+
+def validate_instance(nodes: List[NodeId], sink: NodeId) -> None:
+    """The DODA instance checks, made once per executor.
+
+    Raises:
+        ModelViolationError: on a sink outside the node set, duplicate
+            identifiers, or fewer than two nodes.
+    """
+    if sink not in nodes:
+        raise ModelViolationError(f"sink {sink!r} is not among the nodes")
+    if len(set(nodes)) != len(nodes):
+        raise ModelViolationError("node identifiers must be unique")
+    if len(nodes) < 2:
+        raise ModelViolationError("a DODA instance needs at least 2 nodes")
+
+
+def identifier_ranks(nodes: List[NodeId]) -> Optional[List[int]]:
+    """Canonical presentation rank per dense index, or None.
+
+    Mirrors :class:`~repro.core.interaction.Interaction`'s ordering: the
+    rank of a node is its position in the sorted identifier order.  Returns
+    None when the identifiers are not totally ordered (the engine then
+    routes every trial to the reference engine).
+    """
+    try:
+        rank_of = {node: rank for rank, node in enumerate(sorted(nodes))}
+        return [rank_of[node] for node in nodes]
+    except TypeError:
+        return None
+
 
 class EngineFallbackWarning(RuntimeWarning):
     """A vectorized batch silently ran some trials on the fallback engine.
 
     Emitted (once per sweep cell, by the sim layer) when a batch submitted
-    to :class:`VectorizedExecutor` routed one or more trials to
-    :class:`~repro.core.fast_execution.FastExecutor`: the results are still
+    to :class:`VectorizedExecutor` routed one or more trials to the
+    reference :class:`~repro.core.execution.Executor`: the results are still
     exact, but any ``engine=vectorized`` label on the cell's timings no
     longer describes how those trials actually ran.
     """
@@ -167,8 +205,8 @@ class _KernelTrial:
 class VectorizedExecutor:
     """Run batches of DODA trials as numpy struct-of-arrays.
 
-    Construction mirrors :class:`~repro.core.fast_execution.FastExecutor`
-    (and therefore the reference executor); ``block_size`` bounds the
+    Construction mirrors the reference
+    :class:`~repro.core.execution.Executor`; ``block_size`` bounds the
     committed-future window consumed per lockstep iteration.
 
     Args:
@@ -177,12 +215,12 @@ class VectorizedExecutor:
         algorithm: default algorithm (overridable per trial).
         aggregation: payload fold.
         knowledge: default knowledge bundle (overridable per trial).
-        enforce_oblivious: when True every trial falls back to
-            :class:`FastExecutor`, which implements the memory-write check
+        enforce_oblivious: when True every trial falls back to the
+            reference engine, which implements the memory-write check
             (kernels never touch node memory, so there is nothing to
             enforce on the kernel path).
         block_size: maximum lockstep window length (default
-            :data:`~repro.core.fast_execution.DEFAULT_BLOCK_SIZE`).
+            :data:`DEFAULT_BLOCK_SIZE`).
     """
 
     def __init__(
@@ -214,9 +252,8 @@ class VectorizedExecutor:
         self.sink_index = self.index_of[sink]
         available = () if knowledge is None else knowledge.provides()
         algorithm.validate_knowledge(available)
-        # Canonical identifier ranks, shared with the fast engine so the
-        # ordering convention cannot drift between them; unorderable
-        # identifier types route every trial to the fallback.
+        # Canonical identifier ranks; unorderable identifier types route
+        # every trial to the fallback.
         ranks = identifier_ranks(self.nodes)
         self._rank: Optional[np.ndarray] = (
             None if ranks is None else np.asarray(ranks, dtype=np.int64)
@@ -257,8 +294,7 @@ class VectorizedExecutor:
 
         Results are identical to running each trial through the reference
         executor — trials the kernels cannot reproduce exactly are executed
-        by a :class:`FastExecutor` (itself differentially pinned to the
-        reference engine), so the returned list is uniformly exact.
+        by it — so the returned list is uniformly exact.
         """
         batch = list(trials)
         collector = current_collector()
@@ -283,7 +319,7 @@ class VectorizedExecutor:
         # interleaving rows would consume the shared stream in a different
         # order than sequential per-trial execution.  All trials of such an
         # instance fall back together, which preserves their mutual order
-        # (FastExecutor.run_many is sequential) and therefore the stream.
+        # (Executor.run_many is sequential) and therefore the stream.
         stateful_uses: Dict[int, int] = {}
         for algorithm in effective:
             try:
@@ -333,14 +369,13 @@ class VectorizedExecutor:
                     reason=record.reason,
                 )
         if fallback:
-            engine = FastExecutor(
+            engine = Executor(
                 self.nodes,
                 self.sink,
                 self.algorithm,
                 aggregation=self.aggregation,
                 knowledge=self.knowledge,
                 enforce_oblivious=self.enforce_oblivious,
-                block_size=self.block_size,
                 capture_opt=self.capture_opt,
             )
             for position, result in zip(
@@ -373,15 +408,24 @@ class VectorizedExecutor:
         """Route one trial: a prepared kernel trial, or the fallback reason."""
         if self.enforce_oblivious:
             return (
-                "enforce_oblivious requires the fallback engine's "
+                "enforce_oblivious requires the reference engine's "
                 "node-memory write check"
             )
         if self._rank is None:
             return "node identifiers have no canonical total order"
         try:
             kernel = get_kernel(algorithm.name)
+            registered = registry.get(algorithm.name)
         except LookupError as exc:
             return str(exc.args[0]) if exc.args else str(exc)
+        # Kernels are looked up by name, so they mirror the registered
+        # class; a subclass under the same name (an overridden decide(),
+        # tree builder or run hook) must run its own code.
+        if type(algorithm) is not registered:
+            return (
+                f"{type(algorithm).__name__} is not {registered.__name__}, "
+                f"the class the {algorithm.name!r} kernel mirrors"
+            )
         source = trial.source
         horizon = trial.max_interactions
         translate: Optional[np.ndarray] = None
@@ -413,8 +457,8 @@ class VectorizedExecutor:
                         count=len(source_nodes),
                     )
                 except KeyError:
-                    # Let the fallback engine report (or survive) the
-                    # mismatch exactly as the reference engine would.
+                    # Let the reference engine report (or survive) the
+                    # mismatch.
                     return (
                         "adversary node set is not a subset of the "
                         "executor's node set"

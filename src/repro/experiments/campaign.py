@@ -32,7 +32,7 @@ from ..sim.results import ExperimentReport, ResultTable
 def run_campaign_roundtrip(
     ns: Sequence[int] = (8, 10),
     trials: int = 3,
-    engine: str = "fast",
+    engine: str = "reference",
     resume_engine: str = "vectorized",
     master_seed: int = 0,
 ) -> ExperimentReport:

@@ -9,8 +9,8 @@ the committed mobility adversaries of :mod:`repro.adversaries.mobility`:
   mobility family, Gathering and Waiting are run through *both* execution
   engines on the same committed futures.  The verdict is differential and
   deterministic: every trial must terminate within a generous horizon and
-  the fast engine must reproduce the reference engine transmission for
-  transmission.  The reported mean durations show how far each mobility
+  the vectorized engine must reproduce the reference engine transmission
+  for transmission.  The reported mean durations show how far each mobility
   pattern shifts the uniform-adversary expectations (locality slows
   aggregation down; a static collection point speeds the final hops up).
 * **E22 — contact-trace replay.**  A synthetic vehicular trace (the
@@ -31,7 +31,7 @@ from ..adversaries.mobility import TraceReplayAdversary
 from ..algorithms.gathering import Gathering
 from ..algorithms.waiting import Waiting
 from ..core.execution import Executor
-from ..core.fast_execution import FastExecutor
+from ..core.vector_execution import VectorizedExecutor
 from ..graph.properties import aggregation_feasible
 from ..graph.traces import VehicularGridTrace
 from ..sim.results import ExperimentReport, ResultTable
@@ -79,13 +79,13 @@ def run_mobility_adversaries(
                     ),
                     max_interactions=horizon,
                 )
-                fast = FastExecutor(nodes, sink, algorithm_cls()).run(
+                vectorized = VectorizedExecutor(nodes, sink, algorithm_cls()).run(
                     make_adversary(
                         family, nodes, seed=seed, max_horizon=horizon, sink=sink
                     ),
                     max_interactions=horizon,
                 )
-                agree = agree and fast == reference
+                agree = agree and vectorized == reference
                 if reference.terminated:
                     terminated += 1
                     durations.append(float(reference.duration))
@@ -104,8 +104,8 @@ def run_mobility_adversaries(
             )
     table.add_note(
         "every trial runs the same committed future through the reference "
-        "and fast engines; 'engines_agree' is transmission-for-transmission "
-        "equality"
+        "and vectorized engines; 'engines_agree' is "
+        "transmission-for-transmission equality"
     )
     return ExperimentReport(
         experiment_id="E21",
@@ -154,11 +154,11 @@ def run_trace_replay(
         reference = Executor(nodes, trace.sink, algorithm_cls()).run(
             TraceReplayAdversary(trace), max_interactions=trace.length
         )
-        fast = FastExecutor(nodes, trace.sink, algorithm_cls()).run(
+        vectorized = VectorizedExecutor(nodes, trace.sink, algorithm_cls()).run(
             TraceReplayAdversary(trace), max_interactions=trace.length
         )
         matches = reference == sequence_run
-        agree = fast == reference
+        agree = vectorized == reference
         # Termination itself is *not* part of the verdict: the paper's own
         # impossibility results show online no-knowledge algorithms need
         # not match offline feasibility on a fixed finite trace.

@@ -7,9 +7,9 @@ formulas where the paper derives them, and by log-log growth-rate fitting
 for the asymptotic (Θ/O/Ω, w.h.p.) claims.
 
 The trial-based experiments (E7–E11, E13, E14) accept ``engine``
-("reference" or "fast", see :mod:`repro.core.fast_execution`); the
-sweep-based ones (E9–E11) additionally accept ``workers`` (process fan-out,
-see :mod:`repro.sim.parallel`).  Both knobs change only wall-clock time,
+("reference" or "vectorized", see :mod:`repro.core.vector_execution`); the
+sweep-based ones (E9–E11) additionally accept ``workers`` (process fan-out
+over sweep cells, see :mod:`repro.sim.parallel`).  Both knobs change only wall-clock time,
 never the measured numbers.
 """
 

@@ -7,7 +7,7 @@ seeded search's best competitive ratio must **strictly exceed the p99** of
 an equal-budget random-sampling baseline (disjoint seed stream).  It then
 closes the loop that makes a find a usable regression: the best instance
 of every pair is frozen into a content-addressed corpus, reloaded, and
-replayed on all three engines — the stored competitive ratio (and
+replayed on both engines — the stored competitive ratio (and
 duration and transmission count) must reproduce **bit-for-bit** on each.
 
 Both halves are deterministic per ``seed``: re-running E26 with the same
@@ -33,7 +33,7 @@ _DEFAULT_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("gathering", "zipf"),
 )
 
-_REPLAY_ENGINES = ("reference", "fast", "vectorized")
+_REPLAY_ENGINES = ("reference", "vectorized")
 
 
 def _replay_matches(instance, engine: str) -> bool:
@@ -65,7 +65,7 @@ def run_adversarial_search(
         budget: evaluation budget shared by search and random baseline.
         seed: master seed; the whole experiment is deterministic in it.
         engine: scoring engine for search and baseline (replay always
-            exercises all three engines).
+            exercises both engines).
         pairs: ``(algorithm, family)`` pairs to search; defaults to
             gathering × {uniform, zipf}.
         store: optional corpus directory to persist the finds into
@@ -164,7 +164,7 @@ def run_adversarial_search(
         claim=(
             "Adversarial schedule search finds strictly harder instances "
             "than equal-budget random sampling, and every find replays its "
-            "ratio bit-for-bit on all three engines"
+            "ratio bit-for-bit on both engines"
         ),
         tables=[table],
         verdict=verdict,

@@ -7,8 +7,8 @@ defines family-invariant-preserving edit operators on materialized
 committed schedules, :mod:`.loop` runs a deterministic seeded elitist
 search that scores each generation in one vectorized engine call, and
 :mod:`.corpus` freezes the hardest finds into a content-addressed store
-whose every instance replays its competitive ratio bit-for-bit on all
-three engines (experiment E26, ``docs/search.md``).
+whose every instance replays its competitive ratio bit-for-bit on both
+engines (experiment E26, ``docs/search.md``).
 """
 
 from .corpus import (

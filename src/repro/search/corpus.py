@@ -20,7 +20,7 @@ Invariants (the campaign store's discipline, applied to search finds):
   :class:`~repro.adversaries.mobility.TraceReplayAdversary` and re-runs it
   on any engine; the contract (asserted by experiment E26 and the golden
   corpus tests) is that the stored competitive ratio reproduces
-  **bit-for-bit** on all three engines.
+  **bit-for-bit** on both engines.
 * **Writes are atomic** (temp file + ``os.replace``), and adding an
   instance that is already present is a no-op — the digest is the identity.
 """

@@ -38,7 +38,7 @@ import numpy as np
 from ..adversaries.mobility import TraceReplayAdversary
 from ..campaign.spec import algorithm_factory_for
 from ..core.data import NodeId
-from ..core.fast_execution import BatchTrial
+from ..core.execution import BatchTrial
 from ..obs import current_collector
 from ..obs import now as _obs_now
 from ..sim.metrics import TrialMetrics
@@ -80,7 +80,7 @@ class SearchEngineFallbackError(RuntimeError):
     The search requires every candidate of a generation to be scored by the
     same engine path; a fallback means the configuration (algorithm shape,
     knowledge oracle) is not vectorizable and the search must be run with
-    ``engine="fast"`` explicitly instead of silently downgrading.
+    ``engine="reference"`` explicitly instead of silently downgrading.
     """
 
 
@@ -225,33 +225,21 @@ def score_schedules(
     trials = [
         _build_trial(config, schedule, nodes, horizon) for schedule in schedules
     ]
-    if hasattr(executor_cls, "run_many"):
-        executor = executor_cls(
-            nodes,
-            config.sink,
-            trials[0].algorithm,
-            knowledge=trials[0].knowledge,
-            capture_opt=True,
+    executor = executor_cls(
+        nodes,
+        config.sink,
+        trials[0].algorithm,
+        knowledge=trials[0].knowledge,
+        capture_opt=True,
+    )
+    results = executor.run_many(trials)
+    fallbacks = getattr(executor, "last_fallbacks", ())
+    if fallbacks:
+        reasons = sorted({record.reason for record in fallbacks})
+        raise SearchEngineFallbackError(
+            f"vectorized engine fell back for {len(fallbacks)} of "
+            f"{len(trials)} search candidates: {'; '.join(reasons)}"
         )
-        results = executor.run_many(trials)
-        fallbacks = getattr(executor, "last_fallbacks", ())
-        if fallbacks and config.engine == "vectorized":
-            reasons = sorted({record.reason for record in fallbacks})
-            raise SearchEngineFallbackError(
-                f"vectorized engine fell back for {len(fallbacks)} of "
-                f"{len(trials)} search candidates: {'; '.join(reasons)}"
-            )
-    else:
-        results = [
-            executor_cls(
-                nodes,
-                config.sink,
-                trial.algorithm,
-                knowledge=trial.knowledge,
-                capture_opt=True,
-            ).run(trial.source, max_interactions=trial.max_interactions)
-            for trial in trials
-        ]
     algorithm_name = trials[0].algorithm.name
     return [
         TrialMetrics.from_result(

@@ -2,24 +2,23 @@
 
 Role: the measurement layer between the engines and the experiments —
 derive seeds, assemble adversaries + knowledge oracles for a trial, run
-``ns × trials`` sweeps (serially, over worker processes, or as whole
-batched cells), and collect :class:`~repro.sim.metrics.TrialMetrics`
-into result tables.
+``ns × trials`` sweeps as sweep cells (serially or over worker
+processes), and collect :class:`~repro.sim.metrics.TrialMetrics` into
+result tables.
 
 Invariant: every trial's seed derives from ``(master_seed, experiment,
 algorithm, n, trial)`` via :func:`~repro.sim.seeding.derive_seed`, so
-all execution strategies — serial, ``workers=N``, ``batched=True``, any
-engine — reproduce each other bit for bit, and everything measured above
-this layer is reproducible from ``(master_seed, experiment)`` alone.
+every engine and ``workers`` count reproduce each other bit for bit, and
+everything measured above this layer is reproducible from
+``(master_seed, experiment)`` alone.
 """
 
+from ..adversaries.factory import resolve_adversary_family
 from .metrics import TrialMetrics, durations, mean_duration, termination_rate
 
-# The canonical sweep entry point is the parallel-capable one; it delegates
-# to the serial implementation in .runner for workers <= 1, so there is a
-# single public API surface.  The batched variant runs whole sweep cells in
-# one engine invocation.
-from .batch import run_sweep_cell, sweep_adversary_batched
+# One sweep path: a sweep is a list of run_sweep_cell calls, which
+# run_sweep_cells runs serially or over worker processes.
+from .batch import run_sweep_cell
 from .parallel import run_sweep_cells, sweep_random_adversary
 from .results import ExperimentReport, ResultTable
 from .runner import (
@@ -31,10 +30,8 @@ from .runner import (
     default_horizon,
     derive_sweep_trial,
     execute_random_trial,
-    resolve_adversary_family,
     resolve_engine,
     run_random_trial,
-    run_sweep_trial,
     validate_sweep_parameters,
 )
 from .seeding import derive_seed, trial_seeds
@@ -59,8 +56,6 @@ __all__ = [
     "run_random_trial",
     "run_sweep_cell",
     "run_sweep_cells",
-    "run_sweep_trial",
-    "sweep_adversary_batched",
     "sweep_random_adversary",
     "termination_rate",
     "trial_seeds",

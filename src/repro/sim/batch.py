@@ -1,55 +1,52 @@
-"""Whole-cell batched sweep execution.
+"""Sweep cells: all trials of one algorithm at one ``n``, in one engine call.
 
-The per-trial runner (:func:`repro.sim.runner.run_sweep_trial`) assembles a
-fresh executor for every ``(n, trial)`` grid cell entry.  This module runs a
-whole sweep cell — all trials of one algorithm at one ``n`` — through **one
-engine invocation**: a single batch-capable executor
-(:class:`~repro.core.fast_execution.FastExecutor` or the trial-vectorized
-:class:`~repro.core.vector_execution.VectorizedExecutor`) is constructed
-per cell and its ``run_many`` executes every trial, sharing the dense
-node-index map, canonical-rank precomputation and — for the vectorized
-engine — the whole struct-of-arrays lockstep across trials.
+:func:`run_sweep_cell` is the unit of every sweep.  It derives each trial's
+seed, horizon, adversary and knowledge oracles, constructs one executor per
+cell and hands it every trial through ``run_many``: the trial-vectorized
+:class:`~repro.core.vector_execution.VectorizedExecutor` runs the cell as
+one struct-of-arrays lockstep, the reference
+:class:`~repro.core.execution.Executor` trial by trial.
 
-Determinism contract: the batched sweep derives exactly the same per-trial
-seeds, horizons and adversaries as the serial and parallel runners, so
-:func:`sweep_adversary_batched` reproduces
-:func:`repro.sim.runner.sweep_random_adversary` metric for metric (the
-differential tests in ``tests/test_differential_adversaries.py`` assert
-this for every adversary family).  With ``engine="reference"`` the cell
-falls back to per-trial reference executors — useful as the oracle side of
-that differential.
+Determinism contract: every trial derives from its seed alone
+(:func:`~repro.sim.runner.derive_sweep_trial`), so a cell returns the same
+metrics on either engine, and :func:`repro.sim.parallel.sweep_random_adversary`
+returns the same sweep for any ``workers`` count (the differential tests in
+``tests/test_differential_adversaries.py`` assert this for every adversary
+family).
 
 The cell is also the campaign layer's unit of execution and checkpointing:
 :mod:`repro.campaign` decomposes a declarative spec into
-:func:`run_sweep_cell` invocations (heterogeneous cells fan out over
-workers via :func:`repro.sim.parallel.run_sweep_cells`) and persists each
-completed cell as one store shard.
+:func:`run_sweep_cell` invocations (fanned out over workers via
+:func:`repro.sim.parallel.run_sweep_cells`) and persists each completed
+cell as one store shard.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..adversaries.factory import resolve_adversary_family
 from ..core.algorithm import DODAAlgorithm
 from ..core.data import NodeId
-from ..core.fast_execution import BatchTrial, FastExecutor
-from ..core.vector_execution import EngineFallback, EngineFallbackWarning
+from ..core.execution import BatchTrial
+from ..core.vector_execution import (
+    EngineFallback,
+    EngineFallbackWarning,
+    VectorizedExecutor,
+)
 from ..obs import current_collector
 from .metrics import TrialMetrics
 from .runner import (
     AlgorithmFactory,
-    SweepPoint,
-    SweepResult,
     build_knowledge_for_random_run,
     build_trial_adversary,
     derive_sweep_trial,
-    resolve_adversary_family,
     resolve_engine,
     validate_sweep_parameters,
 )
 
-__all__ = ["run_sweep_cell", "sweep_adversary_batched"]
+__all__ = ["run_sweep_cell"]
 
 
 def run_sweep_cell(
@@ -60,38 +57,41 @@ def run_sweep_cell(
     experiment: str = "sweep",
     horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]] = None,
     sink: NodeId = 0,
-    engine: str = "fast",
+    engine: str = "vectorized",
     adversary: str = "uniform",
     adversary_params: Optional[Dict[str, Any]] = None,
     block_size: Optional[int] = None,
     capture_opt: bool = False,
+    first_trial: int = 0,
 ) -> List[TrialMetrics]:
     """Run all ``trials`` of one sweep cell in one engine invocation.
 
-    Seeds, horizons, adversaries and knowledge oracles are derived exactly
-    as in :func:`repro.sim.runner.run_sweep_trial`, so the returned metrics
-    are identical to the per-trial path.  ``engine="fast"`` routes the cell
-    through :meth:`FastExecutor.run_many`, ``engine="vectorized"`` through
-    the struct-of-arrays lockstep of :meth:`~repro.core.vector_execution.
-    VectorizedExecutor.run_many` — every registered algorithm has a decision
-    kernel, so a trial leaves the lockstep only for the exceptional shapes
-    listed in :mod:`repro.core.vector_execution`; when that happens the cell
-    emits one :class:`EngineFallbackWarning` and tags the affected trials'
-    metrics with ``extra["engine_fallback"]`` (the reason string).
+    ``engine="vectorized"`` runs the cell through the struct-of-arrays
+    lockstep of :meth:`~repro.core.vector_execution.VectorizedExecutor.
+    run_many` — every registered algorithm has a decision kernel, so a
+    trial leaves the lockstep only for the exceptional shapes listed in
+    :mod:`repro.core.vector_execution`; when that happens the cell emits one
+    :class:`EngineFallbackWarning` and tags the affected trials' metrics
+    with ``extra["engine_fallback"]`` (the reason string).
     ``engine="reference"`` runs one reference executor per trial (the
     semantics oracle for differential tests of this very function).
-    ``block_size`` tunes the batched engines' committed
-    window (None keeps each engine's default).  ``capture_opt=True``
-    additionally evaluates the offline-optimum baseline per trial (the
-    vectorized engine does so for the whole cell in one batched kernel
-    call), filling the metrics' ``opt_cost``/``competitive_ratio`` fields
-    identically to the per-trial path.
+    ``block_size`` tunes the vectorized engine's committed window (None
+    keeps its default; the reference engine ignores it).
+    ``capture_opt=True`` additionally evaluates the offline-optimum
+    baseline per trial (the vectorized engine does so for the whole cell in
+    one batched kernel call), filling the metrics' ``opt_cost`` /
+    ``competitive_ratio`` fields identically on both engines.
+    ``first_trial`` offsets the trial numbers, so the call runs trials
+    ``first_trial .. first_trial + trials - 1`` of the cell: consecutive
+    ranges concatenate to the whole cell's metrics.
 
     Raises:
-        ValueError: if ``n``/``trials`` are invalid or ``engine`` /
-            ``adversary`` is unknown.
+        ValueError: if ``n``/``trials``/``first_trial`` are invalid or
+            ``engine`` / ``adversary`` is unknown.
     """
     validate_sweep_parameters([n], trials)
+    if first_trial < 0:
+        raise ValueError(f"first_trial must be >= 0, got {first_trial}")
     executor_cls = resolve_engine(engine)
     resolve_adversary_family(adversary)
     nodes = list(range(n))
@@ -103,8 +103,8 @@ def run_sweep_cell(
     ) as cell_span:
         metrics = _run_cell(
             algorithm_factory, n, trials, master_seed, experiment,
-            horizon_fn, sink, engine, adversary, adversary_params,
-            block_size, capture_opt, executor_cls,
+            horizon_fn, sink, adversary, adversary_params,
+            block_size, capture_opt, executor_cls, first_trial,
         )
         if collector.enabled:
             cell_span.set(
@@ -124,18 +124,18 @@ def _run_cell(
     experiment: str,
     horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]],
     sink: NodeId,
-    engine: str,
     adversary: str,
     adversary_params: Optional[Dict[str, Any]],
     block_size: Optional[int],
     capture_opt: bool,
     executor_cls: Any,
+    first_trial: int,
 ) -> List[TrialMetrics]:
     """The cell body of :func:`run_sweep_cell` (span handled by the wrapper)."""
     nodes = list(range(n))
 
     def prepare(trial: int):
-        """One trial's engine inputs, derived exactly like run_sweep_trial."""
+        """One trial's engine inputs, derived from its seed alone."""
         algorithm, seed, horizon = derive_sweep_trial(
             algorithm_factory, n, trial, master_seed=master_seed,
             experiment=experiment, horizon_fn=horizon_fn,
@@ -149,65 +149,48 @@ def _run_cell(
         source = committed if committed is not None else adversary_obj
         return algorithm, knowledge, source, horizon, seed
 
-    # Trials are prepared lazily — under the fast engine each committed
-    # future (and any horizon-length committed prefix a knowledge oracle
-    # pre-draws) is only alive while its trial runs, matching the serial
-    # path's peak memory.  The vectorized engine materialises the whole
-    # cell (its lockstep consumes all committed futures side by side), so
-    # its peak memory grows with ``trials`` — by design.
+    # Trials are prepared lazily — the reference engine runs each trial as
+    # soon as it is built, so only its committed future (and any
+    # horizon-length committed prefix a knowledge oracle pre-draws) is
+    # alive.  The vectorized engine materialises the whole cell (its
+    # lockstep consumes all committed futures side by side), so its peak
+    # memory grows with ``trials`` — by design.
     meta: List[Tuple[str, int, int]] = []
+    first = prepare(first_trial)
+    executor_kwargs: Dict[str, Any] = {
+        "knowledge": first[1],
+        "capture_opt": capture_opt,
+    }
+    if block_size is not None and executor_cls is VectorizedExecutor:
+        executor_kwargs["block_size"] = block_size
+    cell_executor = executor_cls(nodes, sink, first[0], **executor_kwargs)
 
-    def record(algorithm, horizon, seed):
-        meta.append((algorithm.name, horizon, seed))
+    def batch_trials():
+        for trial in range(first_trial, first_trial + trials):
+            algorithm, knowledge, source, horizon, seed = (
+                first if trial == first_trial else prepare(trial)
+            )
+            meta.append((algorithm.name, horizon, seed))
+            yield BatchTrial(
+                source=source,
+                max_interactions=horizon,
+                algorithm=algorithm,
+                knowledge=knowledge,
+            )
 
-    if hasattr(executor_cls, "run_many"):
-        first = prepare(0)
-        executor_kwargs: Dict[str, Any] = {
-            "knowledge": first[1],
-            "capture_opt": capture_opt,
-        }
-        if block_size is not None:
-            executor_kwargs["block_size"] = block_size
-        cell_executor = executor_cls(nodes, sink, first[0], **executor_kwargs)
-
-        def batch_trials():
-            for trial in range(trials):
-                algorithm, knowledge, source, horizon, seed = (
-                    first if trial == 0 else prepare(trial)
-                )
-                record(algorithm, horizon, seed)
-                yield BatchTrial(
-                    source=source,
-                    max_interactions=horizon,
-                    algorithm=algorithm,
-                    knowledge=knowledge,
-                )
-
-        results = cell_executor.run_many(batch_trials())
-        fallbacks: Tuple[EngineFallback, ...] = getattr(
-            cell_executor, "last_fallbacks", ()
+    results = cell_executor.run_many(batch_trials())
+    fallbacks: Tuple[EngineFallback, ...] = getattr(
+        cell_executor, "last_fallbacks", ()
+    )
+    if fallbacks:
+        reasons = sorted({record.reason for record in fallbacks})
+        warnings.warn(
+            f"vectorized engine fell back to the reference engine for "
+            f"{len(fallbacks)} of {trials} trials of cell "
+            f"(algorithm={meta[0][0]!r}, n={n}): {'; '.join(reasons)}",
+            EngineFallbackWarning,
+            stacklevel=2,
         )
-        if fallbacks:
-            reasons = sorted({record.reason for record in fallbacks})
-            warnings.warn(
-                f"vectorized engine fell back to the fast engine for "
-                f"{len(fallbacks)} of {trials} trials of cell "
-                f"(algorithm={meta[0][0]!r}, n={n}): {'; '.join(reasons)}",
-                EngineFallbackWarning,
-                stacklevel=2,
-            )
-    else:
-        fallbacks = ()
-        results = []
-        for trial in range(trials):
-            algorithm, knowledge, source, horizon, seed = prepare(trial)
-            record(algorithm, horizon, seed)
-            results.append(
-                executor_cls(
-                    nodes, sink, algorithm, knowledge=knowledge,
-                    capture_opt=capture_opt,
-                ).run(source, max_interactions=horizon)
-            )
 
     # Fallen-back trials are tagged in ``extra`` (an equality-relevant field,
     # but only set on trials that actually downgraded, so zero-fallback cells
@@ -231,54 +214,3 @@ def _run_cell(
             zip(results, meta)
         )
     ]
-
-
-def sweep_adversary_batched(
-    algorithm_factory: AlgorithmFactory,
-    ns: Sequence[int],
-    trials: int,
-    master_seed: int = 0,
-    experiment: str = "sweep",
-    horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]] = None,
-    sink: NodeId = 0,
-    engine: str = "fast",
-    adversary: str = "uniform",
-    adversary_params: Optional[Dict[str, Any]] = None,
-    block_size: Optional[int] = None,
-    capture_opt: bool = False,
-) -> SweepResult:
-    """Run an ``n`` sweep with one engine invocation per ``(algorithm, n)`` cell.
-
-    Produces the same :class:`~repro.sim.runner.SweepResult` as
-    :func:`repro.sim.runner.sweep_random_adversary` (serial) and
-    :func:`repro.sim.parallel.sweep_random_adversary` (multi-process), trial
-    for trial — only the execution strategy differs.
-
-    Raises:
-        ValueError: if the sweep parameters, ``engine`` or ``adversary`` are
-            invalid.
-    """
-    validate_sweep_parameters(ns, trials)
-    resolve_engine(engine)
-    resolve_adversary_family(adversary)
-    sample_algorithm = algorithm_factory(int(ns[0]))
-    result = SweepResult(algorithm=sample_algorithm.name)
-    for n in ns:
-        metrics = run_sweep_cell(
-            algorithm_factory,
-            int(n),
-            trials,
-            master_seed=master_seed,
-            experiment=experiment,
-            horizon_fn=horizon_fn,
-            sink=sink,
-            engine=engine,
-            adversary=adversary,
-            adversary_params=adversary_params,
-            block_size=block_size,
-            capture_opt=capture_opt,
-        )
-        result.points.append(
-            SweepPoint(n=int(n), algorithm=result.algorithm, trials=metrics)
-        )
-    return result

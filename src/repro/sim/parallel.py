@@ -1,33 +1,25 @@
-"""Multi-process sweep runner for the randomized-adversary experiments.
+"""The sweep: sweep cells run serially or over a process pool.
 
-The sweep fan-out is embarrassingly parallel: every trial derives its own
-seed from ``(master_seed, experiment, algorithm, n, trial)`` via
+A sweep is a list of cells, each one :func:`repro.sim.batch.run_sweep_cell`
+call.  Cells are embarrassingly parallel: every trial derives its own seed
+from ``(master_seed, experiment, algorithm, n, trial)`` via
 :func:`~repro.sim.seeding.derive_seed` and shares no RNG state with any
-other trial.  This module farms work over a ``multiprocessing`` pool while
-preserving that derivation, so a parallel sweep reproduces the serial
-:func:`repro.sim.runner.sweep_random_adversary` bit for bit — same
+other trial.  :func:`run_sweep_cells` farms cells over a
+``multiprocessing`` pool while preserving that derivation, so a parallel
+sweep reproduces the serial one bit for bit — same
 :class:`~repro.sim.metrics.TrialMetrics`, same
 :class:`~repro.sim.results.ResultTable` — for any ``workers`` count.
 
-Two task granularities are supported:
-
-* **per-trial** (default): the ``ns x trials`` grid is distributed one
-  trial at a time — the natural unit for the per-trial engines;
-* **per-cell** (``batched=True``): each ``n`` of the sweep becomes one
-  task executed through :func:`repro.sim.batch.run_sweep_cell`, so every
-  worker runs whole cells through a batch-capable engine — *workers ×
-  vectorized cells* is the intended scale-out shape of the trial-vectorized
-  engine.
-
-For grids whose cells differ in more than ``n`` (different algorithms and
-adversary families per cell, i.e. a campaign), :func:`run_sweep_cells`
-maps arbitrary per-cell ``run_sweep_cell`` configurations over the same
-pool, yielding results cell by cell so callers can checkpoint as they go.
+:func:`sweep_random_adversary` is the ``n`` sweep of one algorithm (one
+cell per ``n``, split into one contiguous trial range per worker); a
+campaign (:mod:`repro.campaign`) hands
+:func:`run_sweep_cells` cells that also differ in algorithm and adversary
+family, and checkpoints them as they are yielded.
 
 Workers are started with the ``fork`` start method (the configuration,
 including lambda algorithm factories, is inherited by the child processes
-rather than pickled); on platforms without ``fork`` the sweep transparently
-falls back to the serial runner.
+rather than pickled); on platforms without ``fork`` the cells run
+serially.
 """
 
 from __future__ import annotations
@@ -35,6 +27,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from ..adversaries.factory import resolve_adversary_family
 from ..core.algorithm import DODAAlgorithm
 from ..core.data import NodeId
 from ..obs import (
@@ -44,15 +37,13 @@ from ..obs import (
     use_collector,
 )
 from ..obs import now as _now
+from .batch import run_sweep_cell
 from .metrics import TrialMetrics
 from .runner import (
     AlgorithmFactory,
     SweepPoint,
     SweepResult,
-    resolve_adversary_family,
     resolve_engine,
-    run_sweep_trial,
-    sweep_random_adversary as _serial_sweep,
     validate_sweep_parameters,
 )
 
@@ -100,54 +91,6 @@ def _merge_snapshots(
             merge(snapshot)
 
 
-def _run_task(
-    task: Tuple[int, int]
-) -> Tuple[TrialMetrics, Optional[CollectorSnapshot]]:
-    """Run one ``(n, trial)`` grid cell inside a worker process."""
-    n, trial = task
-    config = _WORKER_CONFIG
-    return _with_worker_collector(
-        lambda: run_sweep_trial(
-            config["factory"],
-            n,
-            trial,
-            master_seed=config["master_seed"],
-            experiment=config["experiment"],
-            horizon_fn=config["horizon_fn"],
-            sink=config["sink"],
-            engine=config["engine"],
-            adversary=config["adversary"],
-            adversary_params=config["adversary_params"],
-            capture_opt=config["capture_opt"],
-        )
-    )
-
-
-def _run_cell_task(
-    n: int,
-) -> Tuple[List[TrialMetrics], Optional[CollectorSnapshot]]:
-    """Run one whole sweep cell (all trials of one ``n``) inside a worker."""
-    from .batch import run_sweep_cell
-
-    config = _WORKER_CONFIG
-    return _with_worker_collector(
-        lambda: run_sweep_cell(
-            config["factory"],
-            n,
-            config["trials"],
-            master_seed=config["master_seed"],
-            experiment=config["experiment"],
-            horizon_fn=config["horizon_fn"],
-            sink=config["sink"],
-            engine=config["engine"],
-            adversary=config["adversary"],
-            adversary_params=config["adversary_params"],
-            block_size=config["block_size"],
-            capture_opt=config["capture_opt"],
-        )
-    )
-
-
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
     """The ``fork`` multiprocessing context, or None when unavailable."""
     try:
@@ -156,10 +99,10 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
         return None
 
 
-def _run_hetero_cell_task(
+def _run_cell_task(
     index: int,
 ) -> Tuple[List[TrialMetrics], float, Optional[CollectorSnapshot]]:
-    """Run one heterogeneous cell (by task index) inside a worker process.
+    """Run one cell (by task index) inside a worker process.
 
     Returns ``(metrics, elapsed_seconds, trace_snapshot)``; the elapsed
     time is measured around the cell's own execution, so it stays accurate
@@ -167,8 +110,6 @@ def _run_hetero_cell_task(
     worker's spans back to the parent collector (None when tracing is
     off).
     """
-    from .batch import run_sweep_cell
-
     kwargs = _WORKER_CONFIG["cells"][index]
     start = _now()
     (metrics, snapshot) = _with_worker_collector(
@@ -180,17 +121,16 @@ def _run_hetero_cell_task(
 def run_sweep_cells(
     cell_kwargs: Sequence[dict], workers: int = 1, with_timing: bool = False
 ) -> "Iterator":
-    """Run *heterogeneous* sweep cells, optionally over a process pool.
+    """Run sweep cells, optionally over a process pool.
 
     ``cell_kwargs`` is a sequence of keyword-argument dicts for
-    :func:`repro.sim.batch.run_sweep_cell` — unlike the sweep entry points
-    above, each cell may name a different algorithm factory and adversary
-    family, which is exactly the shape of a campaign grid
-    (:mod:`repro.campaign`).  Results are yielded **in task order as each
-    cell completes** (``imap`` under the hood), so a caller can checkpoint
-    cell by cell; an interrupt mid-iteration loses only cells not yet
-    yielded.  Per-cell results are identical for every ``workers`` value
-    (each cell re-derives its trials from seeds alone).
+    :func:`repro.sim.batch.run_sweep_cell`; each cell may name a different
+    algorithm factory and adversary family, which is exactly the shape of a
+    campaign grid (:mod:`repro.campaign`).  Results are yielded **in task
+    order as each cell completes** (``imap`` under the hood), so a caller
+    can checkpoint cell by cell; an interrupt mid-iteration loses only
+    cells not yet yielded.  Per-cell results are identical for every
+    ``workers`` value (each cell re-derives its trials from seeds alone).
 
     Yields per-cell ``List[TrialMetrics]``, or ``(metrics,
     elapsed_seconds)`` pairs when ``with_timing`` is true — the elapsed
@@ -209,8 +149,6 @@ def run_sweep_cells(
 def _iter_sweep_cells(
     cell_kwargs: List[dict], workers: int, with_timing: bool
 ) -> "Iterator":
-    from .batch import run_sweep_cell
-
     context = _fork_context()
     if workers == 1 or context is None or len(cell_kwargs) <= 1:
         for kwargs in cell_kwargs:
@@ -225,7 +163,7 @@ def _iter_sweep_cells(
         processes=processes, initializer=_init_worker, initargs=(config,)
     ) as pool:
         for metrics, elapsed, snapshot in pool.imap(
-            _run_hetero_cell_task, range(len(cell_kwargs)), 1
+            _run_cell_task, range(len(cell_kwargs)), 1
         ):
             # Merge before yielding so a caller that checkpoints cell by
             # cell sees the worker's spans as soon as the cell lands.
@@ -245,23 +183,38 @@ def sweep_random_adversary(
     workers: int = 1,
     adversary: str = "uniform",
     adversary_params: Optional[dict] = None,
-    batched: bool = False,
     block_size: Optional[int] = None,
     capture_opt: bool = False,
 ) -> SweepResult:
-    """Run a committed-adversary sweep, optionally across worker processes.
+    """Run ``trials`` independent trials per ``n`` against a committed adversary.
 
-    Identical to :func:`repro.sim.runner.sweep_random_adversary` plus the
-    ``workers`` / ``batched`` parameters.  ``workers <= 1`` (or a platform
-    without the ``fork`` start method) runs serially; any other value
-    distributes work over a process pool.  ``batched=True`` switches the
-    task granularity from single trials to whole sweep cells executed
-    through :func:`repro.sim.batch.run_sweep_cell` (one batch-capable
-    engine invocation per ``n`` — the *workers × vectorized cells* shape),
-    serially when ``workers == 1``.  Results are deterministic and
-    independent of ``workers``/``batched`` for every adversary family
-    (each worker re-derives the trial's committed future from its seed
-    alone).
+    Each ``n`` is one :func:`repro.sim.batch.run_sweep_cell` call (the
+    arguments are passed through).  ``workers > 1`` splits each ``n`` into
+    up to ``workers`` contiguous trial ranges and fans them out over
+    processes through :func:`run_sweep_cells`, so no worker is left alone
+    with the largest ``n`` and a single-``n`` sweep runs in parallel too.
+    Results are identical for both engines and every ``workers`` count,
+    for every adversary family.
+
+    Args:
+        algorithm_factory: callable mapping ``n`` to a fresh algorithm
+            instance (fresh instances avoid any state leak between trials).
+        ns: the values of ``n`` to sweep.
+        trials: number of independent trials per ``n``.
+        master_seed: master seed from which all trial seeds are derived.
+        experiment: experiment name mixed into seed derivation.
+        horizon_fn: optional override of
+            :func:`~repro.sim.runner.default_horizon`.
+        sink: sink node identifier.
+        engine: execution engine, ``"reference"`` or ``"vectorized"``.
+        workers: worker processes (trial ranges of a cell are the unit
+            of work).
+        adversary: adversary family name (uniform, zipf, hub, waypoint,
+            community); the default is the paper's uniform randomized
+            adversary.
+        adversary_params: family-specific parameter overrides.
+        block_size: the vectorized engine's committed window.
+        capture_opt: also evaluate the offline-optimum baseline per trial.
 
     Raises:
         ValueError: if ``ns`` is empty, ``trials < 1``, ``workers < 1``,
@@ -270,88 +223,34 @@ def sweep_random_adversary(
     validate_sweep_parameters(ns, trials)
     resolve_engine(engine)
     resolve_adversary_family(adversary)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    context = _fork_context()
-    if workers == 1 or context is None:
-        if batched:
-            from .batch import sweep_adversary_batched
-
-            return sweep_adversary_batched(
-                algorithm_factory,
-                ns,
-                trials,
-                master_seed=master_seed,
-                experiment=experiment,
-                horizon_fn=horizon_fn,
-                sink=sink,
-                engine=engine,
-                adversary=adversary,
-                adversary_params=adversary_params,
-                block_size=block_size,
-                capture_opt=capture_opt,
-            )
-        return _serial_sweep(
-            algorithm_factory,
-            ns,
-            trials,
-            master_seed=master_seed,
-            experiment=experiment,
-            horizon_fn=horizon_fn,
-            sink=sink,
-            engine=engine,
-            adversary=adversary,
-            adversary_params=adversary_params,
-            capture_opt=capture_opt,
-        )
-
-    sample_algorithm = algorithm_factory(int(ns[0]))
-    config = {
-        "factory": algorithm_factory,
-        "master_seed": master_seed,
-        "experiment": experiment,
-        "horizon_fn": horizon_fn,
-        "sink": sink,
-        "engine": engine,
-        "adversary": adversary,
-        "adversary_params": adversary_params,
-        "trials": trials,
-        "block_size": block_size,
-        "capture_opt": capture_opt,
-    }
-    result = SweepResult(algorithm=sample_algorithm.name)
-    if batched:
-        cell_tasks = [int(n) for n in ns]
-        processes = min(workers, len(cell_tasks))
-        with context.Pool(
-            processes=processes, initializer=_init_worker, initargs=(config,)
-        ) as pool:
-            outcomes = pool.map(_run_cell_task, cell_tasks, 1)
-        _merge_snapshots([snapshot for _, snapshot in outcomes])
-        cells: List[List[TrialMetrics]] = [metrics for metrics, _ in outcomes]
-        for n, cell in zip(ns, cells):
-            result.points.append(
-                SweepPoint(n=int(n), algorithm=result.algorithm, trials=cell)
-            )
-        return result
-
-    tasks = [(int(n), trial) for n in ns for trial in range(trials)]
-    processes = min(workers, len(tasks))
-    chunksize = max(1, len(tasks) // (processes * 4))
-    with context.Pool(
-        processes=processes, initializer=_init_worker, initargs=(config,)
-    ) as pool:
-        trial_outcomes = pool.map(_run_task, tasks, chunksize)
-    _merge_snapshots([snapshot for _, snapshot in trial_outcomes])
-    metrics: List[TrialMetrics] = [result for result, _ in trial_outcomes]
-
-    for position, n in enumerate(ns):
-        start = position * trials
+    # Each ``n`` runs as ``parts`` contiguous trial ranges
+    # ``[bounds[k], bounds[k + 1])`` whose sizes differ by at most one.
+    parts = max(1, min(workers, trials))
+    bounds = [trials * part // parts for part in range(parts + 1)]
+    cells = [
+        {
+            "algorithm_factory": algorithm_factory,
+            "n": int(n),
+            "trials": stop - start,
+            "first_trial": start,
+            "master_seed": master_seed,
+            "experiment": experiment,
+            "horizon_fn": horizon_fn,
+            "sink": sink,
+            "engine": engine,
+            "adversary": adversary,
+            "adversary_params": adversary_params,
+            "block_size": block_size,
+            "capture_opt": capture_opt,
+        }
+        for n in ns
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+    result = SweepResult(algorithm=algorithm_factory(int(ns[0])).name)
+    ranges = iter(run_sweep_cells(cells, workers=workers))
+    for n in ns:
+        metrics = [trial for _ in range(parts) for trial in next(ranges)]
         result.points.append(
-            SweepPoint(
-                n=int(n),
-                algorithm=result.algorithm,
-                trials=metrics[start : start + trials],
-            )
+            SweepPoint(n=int(n), algorithm=result.algorithm, trials=metrics)
         )
     return result

@@ -1,8 +1,9 @@
-"""Trial and sweep runners for the randomized-adversary experiments.
+"""Trial runners and sweep results for the randomized-adversary experiments.
 
 The runner knows how to assemble, for any registered algorithm, the
 knowledge oracles it requires on top of the randomized adversary (Section 4
-of the paper), run one trial, and aggregate trials over an ``n`` sweep.
+of the paper), run one trial, and aggregate trials over an ``n`` sweep
+(the sweep itself is :func:`repro.sim.parallel.sweep_random_adversary`).
 """
 
 from __future__ import annotations
@@ -12,11 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..adversaries.committed import CommittedBlockAdversary
-from ..adversaries.factory import (
-    ADVERSARY_FAMILIES,
-    make_adversary,
-    resolve_adversary_family,
-)
+from ..adversaries.factory import ADVERSARY_FAMILIES, make_adversary
 from ..core.algorithm import (
     DODAAlgorithm,
     KNOWLEDGE_FULL,
@@ -26,7 +23,6 @@ from ..core.algorithm import (
 )
 from ..core.data import NodeId
 from ..core.execution import ExecutionResult, Executor
-from ..core.fast_execution import FastExecutor
 from ..core.interaction import InteractionSequence
 from ..core.vector_execution import VectorizedExecutor
 from ..knowledge import (
@@ -43,17 +39,15 @@ from .seeding import derive_seed
 
 AlgorithmFactory = Callable[[int], DODAAlgorithm]
 
-#: The three interchangeable execution engines.  ``reference`` is the
-#: semantics oracle (:class:`~repro.core.execution.Executor`); ``fast`` is
-#: the per-trial optimised engine (:class:`~repro.core.fast_execution.
-#: FastExecutor`); ``vectorized`` is the trial-vectorized engine
+#: The two interchangeable execution engines.  ``reference`` is the
+#: semantics oracle (:class:`~repro.core.execution.Executor`);
+#: ``vectorized`` is the trial-vectorized engine
 #: (:class:`~repro.core.vector_execution.VectorizedExecutor`), which runs
-#: whole sweep cells as numpy struct-of-arrays and falls back to the fast
-#: engine per trial whenever an algorithm has no decision kernel.  All
-#: three produce identical results seed for seed.
+#: whole sweep cells as numpy struct-of-arrays and falls back to the
+#: reference engine for the trials its kernels cannot mirror.  Both
+#: produce identical results seed for seed.
 ENGINES = {
     "reference": Executor,
-    "fast": FastExecutor,
     "vectorized": VectorizedExecutor,
 }
 
@@ -61,9 +55,14 @@ ENGINES = {
 def resolve_engine(engine: str):
     """Map an engine name to its executor class.
 
+    ``"fast"`` names a retired engine; it is still read as ``vectorized``
+    so campaign stores and specs that recorded it keep working.
+
     Raises:
         ValueError: if ``engine`` is not a known engine name.
     """
+    if engine == "fast":
+        return VectorizedExecutor
     try:
         return ENGINES[engine]
     except KeyError:
@@ -176,8 +175,8 @@ def execute_random_trial(
     """Run one committed-adversary trial and return the raw execution result.
 
     This is the differential-testing entry point: for a given ``(algorithm,
-    n, seed, horizon, adversary)`` the ``reference`` and ``fast`` engines
-    must return equal :class:`~repro.core.execution.ExecutionResult`
+    n, seed, horizon, adversary)`` the ``reference`` and ``vectorized``
+    engines must return equal :class:`~repro.core.execution.ExecutionResult`
     objects, including the transmission log.  ``adversary`` names a family
     from :data:`repro.adversaries.factory.ADVERSARY_FAMILIES` (uniform,
     zipf, hub, waypoint, community).  ``capture_opt=True`` additionally
@@ -229,8 +228,8 @@ def run_random_trial(
         horizon: interaction budget; defaults to :func:`default_horizon`.
         sink: sink node identifier.
         extra: extra key/values recorded in the metrics.
-        engine: ``"reference"`` or ``"fast"``; both produce identical
-            metrics, the fast engine just gets there sooner.
+        engine: ``"reference"`` or ``"vectorized"``; both produce
+            identical metrics, the vectorized engine just gets there sooner.
         adversary: adversary family name (default the paper's uniform
             randomized adversary).
         adversary_params: family-specific parameter overrides.
@@ -355,74 +354,6 @@ class SweepResult:
         return table
 
 
-def sweep_random_adversary(
-    algorithm_factory: AlgorithmFactory,
-    ns: Sequence[int],
-    trials: int,
-    master_seed: int = 0,
-    experiment: str = "sweep",
-    horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]] = None,
-    sink: NodeId = 0,
-    engine: str = "reference",
-    adversary: str = "uniform",
-    adversary_params: Optional[Dict[str, Any]] = None,
-    capture_opt: bool = False,
-) -> SweepResult:
-    """Run ``trials`` independent trials per ``n`` against a committed adversary.
-
-    Args:
-        algorithm_factory: callable mapping ``n`` to a fresh algorithm
-            instance (fresh instances avoid any state leak between trials).
-        ns: the values of ``n`` to sweep.
-        trials: number of independent trials per ``n``.
-        master_seed: master seed from which all trial seeds are derived.
-        experiment: experiment name mixed into seed derivation.
-        horizon_fn: optional override of :func:`default_horizon`.
-        sink: sink node identifier.
-        engine: execution engine, ``"reference"`` or ``"fast"``.
-        adversary: adversary family name (uniform, zipf, hub, waypoint,
-            community); the default is the paper's uniform randomized
-            adversary.
-        adversary_params: family-specific parameter overrides.
-
-    Raises:
-        ValueError: if ``ns`` is empty, ``trials < 1``, ``engine`` or
-            ``adversary`` is unknown.
-
-    For multi-process sweeps see
-    :func:`repro.sim.parallel.sweep_random_adversary`; for whole-cell
-    batched execution see :func:`repro.sim.batch.sweep_adversary_batched`.
-    Both reproduce this function's output bit for bit.
-    """
-    validate_sweep_parameters(ns, trials)
-    resolve_engine(engine)
-    resolve_adversary_family(adversary)
-    sample_algorithm = algorithm_factory(int(ns[0]))
-    result = SweepResult(algorithm=sample_algorithm.name)
-    for n in ns:
-        metrics: List[TrialMetrics] = []
-        for trial in range(trials):
-            metrics.append(
-                run_sweep_trial(
-                    algorithm_factory,
-                    int(n),
-                    trial,
-                    master_seed=master_seed,
-                    experiment=experiment,
-                    horizon_fn=horizon_fn,
-                    sink=sink,
-                    engine=engine,
-                    adversary=adversary,
-                    adversary_params=adversary_params,
-                    capture_opt=capture_opt,
-                )
-            )
-        result.points.append(
-            SweepPoint(n=int(n), algorithm=result.algorithm, trials=metrics)
-        )
-    return result
-
-
 def derive_sweep_trial(
     algorithm_factory: AlgorithmFactory,
     n: int,
@@ -433,10 +364,9 @@ def derive_sweep_trial(
 ) -> Tuple[DODAAlgorithm, int, int]:
     """Derive one sweep trial's ``(algorithm, seed, horizon)``.
 
-    This derivation is the determinism contract of every sweep runner: the
-    serial, parallel and batched paths all call it for every task, which is
-    what makes ``workers > 1`` and whole-cell batching reproduce the serial
-    sweep exactly.
+    This derivation is the determinism contract of the sweep: every cell
+    calls it for every trial, which is what makes any engine and any
+    ``workers`` count reproduce the same trials exactly.
     """
     algorithm = algorithm_factory(n)
     seed = derive_seed(master_seed, experiment, algorithm.name, n, trial)
@@ -444,31 +374,6 @@ def derive_sweep_trial(
         horizon_fn(algorithm, n) if horizon_fn else default_horizon(algorithm, n)
     )
     return algorithm, seed, horizon
-
-
-def run_sweep_trial(
-    algorithm_factory: AlgorithmFactory,
-    n: int,
-    trial: int,
-    master_seed: int = 0,
-    experiment: str = "sweep",
-    horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]] = None,
-    sink: NodeId = 0,
-    engine: str = "reference",
-    adversary: str = "uniform",
-    adversary_params: Optional[Dict[str, Any]] = None,
-    capture_opt: bool = False,
-) -> TrialMetrics:
-    """Run the single sweep trial ``(n, trial)`` with derived-seed determinism."""
-    algorithm, seed, horizon = derive_sweep_trial(
-        algorithm_factory, n, trial, master_seed=master_seed,
-        experiment=experiment, horizon_fn=horizon_fn,
-    )
-    return run_random_trial(
-        algorithm, n, seed, horizon=horizon, sink=sink, engine=engine,
-        adversary=adversary, adversary_params=adversary_params,
-        capture_opt=capture_opt,
-    )
 
 
 def validate_sweep_parameters(ns: Sequence[int], trials: int) -> None:

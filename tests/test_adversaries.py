@@ -1,11 +1,15 @@
 """Unit tests for the adversary framework and the randomized adversary."""
 
+import math
+
 import pytest
 
 from repro.adversaries.base import Adversary, EventuallyPeriodicAdversary
 from repro.adversaries.randomized import RandomizedAdversary
+from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
 from repro.core.exceptions import ConfigurationError
 from repro.core.node import NetworkState
+from repro.sim.runner import run_random_trial
 
 
 @pytest.fixture
@@ -122,3 +126,50 @@ class TestRandomizedAdversary:
         assert len(counts) == 6
         expected = 1000
         assert all(0.8 * expected < c < 1.2 * expected for c in counts.values())
+
+
+class TestAdversaryBatching:
+    def test_draw_block_matches_committed_stream(self):
+        a = RandomizedAdversary(list(range(6)), seed=42)
+        b = RandomizedAdversary(list(range(6)), seed=42)
+        prefix = a.committed_prefix(100)
+        # Query pattern must not matter: b is grown by oracle queries.
+        b.next_meeting(1, 2, after=0)
+        assert b.committed_prefix(100) == prefix
+
+    def test_committed_index_block_truncates_at_horizon(self):
+        adversary = RandomizedAdversary([0, 1, 2], seed=1, max_horizon=10)
+        i, j = adversary.committed_index_block(0, 50)
+        assert len(i) == len(j) == 10
+        i, j = adversary.committed_index_block(10, 50)
+        assert len(i) == 0
+
+    def test_duration_independent_of_commit_pattern(self):
+        # Growing the committed future through meetTime oracle queries must
+        # not change what the executor replays.
+        n, seed = 12, 9
+        metrics_lazy = run_random_trial(
+            WaitingGreedy(tau=optimal_tau(n)), n, seed, engine="vectorized"
+        )
+        metrics_reference = run_random_trial(
+            WaitingGreedy(tau=optimal_tau(n)), n, seed, engine="reference"
+        )
+        assert metrics_lazy == metrics_reference
+        assert metrics_lazy.terminated
+        assert not math.isinf(metrics_lazy.duration)
+
+    def test_draw_block_commits_its_draws(self):
+        # A direct draw_block call must never desynchronise the RNG stream
+        # from the committed future: what it returns is what gets replayed.
+        adversary = RandomizedAdversary(list(range(5)), seed=3)
+        i, j = adversary.draw_block(7)
+        assert adversary.committed_length == 7
+        replay = adversary.committed_prefix(7)
+        for t in range(7):
+            assert replay[t].pair == frozenset(
+                (adversary.nodes()[int(i[t])], adversary.nodes()[int(j[t])])
+            )
+        # Oracle answers stay consistent with the committed prefix.
+        t = adversary.next_meeting(0, 1, after=-1)
+        if t is not None and t < 7:
+            assert replay[t].pair == frozenset((0, 1))

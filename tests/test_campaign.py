@@ -31,7 +31,7 @@ def small_spec(**overrides):
         adversaries=("uniform",),
         ns=(8,),
         trials=2,
-        engine="fast",
+        engine="vectorized",
     )
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)
@@ -58,7 +58,7 @@ class TestCampaignSpec:
 
     def test_hash_covers_result_fields_only(self):
         base = small_spec()
-        assert base.spec_hash() == small_spec(engine="vectorized").spec_hash()
+        assert base.spec_hash() == small_spec(engine="reference").spec_hash()
         assert base.spec_hash() == small_spec(description="notes").spec_hash()
         assert base.spec_hash() == small_spec(block_size=64).spec_hash()
         assert base.spec_hash() != small_spec(ns=(8, 10)).spec_hash()
@@ -119,13 +119,13 @@ class TestSpecLoading:
         toml_path = tmp_path / "c.toml"
         toml_path.write_text(
             'name = "c"\nalgorithms = ["gathering"]\nns = [8, 10]\n'
-            'trials = 2\nengine = "fast"\n'
+            'trials = 2\nengine = "vectorized"\n'
             '[adversary_params.zipf]\nexponent = 1.5\n'
         )
         json_path = tmp_path / "c.json"
         json_path.write_text(json.dumps({
             "name": "c", "algorithms": ["gathering"], "ns": [8, 10],
-            "trials": 2, "engine": "fast",
+            "trials": 2, "engine": "vectorized",
             "adversary_params": {"zipf": {"exponent": 1.5}},
         }))
         toml_spec = load_campaign_spec(toml_path)
@@ -185,7 +185,7 @@ class TestStore:
         with pytest.raises(CampaignStoreMismatch, match="differs"):
             CampaignStore(store_dir).initialize(small_spec(ns=(8, 10)))
         # Same hash, different engine: accepted (engine excluded from hash).
-        CampaignStore(store_dir).initialize(small_spec(engine="vectorized"))
+        CampaignStore(store_dir).initialize(small_spec(engine="reference"))
 
     def test_read_manifest_errors(self, tmp_path):
         with pytest.raises(CampaignStoreError, match="no campaign manifest"):
@@ -215,7 +215,7 @@ class TestStore:
         manifest = CampaignStore(store_dir).read_manifest()
         assert manifest["repro_version"] == repro.__version__
         entry = next(iter(manifest["cells"].values()))
-        assert entry["engine"] == "fast"
+        assert entry["engine"] == "vectorized"
         assert entry["records"] == 2
 
 

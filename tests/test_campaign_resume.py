@@ -8,7 +8,9 @@ The contracts under test (see ``docs/campaigns.md``):
 * corruption — tampered shards, truncated writes, edited manifests — is
   detected and self-healed on the next run;
 * the stored results are engine-invariant: fresh/resumed legs under any
-  mix of reference/fast/vectorized engines write the same bytes.
+  mix of reference/vectorized engines write the same bytes;
+* stores written while the retired ``fast`` engine existed still verify
+  and resume.
 """
 
 import json
@@ -22,7 +24,9 @@ from repro.campaign import (
     build_campaign_report,
     campaign_status,
     run_campaign,
+    spec_from_dict,
 )
+from repro.cli import main
 
 
 def spec(**overrides):
@@ -32,7 +36,7 @@ def spec(**overrides):
         adversaries=("uniform",),
         ns=(8, 10),
         trials=2,
-        engine="fast",
+        engine="vectorized",
     )
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)
@@ -184,26 +188,50 @@ class TestCorruptionDetection:
 
 
 class TestEngineInvariance:
-    @pytest.mark.parametrize("fresh_engine", ["reference", "fast", "vectorized"])
+    @pytest.mark.parametrize("fresh_engine", ["reference", "vectorized"])
     def test_fresh_equals_resumed_across_engines(self, tmp_path, fresh_engine):
         s = spec(ns=(8,), trials=2)
         fresh = tmp_path / "fresh"
         resumed = tmp_path / "resumed"
         run_campaign(s, fresh, engine=fresh_engine)
-        run_campaign(s, resumed, engine="fast", max_cells=1)
+        run_campaign(s, resumed, engine="reference", max_cells=1)
         run_campaign(s, resumed, engine="vectorized")
         assert shard_bytes(fresh, s) == shard_bytes(resumed, s)
 
     def test_manifest_tracks_per_cell_engine(self, tmp_path):
         s = spec(ns=(8,), trials=2)
         store_dir = tmp_path / "store"
-        run_campaign(s, store_dir, engine="fast", max_cells=1)
+        run_campaign(s, store_dir, engine="reference", max_cells=1)
         run_campaign(s, store_dir, engine="vectorized")
         engines = {
             entry["engine"]
             for entry in CampaignStore(store_dir).read_manifest()["cells"].values()
         }
-        assert engines == {"fast", "vectorized"}
+        assert engines == {"reference", "vectorized"}
+
+    def test_store_written_under_fast_engine_still_resumes(self, tmp_path, capsys):
+        """Stores from before the fast engine's retirement name it in their
+        spec echo and cell entries; ``fast`` now reads as ``vectorized``."""
+        s = spec()
+        store_dir = tmp_path / "store"
+        run_campaign(s, store_dir)
+        store = CampaignStore(store_dir)
+        manifest = store.read_manifest()
+        manifest["repro_version"] = "1.4.0"
+        manifest["spec"]["engine"] = "fast"
+        for entry in manifest["cells"].values():
+            entry["engine"] = "fast"
+        store._write_manifest(manifest)
+        before = shard_bytes(store_dir, s)
+
+        assert main(["campaign", "status", str(store_dir)]) == 0
+        assert "complete=4 pending=0 corrupt=0" in capsys.readouterr().out
+        legacy = spec_from_dict(store.read_manifest()["spec"])
+        assert legacy.engine == "fast"
+        summary = run_campaign(legacy, store_dir)
+        assert summary.complete
+        assert summary.skipped == 4 and summary.executed == 0
+        assert shard_bytes(store_dir, s) == before
 
 
 class TestExperimentE24:

@@ -8,7 +8,7 @@ from repro.cli import build_parser, main
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.4.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -72,37 +72,24 @@ class TestSweepCLI:
         assert "gathering: interactions to termination" in output
         assert "| 8 |" in output and "| 10 |" in output
 
-    def test_sweep_fast_engine_matches_reference(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "9", "--trials", "3"]) == 0
-        reference = capsys.readouterr().out
-        assert (
-            main(["sweep", "gathering", "--ns", "9", "--trials", "3",
-                  "--engine", "fast"]) == 0
-        )
-        assert capsys.readouterr().out == reference
+    def test_sweep_rejects_retired_fast_engine(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "gathering", "--ns", "9", "--engine", "fast"])
+        assert "invalid choice: 'fast'" in capsys.readouterr().err
 
     def test_sweep_workers(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "8", "--trials", "2"]) == 0
+        assert main(["sweep", "gathering", "--ns", "8,10", "--trials", "2"]) == 0
         serial = capsys.readouterr().out
         assert (
-            main(["sweep", "gathering", "--ns", "8", "--trials", "2",
-                  "--engine", "fast", "--workers", "2"]) == 0
-        )
-        assert capsys.readouterr().out == serial
-
-    def test_sweep_batched(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "8", "--trials", "2"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(["sweep", "gathering", "--ns", "8", "--trials", "2",
-                  "--engine", "fast", "--batched"]) == 0
+            main(["sweep", "gathering", "--ns", "8,10", "--trials", "2",
+                  "--engine", "vectorized", "--workers", "2"]) == 0
         )
         assert capsys.readouterr().out == serial
 
     def test_sweep_mobility_adversary(self, capsys):
         assert (
             main(["sweep", "waiting", "--ns", "8", "--trials", "2",
-                  "--adversary", "community", "--engine", "fast"]) == 0
+                  "--adversary", "community", "--engine", "reference"]) == 0
         )
         assert "waiting" in capsys.readouterr().out
 
@@ -129,12 +116,25 @@ class TestSweepCLI:
             main(["sweep", "gathering", "--ns", "8",
                   "--adversary", "rush_hour"])
 
+    @pytest.mark.parametrize("engine", ("reference", "vectorized"))
+    @pytest.mark.parametrize("block_size", ("0", "-3"))
+    def test_sweep_rejects_bad_block_size(self, engine, block_size, capsys):
+        """A usage error on either engine, before any worker starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "gathering", "--ns", "8,10", "--trials", "2",
+                  "--engine", engine, "--workers", "2",
+                  "--block-size", block_size])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--block-size must be >= 1, got {block_size}" in err
+        assert "Traceback" not in err
+
     def test_trial_engine_flag(self, capsys):
         assert main(["trial", "gathering", "--n", "10", "--seed", "2",
-                     "--engine", "fast"]) == 0
-        fast = capsys.readouterr().out
+                     "--engine", "vectorized"]) == 0
+        vectorized = capsys.readouterr().out
         assert main(["trial", "gathering", "--n", "10", "--seed", "2"]) == 0
-        assert capsys.readouterr().out == fast
+        assert capsys.readouterr().out == vectorized
 
     def test_trial_adversary_flag(self, capsys):
         assert main(["trial", "gathering", "--n", "12", "--seed", "1",
@@ -161,31 +161,25 @@ class TestVectorizedEngineCLI:
         )
         assert capsys.readouterr().out == reference
 
-    def test_sweep_vectorized_batched(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "8,10", "--trials", "3"]) == 0
-        reference = capsys.readouterr().out
-        assert (
-            main(["sweep", "gathering", "--ns", "8,10", "--trials", "3",
-                  "--engine", "vectorized", "--batched"]) == 0
-        )
-        assert capsys.readouterr().out == reference
-
-    def test_sweep_vectorized_batched_workers_compose(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "8,10", "--trials", "2"]) == 0
-        reference = capsys.readouterr().out
-        assert (
-            main(["sweep", "gathering", "--ns", "8,10", "--trials", "2",
-                  "--engine", "vectorized", "--batched", "--workers", "2"]) == 0
-        )
-        assert capsys.readouterr().out == reference
-
     def test_sweep_vectorized_block_size(self, capsys):
         assert main(["sweep", "waiting", "--ns", "9", "--trials", "2"]) == 0
         reference = capsys.readouterr().out
         assert (
             main(["sweep", "waiting", "--ns", "9", "--trials", "2",
-                  "--engine", "vectorized", "--batched",
-                  "--block-size", "64"]) == 0
+                  "--engine", "vectorized", "--block-size", "64"]) == 0
+        )
+        assert capsys.readouterr().out == reference
+
+    def test_sweep_vectorized_workers_and_block_size_compose(self, capsys):
+        """--workers fans out over trial ranges and --block-size tunes each
+        lockstep; together they still print the reference table."""
+        args = ["sweep", "waiting_greedy", "--ns", "8,10,12", "--trials", "3",
+                "--ratio"]
+        assert main(args + ["--engine", "reference"]) == 0
+        reference = capsys.readouterr().out
+        assert (
+            main(args + ["--engine", "vectorized", "--workers", "2",
+                         "--block-size", "16"]) == 0
         )
         assert capsys.readouterr().out == reference
 
@@ -204,7 +198,7 @@ class TestVectorizedEngineCLI:
             warnings.simplefilter("error", EngineFallbackWarning)
             assert (
                 main(["sweep", algorithm, "--ns", "8", "--trials", "2",
-                      "--engine", "vectorized", "--batched"]) == 0
+                      "--engine", "vectorized"]) == 0
             )
         assert capsys.readouterr().out == reference
 
@@ -237,7 +231,7 @@ class TestVectorizedEngineCLI:
         with pytest.warns(EngineFallbackWarning) as caught:
             assert (
                 main(["sweep", "gathering", "--ns", "8", "--trials", "2",
-                      "--engine", "vectorized", "--batched"]) == 0
+                      "--engine", "vectorized"]) == 0
             )
         fallback_out = capsys.readouterr().out
 
@@ -264,8 +258,7 @@ class TestVectorizedEngineCLI:
     def test_sweep_vectorized_mobility_adversary(self, capsys):
         assert (
             main(["sweep", "waiting", "--ns", "10", "--trials", "2",
-                  "--adversary", "community", "--engine", "vectorized",
-                  "--batched"]) == 0
+                  "--adversary", "community", "--engine", "vectorized"]) == 0
         )
         assert "waiting" in capsys.readouterr().out
 

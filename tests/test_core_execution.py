@@ -7,6 +7,7 @@ from repro.algorithms.waiting import Waiting
 from repro.core.algorithm import DODAAlgorithm
 from repro.core.exceptions import ConfigurationError, ModelViolationError
 from repro.core.execution import (
+    BatchTrial,
     Executor,
     RecordingProvider,
     SequenceProvider,
@@ -166,6 +167,68 @@ class TestExecutorValidation:
 
         with pytest.raises(ConfigurationError):
             Executor([0, 1], sink=0, algorithm=WaitingGreedy(tau=5))
+
+
+class TestRunMany:
+    """``Executor.run_many``: the reference batch entry point, on which the
+    vectorized engine runs the trials its kernels cannot mirror."""
+
+    def test_matches_one_run_per_trial(self):
+        nodes = [0, 1, 2, 3]
+        sequence = InteractionSequence.from_pairs(
+            [(2, 1), (1, 3), (3, 0), (1, 0), (2, 0)]
+        )
+        payloads = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
+        trials = [
+            BatchTrial(source=sequence),
+            BatchTrial(source=sequence, algorithm=Waiting()),
+            BatchTrial(
+                source=sequence, max_interactions=3, initial_payloads=payloads
+            ),
+        ]
+        expected = [
+            Executor(nodes, 0, Gathering()).run(sequence),
+            Executor(nodes, 0, Waiting()).run(sequence),
+            Executor(nodes, 0, Gathering()).run(
+                sequence, max_interactions=3, initial_payloads=payloads
+            ),
+        ]
+        assert Executor(nodes, 0, Gathering()).run_many(trials) == expected
+
+    def test_knowledge_defaults_to_the_executors_own(self):
+        from repro.algorithms.waiting_greedy import WaitingGreedy
+        from repro.knowledge import KnowledgeBundle, MeetTimeKnowledge
+
+        sequence = InteractionSequence.from_pairs(
+            [(1, 2), (2, 0), (1, 0), (1, 2), (2, 0)]
+        )
+        knowledge = KnowledgeBundle(
+            MeetTimeKnowledge(sequence, 0, horizon=len(sequence), strict=False)
+        )
+        executor = Executor(
+            [0, 1, 2], 0, WaitingGreedy(tau=3), knowledge=knowledge
+        )
+        # A per-trial executor built without the oracle would be rejected
+        # at construction: WaitingGreedy requires meetTime.
+        (result,) = executor.run_many([BatchTrial(source=sequence)])
+        assert result == executor.run(sequence)
+
+    def test_trials_are_consumed_lazily(self):
+        sequence = InteractionSequence.from_pairs([(1, 0), (2, 0)])
+        providers = []
+
+        def trials():
+            for _ in range(3):
+                # Every earlier trial already ran before this one is built.
+                assert all(provider.recorded for provider in providers)
+                providers.append(RecordingProvider(SequenceProvider(sequence)))
+                yield BatchTrial(
+                    source=providers[-1], max_interactions=len(sequence)
+                )
+
+        results = Executor([0, 1, 2], 0, Gathering()).run_many(trials())
+        assert len(results) == 3
+        assert all(result.terminated for result in results)
 
 
 class TestProviders:

@@ -1,13 +1,13 @@
-"""Differential tests: fast engine vs reference across adversary families.
+"""Differential tests: vectorized engine vs reference across adversary families.
 
-``tests/test_fast_execution.py`` pins engine equality for the uniform
-randomized adversary; this suite extends the differential to every other
+``tests/test_vector_execution.py`` pins engine equality for every
+registered algorithm; this suite extends the differential to every other
 committed family — the non-uniform (Zipf/hub) adversary and the mobility
 adversaries (random waypoint, community, trace replay) — across all
-registered algorithms, multiple seeds and instance shapes, plus the batched
-and multi-process sweep paths with a non-uniform adversary selected.  Both
-optimised engines (``fast`` and trial-``vectorized``) are differential
-against the reference executor.
+registered algorithms, multiple seeds and instance shapes, plus the
+serial and multi-process sweep with a non-uniform adversary selected.
+The vectorized engine runs at its default lockstep window and at a window
+so small that every trial crosses many block boundaries.
 """
 
 import pytest
@@ -23,11 +23,16 @@ from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import optimal_tau
 from repro.core.algorithm import registry
 from repro.core.execution import Executor
-from repro.core.fast_execution import FastExecutor
+from repro.core.vector_execution import VectorizedExecutor
 from repro.graph.traces import BodyAreaNetworkTrace, VehicularGridTrace
-from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
-from repro.sim.runner import execute_random_trial, sweep_random_adversary
+from repro.sim.batch import run_sweep_cell
+from repro.sim.parallel import sweep_random_adversary
+from repro.sim.runner import (
+    build_knowledge_for_random_run,
+    build_trial_adversary,
+    default_horizon,
+    execute_random_trial,
+)
 
 FAMILIES = ("zipf", "hub", "waypoint", "community")
 SEEDS = (0, 1, 2)
@@ -36,6 +41,11 @@ N = 12
 # The knowledge-heavy algorithms that gained decision kernels; kept out of
 # the slow marker so the default run always exercises their full matrix.
 KNOWLEDGE_HEAVY = ("spanning_tree", "full_knowledge", "future_broadcast")
+
+#: Candidate legs, by the vectorized engine's ``block_size``: the default
+#: window (None), and one far below the first block, so that every trial
+#: crosses many block boundaries.
+CANDIDATES = {"vectorized": None, "vectorized-small-blocks": 16}
 
 
 def make_algorithm(name: str, n: int):
@@ -48,11 +58,28 @@ def make_algorithm(name: str, n: int):
     return registry.create(name, **kwargs)
 
 
+def candidate_trial(engine, name, family, seed):
+    """The trial ``execute_random_trial`` runs, on a candidate leg."""
+    algorithm = make_algorithm(name, N)
+    nodes = list(range(N))
+    horizon = default_horizon(algorithm, N)
+    adversary = build_trial_adversary(family, nodes, seed, horizon, 0)
+    knowledge, committed = build_knowledge_for_random_run(
+        algorithm, adversary, nodes, 0, horizon
+    )
+    source = committed if committed is not None else adversary
+    executor = VectorizedExecutor(
+        nodes, 0, algorithm, knowledge=knowledge,
+        block_size=CANDIDATES[engine],
+    )
+    return executor.run(source, max_interactions=horizon)
+
+
 @pytest.mark.slow
 class TestAllAlgorithmsAllFamilies:
     """The full registry against every committed family, both engines."""
 
-    @pytest.mark.parametrize("engine", ("fast", "vectorized"))
+    @pytest.mark.parametrize("engine", sorted(CANDIDATES))
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("name", sorted(registry.names()))
     def test_engines_agree(self, family, name, engine):
@@ -61,10 +88,7 @@ class TestAllAlgorithmsAllFamilies:
                 make_algorithm(name, N), N, seed,
                 engine="reference", adversary=family,
             )
-            candidate, _ = execute_random_trial(
-                make_algorithm(name, N), N, seed,
-                engine=engine, adversary=family,
-            )
+            candidate = candidate_trial(engine, name, family, seed)
             assert candidate == reference, (engine, family, name, seed)
 
 
@@ -77,7 +101,7 @@ class TestKnowledgeHeavyAlgorithms:
     reference engine on every committed family and on trace replay.
     """
 
-    @pytest.mark.parametrize("engine", ("fast", "vectorized"))
+    @pytest.mark.parametrize("engine", sorted(CANDIDATES))
     @pytest.mark.parametrize("family", ("uniform",) + FAMILIES)
     @pytest.mark.parametrize("name", KNOWLEDGE_HEAVY)
     def test_engines_agree(self, name, family, engine):
@@ -86,15 +110,11 @@ class TestKnowledgeHeavyAlgorithms:
                 make_algorithm(name, N), N, seed,
                 engine="reference", adversary=family,
             )
-            candidate, _ = execute_random_trial(
-                make_algorithm(name, N), N, seed,
-                engine=engine, adversary=family,
-            )
+            candidate = candidate_trial(engine, name, family, seed)
             assert candidate == reference, (engine, family, name, seed)
 
     @pytest.mark.parametrize("name", KNOWLEDGE_HEAVY)
     def test_trace_replay(self, name):
-        from repro.core.vector_execution import VectorizedExecutor
         from repro.sim.runner import build_knowledge_for_random_run
 
         trace = VehicularGridTrace(
@@ -113,9 +133,7 @@ class TestKnowledgeHeavyAlgorithms:
                 nodes, trace.sink, algorithm, knowledge=knowledge
             ).run(source, max_interactions=trace.length)
 
-        reference = run(Executor)
-        assert run(FastExecutor) == reference
-        assert run(VectorizedExecutor) == reference
+        assert run(VectorizedExecutor) == run(Executor)
 
 
 class TestShapes:
@@ -127,20 +145,20 @@ class TestShapes:
         reference, _ = execute_random_trial(
             Gathering(), n, seed=7, engine="reference", adversary=family
         )
-        fast, _ = execute_random_trial(
-            Gathering(), n, seed=7, engine="fast", adversary=family
+        vectorized, _ = execute_random_trial(
+            Gathering(), n, seed=7, engine="vectorized", adversary=family
         )
-        assert fast == reference
+        assert vectorized == reference
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_non_default_sink(self, family):
         reference, _ = execute_random_trial(
             Waiting(), 10, seed=3, sink=4, engine="reference", adversary=family
         )
-        fast, _ = execute_random_trial(
-            Waiting(), 10, seed=3, sink=4, engine="fast", adversary=family
+        vectorized, _ = execute_random_trial(
+            Waiting(), 10, seed=3, sink=4, engine="vectorized", adversary=family
         )
-        assert fast == reference
+        assert vectorized == reference
 
 
 class TestMobilityAdversaryCommitment:
@@ -213,13 +231,13 @@ class TestTraceReplayDifferential:
             reference = Executor(nodes, trace.sink, algorithm_cls()).run(
                 TraceReplayAdversary(trace), max_interactions=trace.length
             )
-            fast = FastExecutor(nodes, trace.sink, algorithm_cls()).run(
+            vectorized = VectorizedExecutor(nodes, trace.sink, algorithm_cls()).run(
                 TraceReplayAdversary(trace), max_interactions=trace.length
             )
             direct = Executor(nodes, trace.sink, algorithm_cls()).run(
                 trace.sequence
             )
-            assert fast == reference == direct
+            assert vectorized == reference == direct
 
     def test_replay_is_exact_and_exhausts(self):
         trace = VehicularGridTrace(
@@ -237,44 +255,46 @@ class TestTraceReplayDifferential:
 
 
 class TestSweepPathEquivalence:
-    """Serial, parallel and batched sweeps must agree for every family."""
+    """Both engines and every worker count agree for every family."""
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ("fast", "vectorized"))
+    @pytest.mark.parametrize("engine", sorted(CANDIDATES))
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_batched_sweep_reproduces_serial(self, family, engine):
+    def test_sweep_reproduces_serial(self, family, engine):
         factory = lambda n: Gathering()
         serial = sweep_random_adversary(
             factory, ns=[8, 12], trials=4, master_seed=9,
             engine="reference", adversary=family,
         )
-        batched = sweep_adversary_batched(
+        candidate = sweep_random_adversary(
             factory, ns=[8, 12], trials=4, master_seed=9,
-            engine=engine, adversary=family,
+            engine="vectorized", adversary=family,
+            block_size=CANDIDATES[engine],
         )
-        assert batched.algorithm == serial.algorithm
-        assert batched.ns == serial.ns
-        for point, expected in zip(batched.points, serial.points):
+        assert candidate.algorithm == serial.algorithm
+        assert candidate.ns == serial.ns
+        for point, expected in zip(candidate.points, serial.points):
             assert point.trials == expected.trials
 
     def test_parallel_sweep_with_mobility_adversary(self):
         factory = lambda n: Waiting()
         serial = sweep_random_adversary(
-            factory, ns=[10], trials=4, master_seed=3,
-            engine="fast", adversary="community",
+            factory, ns=[10, 12], trials=4, master_seed=3,
+            engine="reference", adversary="community",
         )
-        parallel = parallel_sweep(
-            factory, ns=[10], trials=4, master_seed=3,
-            engine="fast", adversary="community", workers=2,
+        parallel = sweep_random_adversary(
+            factory, ns=[10, 12], trials=4, master_seed=3,
+            engine="vectorized", adversary="community", workers=2,
         )
-        assert parallel.points[0].trials == serial.points[0].trials
+        for point, expected in zip(parallel.points, serial.points):
+            assert point.trials == expected.trials
 
     def test_run_sweep_cell_knowledge_algorithm(self):
         from repro.algorithms.waiting_greedy import WaitingGreedy
 
         factory = lambda n: WaitingGreedy(tau=optimal_tau(n))
         cell = run_sweep_cell(
-            factory, 10, 3, master_seed=5, engine="fast",
+            factory, 10, 3, master_seed=5, engine="vectorized",
             adversary="waypoint",
         )
         serial = sweep_random_adversary(
@@ -287,6 +307,6 @@ class TestSweepPathEquivalence:
         with pytest.raises(ValueError):
             execute_random_trial(Gathering(), 8, seed=0, adversary="rush_hour")
         with pytest.raises(ValueError):
-            sweep_adversary_batched(
+            sweep_random_adversary(
                 lambda n: Gathering(), ns=[8], trials=2, adversary="rush_hour"
             )

@@ -121,11 +121,12 @@ class TestCLIHelp:
 
         with pytest.raises(SystemExit):
             main(["sweep", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--batched" in help_text
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "batched" not in help_text  # the flag is retired
         assert "--block-size" in help_text
         assert "--workers" in help_text
-        assert "whole cells" in help_text  # composition rule wording
+        assert "each sweep cell" in help_text  # composition rule wording
+        assert "{reference,vectorized}" in help_text
 
     def test_campaign_run_help_mentions_resume_and_engine(self, capsys):
         from repro.cli import main

@@ -43,7 +43,7 @@ from repro.sim.batch import run_sweep_cell
 
 def record_something(collector):
     """Emit one span (with a late-bound arg), one counter, one event."""
-    with collector.span("phase.outer", engine="fast") as span:
+    with collector.span("phase.outer", engine="vectorized") as span:
         span.set(trials=3)
         collector.counter("phase.items", 7)
     collector.event("phase.marker", reason="test")
@@ -81,7 +81,7 @@ class TestCollectors:
         record_something(recording)
         (span,) = recording.spans
         assert span.name == "phase.outer"
-        assert dict(span.args) == {"engine": "fast", "trials": 3}
+        assert dict(span.args) == {"engine": "vectorized", "trials": 3}
         assert span.end >= span.start and span.duration >= 0
         (counter,) = recording.counters
         assert counter.name == "phase.items" and counter.value == 7.0
@@ -192,21 +192,21 @@ class TestTelemetrySidecar:
         path = tmp_path / "telemetry.jsonl"
         writer = TelemetryWriter(path)
         writer.cell("a/b/n=8", elapsed_seconds=2.0, trials=10, fallbacks=1,
-                    engine="fast")
+                    engine="vectorized")
         writer.skip("a/b/n=16")
         writer.run(elapsed_seconds=2.5, cells=1, skipped=1)
         records = read_telemetry(path)
         assert [record["type"] for record in records] == ["cell", "skip", "run"]
         cell = records[0]
         assert cell["trials_per_second"] == pytest.approx(5.0)
-        assert cell["fallbacks"] == 1 and cell["engine"] == "fast"
+        assert cell["fallbacks"] == 1 and cell["engine"] == "vectorized"
         assert all("ts" in record for record in records)
         assert summarize_run(records)["cells"] == 1
 
     def test_zero_elapsed_does_not_divide(self, tmp_path):
         writer = TelemetryWriter(tmp_path / "t.jsonl")
         writer.cell("c", elapsed_seconds=0.0, trials=5, fallbacks=0,
-                    engine="fast")
+                    engine="vectorized")
         (record,) = read_telemetry(writer.path)
         assert record["trials_per_second"] == 0.0
 
@@ -225,9 +225,9 @@ class TestTelemetrySidecar:
     def test_latest_cell_record_wins(self, tmp_path):
         writer = TelemetryWriter(tmp_path / "t.jsonl")
         writer.cell("c", elapsed_seconds=1.0, trials=1, fallbacks=0,
-                    engine="fast")
+                    engine="vectorized")
         writer.cell("c", elapsed_seconds=2.0, trials=2, fallbacks=0,
-                    engine="fast")
+                    engine="vectorized")
         latest = latest_cell_records(read_telemetry(writer.path))
         assert latest["c"]["trials"] == 2
 
@@ -249,7 +249,7 @@ def traced_cell(engine, **kwargs):
 
 
 class TestEngineInstrumentation:
-    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
+    @pytest.mark.parametrize("engine", ["vectorized"])
     def test_cell_and_engine_spans_emitted(self, engine):
         metrics, collector = traced_cell(engine)
         names = [span.name for span in collector.spans]
@@ -300,18 +300,28 @@ class TestEngineInstrumentation:
         ]
         assert len(fallback_events) == 4  # one per downgraded trial
         assert "no decision kernel" in dict(fallback_events[0].args)["reason"]
-        # The downgraded trials run through an inner FastExecutor, which
-        # records its own engine.run_many span — pick the vectorized one.
-        run_many = next(
-            span for span in collector.spans
-            if span.name == "engine.run_many"
-            and dict(span.args)["engine"] == "vectorized"
-        )
+        # The downgraded trials run on the reference engine, one
+        # engine.run span each, inside the vectorized engine.run_many.
+        reference_runs = [
+            span for span in collector.spans if span.name == "engine.run"
+        ]
+        assert len(reference_runs) == 4
+        (run_many,) = [
+            span for span in collector.spans if span.name == "engine.run_many"
+        ]
         assert dict(run_many.args)["fallbacks"] == 4
         cell = next(span for span in collector.spans if span.name == "sweep.cell")
         assert dict(cell.args)["fallbacks"] == 4
 
-    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
+    def test_reference_cell_emits_one_run_span_per_trial(self):
+        _, collector = traced_cell("reference")
+        names = [span.name for span in collector.spans]
+        assert names.count("engine.run") == 4
+        assert "engine.run_many" not in names
+        cell = next(span for span in collector.spans if span.name == "sweep.cell")
+        assert dict(cell.args)["fallbacks"] == 0
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_tracing_does_not_change_metrics(self, engine):
         from repro.algorithms.gathering import Gathering
 
@@ -321,7 +331,7 @@ class TestEngineInstrumentation:
         traced, _ = traced_cell(engine)
         assert untraced == traced
 
-    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
+    @pytest.mark.parametrize("engine", ["vectorized"])
     def test_tracing_does_not_change_ratio_metrics(self, engine):
         from repro.algorithms.gathering import Gathering
 
@@ -347,7 +357,7 @@ def campaign_spec(**overrides):
         adversaries=("uniform",),
         ns=(8, 10),
         trials=2,
-        engine="fast",
+        engine="vectorized",
     )
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)

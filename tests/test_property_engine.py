@@ -2,9 +2,9 @@
 
 Each case derives a random ``(adversary family, algorithm, n, sink, seed)``
 combination from a case seed, runs it through the engine under test (the
-whole class is parametrized over the fast AND the trial-vectorized
-engines), and asserts the invariants every result in the repository builds
-on:
+trial-vectorized engine, at its default lockstep window and at a window
+so small that every run crosses many block boundaries), and asserts the
+invariants every result in the repository builds on:
 
 * **data conservation** — replaying the transmission log as a coverage
   algebra never loses or duplicates an origin: the surviving owners'
@@ -24,17 +24,22 @@ also one more differential data point.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from repro.adversaries.factory import ADVERSARY_FAMILIES, make_adversary
 from repro.core.algorithm import registry
 from repro.core.execution import Executor
-from repro.core.fast_execution import FastExecutor
 from repro.core.vector_execution import VectorizedExecutor
 from repro.sim.runner import build_knowledge_for_random_run, default_horizon
 
 CASE_COUNT = 24
+
+#: A lockstep window far below the engine's first block
+#: (``INITIAL_BLOCK``): block boundaries are consumption windows only, so
+#: every invariant must hold however often a run crosses one.
+SMALL_BLOCK = 16
 
 
 def derive_case(case_seed: int):
@@ -59,7 +64,7 @@ def make_algorithm(name: str, n: int):
     return registry.create(name, **kwargs)
 
 
-def run_case(case_seed: int, engine_cls=FastExecutor):
+def run_case(case_seed: int, engine_cls=VectorizedExecutor):
     family, name, n, sink, seed = derive_case(case_seed)
     nodes = list(range(n))
     algorithm = make_algorithm(name, n)
@@ -80,8 +85,9 @@ def run_case(case_seed: int, engine_cls=FastExecutor):
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "engine_cls", (FastExecutor, VectorizedExecutor),
-    ids=("fast", "vectorized"),
+    "engine_cls",
+    (VectorizedExecutor, partial(VectorizedExecutor, block_size=SMALL_BLOCK)),
+    ids=("vectorized", "vectorized-small-blocks"),
 )
 @pytest.mark.parametrize("case_seed", range(CASE_COUNT))
 class TestEngineInvariants:

@@ -196,7 +196,28 @@ def test_cost_at_least_one_and_one_iff_optimal(data):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vectorized"])
+#: Engine legs of the ratio invariants, as ``(engine, block_size)``.  The
+#: small-block leg captures the offline optimum over committed windows the
+#: lockstep consumed across many blocks.
+RATIO_LEGS = {
+    "reference": ("reference", None),
+    "vectorized": ("vectorized", None),
+    "vectorized-small-blocks": ("vectorized", 16),
+}
+
+
+def ratio_cell(leg, factory, adversary, trials):
+    """One ratio-capturing sweep cell at ``n = 12`` on an engine leg."""
+    from repro.sim.batch import run_sweep_cell
+
+    engine, block_size = RATIO_LEGS[leg]
+    return run_sweep_cell(
+        factory, 12, trials, master_seed=0, engine=engine,
+        adversary=adversary, capture_opt=True, block_size=block_size,
+    )
+
+
+@pytest.mark.parametrize("engine", sorted(RATIO_LEGS))
 @pytest.mark.parametrize(
     "adversary", ["uniform", "zipf", "hub", "waypoint", "community"]
 )
@@ -207,14 +228,7 @@ def test_competitive_ratio_at_least_one(engine, adversary):
     online duration can never undercut opt_cost — across every engine and
     every committed adversary family.
     """
-    from repro.algorithms.gathering import Gathering
-    from repro.sim.runner import run_random_trial
-
-    for seed in range(4):
-        metrics = run_random_trial(
-            Gathering(), 12, seed, engine=engine, adversary=adversary,
-            capture_opt=True,
-        )
+    for metrics in ratio_cell(engine, lambda n: Gathering(), adversary, 4):
         assert metrics.opt_cost is not None
         if metrics.terminated:
             assert math.isfinite(metrics.opt_cost)
@@ -227,7 +241,7 @@ def test_competitive_ratio_at_least_one(engine, adversary):
             assert metrics.competitive_ratio == math.inf
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vectorized"])
+@pytest.mark.parametrize("engine", sorted(RATIO_LEGS))
 @pytest.mark.parametrize(
     "name", ["spanning_tree", "full_knowledge", "future_broadcast"]
 )
@@ -240,13 +254,9 @@ def test_competitive_ratio_knowledge_algorithms(engine, name):
     at least 1, and exactly ``duration / opt_cost``.
     """
     from repro.core.algorithm import registry
-    from repro.sim.runner import run_random_trial
 
-    for seed in range(3):
-        metrics = run_random_trial(
-            registry.create(name), 12, seed, engine=engine,
-            adversary="uniform", capture_opt=True,
-        )
+    factory = lambda n: registry.create(name)
+    for metrics in ratio_cell(engine, factory, "uniform", 3):
         assert metrics.opt_cost is not None
         if metrics.terminated:
             assert math.isfinite(metrics.opt_cost)
@@ -281,12 +291,12 @@ def test_ratio_kernel_opt_matches_oracle(data):
 @common_settings
 @given(data=interaction_sequences())
 def test_terminated_run_ratio_bounded_below_by_one(data):
-    from repro.core.fast_execution import FastExecutor
+    from repro.core.vector_execution import VectorizedExecutor
     from repro.ratio.semantics import competitive_ratio
 
     n, sequence = data
     nodes = list(range(n))
-    executor = FastExecutor(nodes, 0, Gathering(), capture_opt=True)
+    executor = VectorizedExecutor(nodes, 0, Gathering(), capture_opt=True)
     result = executor.run(sequence)
     assert result.opt_cost is not None
     if result.terminated:

@@ -3,8 +3,8 @@
 Extends the differential suites to the ratio vertical:
 
 * per-trial ``opt_cost`` / ``competitive_ratio`` are byte-identical across
-  the reference/fast/vectorized engines and the serial / ``--workers`` /
-  ``--batched`` execution paths (acceptance criterion of the subsystem);
+  the reference/vectorized engines and the serial / ``--workers`` sweep
+  (acceptance criterion of the subsystem);
 * ratio campaigns persist the capture into shards, round-trip it through
   :func:`~repro.campaign.store.record_to_metrics`, keep pre-ratio spec
   hashes unchanged, and render ratio columns in reports;
@@ -32,12 +32,18 @@ from repro.campaign.store import (
     record_to_metrics,
 )
 from repro.cli import main
-from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
-from repro.sim.runner import run_random_trial, sweep_random_adversary
+from repro.core.execution import BatchTrial, Executor
+from repro.core.vector_execution import VectorizedExecutor
+from repro.sim.metrics import TrialMetrics
+from repro.sim.parallel import sweep_random_adversary
+from repro.sim.runner import (
+    build_trial_adversary,
+    default_horizon,
+    run_random_trial,
+)
 
 
-ENGINES = ("reference", "fast", "vectorized")
+ENGINES = ("reference", "vectorized")
 
 
 class TestEngineAndPathIdentity:
@@ -66,39 +72,60 @@ class TestEngineAndPathIdentity:
         factory = lambda n: Gathering()
         serial = sweep_random_adversary(factory, engine="reference", **kwargs)
         variants = [
-            sweep_random_adversary(factory, engine="fast", **kwargs),
-            parallel_sweep(factory, engine="fast", workers=2, **kwargs),
-            sweep_adversary_batched(factory, engine="fast", **kwargs),
-            sweep_adversary_batched(factory, engine="vectorized", **kwargs),
-            parallel_sweep(
-                factory, engine="vectorized", workers=2, batched=True, **kwargs
-            ),
+            sweep_random_adversary(factory, engine="reference", workers=2, **kwargs),
+            sweep_random_adversary(factory, engine="vectorized", **kwargs),
+            sweep_random_adversary(factory, engine="vectorized", workers=2, **kwargs),
         ]
         for variant in variants:
             for serial_point, variant_point in zip(serial.points, variant.points):
                 assert variant_point.trials == serial_point.trials
 
     def test_vectorized_fallback_algorithm_captures_too(self):
-        # spanning_tree has no decision kernel: the vectorized engine falls
-        # back to the fast engine, which must still capture the baseline.
-        from repro.algorithms.spanning_tree import SpanningTreeAggregation
+        # A same-name subclass is not the registered class, so its trials
+        # fall back to the reference engine, which captures the baseline
+        # itself; the other rows of the batch stay on the kernel.
+        class SameNameGathering(Gathering):
+            pass
 
-        per_engine = [
-            run_random_trial(
-                SpanningTreeAggregation(), 10, 2, engine=engine,
-                capture_opt=True,
-            )
-            for engine in ENGINES
-        ]
-        assert per_engine[0].opt_cost is not None
-        assert per_engine[1] == per_engine[0]
-        assert per_engine[2] == per_engine[0]
+        nodes = list(range(10))
+        horizon = default_horizon(Gathering(), len(nodes))
+
+        def run(engine_cls):
+            trials = [
+                BatchTrial(
+                    source=build_trial_adversary(
+                        "uniform", nodes, seed, horizon, 0, None
+                    ),
+                    max_interactions=horizon,
+                    algorithm=(SameNameGathering if seed % 2 else Gathering)(),
+                )
+                for seed in range(4)
+            ]
+            executor = engine_cls(nodes, 0, Gathering(), capture_opt=True)
+            return executor, executor.run_many(trials)
+
+        _, reference = run(Executor)
+        executor, vectorized = run(VectorizedExecutor)
+        assert [record.position for record in executor.last_fallbacks] == [1, 3]
+        assert vectorized == reference
+        for seed, (mine, theirs) in enumerate(zip(vectorized, reference)):
+            assert mine.opt_cost is not None and math.isfinite(mine.opt_cost)
+            metrics = [
+                TrialMetrics.from_result(
+                    result, n=len(nodes), seed=seed, algorithm="gathering",
+                    horizon=horizon,
+                )
+                for result in (mine, theirs)
+            ]
+            assert metrics[0].opt_cost == metrics[1].opt_cost
+            assert metrics[0].competitive_ratio == metrics[1].competitive_ratio
+            assert metrics[0].competitive_ratio is not None
 
     def test_capture_off_leaves_metrics_unchanged(self):
-        plain = run_random_trial(Gathering(), 10, 3, engine="fast")
+        plain = run_random_trial(Gathering(), 10, 3, engine="vectorized")
         assert plain.opt_cost is None and plain.competitive_ratio is None
         captured = run_random_trial(
-            Gathering(), 10, 3, engine="fast", capture_opt=True
+            Gathering(), 10, 3, engine="vectorized", capture_opt=True
         )
         assert captured.duration == plain.duration
         assert captured.transmissions == plain.transmissions
@@ -178,7 +205,7 @@ class TestRatioCampaigns:
         spec = ratio_spec()
         run_campaign(spec, tmp_path / "fresh")
         run_campaign(spec, tmp_path / "resumed", max_cells=1)
-        run_campaign(spec, tmp_path / "resumed", engine="fast")
+        run_campaign(spec, tmp_path / "resumed", engine="reference")
         fresh = CampaignStore(tmp_path / "fresh")
         resumed = CampaignStore(tmp_path / "resumed")
         for cell in spec.cells():
@@ -226,7 +253,7 @@ class TestCLIRatio:
         code = main(
             [
                 "sweep", "gathering", "--ns", "8", "--trials", "2",
-                "--engine", "vectorized", "--batched", "--ratio",
+                "--engine", "vectorized", "--ratio",
             ]
         )
         assert code == 0

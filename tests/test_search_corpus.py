@@ -64,7 +64,7 @@ class TestGoldenCorpus:
         assert metrics.transmissions == int(instance.metrics["transmissions"])
 
     @pytest.mark.parametrize("digest", golden_digests())
-    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
+    @pytest.mark.parametrize("engine", ["vectorized"])
     def test_batched_engines_replay_identically(self, digest, engine):
         instance = WorstCaseCorpus(GOLDEN_DIR).load(digest)
         metrics = replay_instance(instance, engine=engine)

@@ -27,7 +27,6 @@ from strategies import committed_schedules, common_settings
 
 from repro.algorithms.gathering import Gathering
 from repro.core.execution import Executor
-from repro.core.fast_execution import FastExecutor
 from repro.core.vector_execution import VectorizedExecutor
 from repro.search.mutations import (
     OPERATORS,
@@ -184,7 +183,7 @@ class TestEngineReplayIdentity:
         nodes = list(range(mutated.n))
         horizon = mutated.length
         results = []
-        for engine in (Executor, FastExecutor, VectorizedExecutor):
+        for engine in (Executor, VectorizedExecutor):
             adversary = TraceReplayAdversary.from_dense_indices(
                 mutated.i, mutated.j, nodes, max_horizon=horizon
             )
@@ -192,17 +191,16 @@ class TestEngineReplayIdentity:
                 adversary, max_interactions=horizon
             )
             results.append(result)
-        reference, fast, vectorized = results
-        for other in (fast, vectorized):
-            assert other.terminated == reference.terminated
-            assert other.duration == reference.duration
-            # Transmission-identical: same (time, sender, receiver) triples.
-            assert [
-                (t.time, t.sender, t.receiver) for t in other.transmissions
-            ] == [
-                (t.time, t.sender, t.receiver)
-                for t in reference.transmissions
-            ]
+        reference, vectorized = results
+        assert vectorized.terminated == reference.terminated
+        assert vectorized.duration == reference.duration
+        # Transmission-identical: same (time, sender, receiver) triples.
+        assert [
+            (t.time, t.sender, t.receiver) for t in vectorized.transmissions
+        ] == [
+            (t.time, t.sender, t.receiver)
+            for t in reference.transmissions
+        ]
 
 
 class TestInvariantHook:

@@ -1,21 +1,31 @@
 """Unit tests for the simulation harness (seeding, metrics, results, runner)."""
 
 import math
+import os
 
 import pytest
 
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
-from repro.core.execution import run_algorithm
+from repro.core.execution import Executor, run_algorithm
 from repro.core.interaction import InteractionSequence
+from repro.core.vector_execution import VectorizedExecutor
+from repro.obs import RecordingCollector, use_collector
+from repro.sim.batch import run_sweep_cell
 from repro.sim.metrics import TrialMetrics, durations, mean_duration, termination_rate
+from repro.sim.parallel import sweep_random_adversary
 from repro.sim.results import ExperimentReport, ResultTable
 from repro.sim.runner import (
+    ENGINES,
     default_horizon,
+    resolve_engine,
     run_random_trial,
-    sweep_random_adversary,
 )
 from repro.sim.seeding import derive_seed, trial_seeds
+
+SWEEP_SHAPES = [
+    (engine, workers) for engine in ("reference", "vectorized") for workers in (1, 3)
+]
 
 
 class TestSeeding:
@@ -158,3 +168,119 @@ class TestRunner:
         table = sweep.to_table()
         assert table.rows[0]["n"] == 8
         assert table.rows[0]["trials"] == 2
+
+
+class TestEngineResolution:
+    def test_known_engines(self):
+        assert set(ENGINES) == {"reference", "vectorized"}
+        assert resolve_engine("reference") is Executor
+        assert resolve_engine("vectorized") is VectorizedExecutor
+
+    def test_legacy_fast_name_runs_vectorized(self):
+        assert resolve_engine("fast") is VectorizedExecutor
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_engine("warp")
+        with pytest.raises(ValueError):
+            run_random_trial(Gathering(), 8, seed=0, engine="warp")
+
+
+class TestSweepDeterminism:
+    """The one sweep path: identical trials for every engine and worker count."""
+
+    @pytest.mark.parametrize("engine,workers", SWEEP_SHAPES)
+    def test_sweep_reproduces_serial_reference(self, engine, workers):
+        factory = lambda n: Gathering()
+        serial = sweep_random_adversary(
+            factory, ns=[8, 12], trials=4, master_seed=11, engine="reference"
+        )
+        sweep = sweep_random_adversary(
+            factory, ns=[8, 12], trials=4, master_seed=11, engine=engine,
+            workers=workers,
+        )
+        assert sweep.algorithm == serial.algorithm
+        assert sweep.ns == serial.ns
+        for point, expected in zip(sweep.points, serial.points):
+            assert point.trials == expected.trials
+
+    @pytest.mark.parametrize("engine,workers", SWEEP_SHAPES)
+    def test_sweep_with_knowledge_algorithm(self, engine, workers):
+        factory = lambda n: WaitingGreedy(tau=optimal_tau(n))
+        serial = sweep_random_adversary(
+            factory, ns=[10, 11], trials=3, master_seed=2, engine="reference"
+        )
+        sweep = sweep_random_adversary(
+            factory, ns=[10, 11], trials=3, master_seed=2, engine=engine,
+            workers=workers,
+        )
+        for point, expected in zip(sweep.points, serial.points):
+            assert point.trials == expected.trials
+
+    @pytest.mark.parametrize("engine,workers", SWEEP_SHAPES)
+    def test_empty_ns_rejected(self, engine, workers):
+        with pytest.raises(ValueError):
+            sweep_random_adversary(
+                lambda n: Gathering(), ns=[], trials=3, engine=engine,
+                workers=workers,
+            )
+
+    @pytest.mark.parametrize("engine,workers", SWEEP_SHAPES)
+    def test_invalid_trials_rejected(self, engine, workers):
+        with pytest.raises(ValueError):
+            sweep_random_adversary(
+                lambda n: Gathering(), ns=[8], trials=0, engine=engine,
+                workers=workers,
+            )
+
+    @pytest.mark.parametrize("engine", ("reference", "vectorized"))
+    def test_invalid_workers_rejected(self, engine):
+        with pytest.raises(ValueError):
+            sweep_random_adversary(
+                lambda n: Gathering(), ns=[8], trials=3, engine=engine, workers=0
+            )
+
+    @pytest.mark.parametrize("engine", ("reference", "vectorized"))
+    def test_trial_ranges_concatenate_to_the_cell(self, engine):
+        kwargs = dict(n=9, master_seed=4, engine=engine, capture_opt=True)
+        factory = lambda n: WaitingGreedy(tau=optimal_tau(n))
+        whole = run_sweep_cell(factory, trials=5, **kwargs)
+        head = run_sweep_cell(factory, trials=2, **kwargs)
+        tail = run_sweep_cell(factory, trials=3, first_trial=2, **kwargs)
+        assert head + tail == whole
+        with pytest.raises(ValueError):
+            run_sweep_cell(factory, trials=2, first_trial=-1, **kwargs)
+
+    @pytest.mark.parametrize(
+        "engine,workers,ranges",
+        [("reference", 1, [5]), ("reference", 3, [1, 2, 2]),
+         ("reference", 8, [1, 1, 1, 1, 1]), ("vectorized", 1, [5]),
+         ("vectorized", 3, [1, 2, 2])],
+    )
+    def test_single_n_sweep_work_units(self, engine, workers, ranges):
+        """Workers split a cell into one contiguous trial range each."""
+        factory = lambda n: Gathering()
+        serial = sweep_random_adversary(
+            factory, ns=[10], trials=5, master_seed=3, engine="reference"
+        )
+        collector = RecordingCollector()
+        with use_collector(collector):
+            sweep = sweep_random_adversary(
+                factory, ns=[10], trials=5, master_seed=3, engine=engine,
+                workers=workers,
+            )
+        assert sweep.points[0].trials == serial.points[0].trials
+        cells = [span for span in collector.spans if span.name == "sweep.cell"]
+        assert sorted(dict(span.args)["trials"] for span in cells) == ranges
+        # Several work units run in worker processes, a lone one in-process.
+        in_workers = {span.pid != os.getpid() for span in cells}
+        assert in_workers == {len(ranges) > 1}
+
+    @pytest.mark.parametrize("engine,workers", SWEEP_SHAPES)
+    def test_too_small_n_rejected_before_running(self, engine, workers):
+        # n < 2 used to crash mid-sweep inside the adversary constructor.
+        with pytest.raises(ValueError):
+            sweep_random_adversary(
+                lambda n: Gathering(), ns=[1, 8], trials=2, engine=engine,
+                workers=workers,
+            )

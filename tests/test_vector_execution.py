@@ -7,9 +7,10 @@ the transmission log, seed for seed — for **every registered algorithm**
 (all of which now carry decision kernels) under every committed adversary
 family (uniform / zipf / hub / waypoint / community / trace replay).  The
 few shapes no kernel can mirror (adaptive providers, mis-shaped oracles,
-``enforce_oblivious`` runs, shared RNG instances) fall back to the fast
-engine — exactly, and *observably*: every fallback carries a reason in
-``VectorizedExecutor.last_fallbacks`` and batched sweep cells warn.
+``enforce_oblivious`` runs, shared RNG instances, overridden ``decide``
+methods) fall back to the reference engine — exactly, and *observably*:
+every fallback carries a reason in ``VectorizedExecutor.last_fallbacks``
+and sweep cells warn.
 """
 
 import warnings
@@ -18,27 +19,27 @@ import numpy as np
 import pytest
 
 from repro.adversaries import TraceReplayAdversary, make_adversary
+from repro.adversaries.base import EventuallyPeriodicAdversary
 from repro.adversaries.committed import CommittedBlockAdversary
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.kernels import KERNELS, get_kernel
+from repro.algorithms.spanning_tree import SpanningTreeAggregation
 from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
 from repro.core.algorithm import registry
-from repro.core.data import MAX
-from repro.core.execution import Executor
-from repro.core.exceptions import ConfigurationError
-from repro.core.fast_execution import FastExecutor
+from repro.core.data import MAX, MIN
+from repro.core.execution import BatchTrial, Executor
+from repro.core.exceptions import ConfigurationError, ModelViolationError
 from repro.core.interaction import InteractionSequence
 from repro.core.vector_execution import EngineFallbackWarning, VectorizedExecutor
 from repro.graph.traces import VehicularGridTrace
-from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
+from repro.sim.batch import run_sweep_cell
+from repro.sim.parallel import sweep_random_adversary
 from repro.sim.runner import (
     build_knowledge_for_random_run,
     build_trial_adversary,
     default_horizon,
     execute_random_trial,
-    sweep_random_adversary,
 )
 
 FAMILIES = ("uniform", "zipf", "hub", "waypoint", "community")
@@ -141,20 +142,44 @@ class TestKernelVsObjectDifferential:
             reference = Executor(nodes, 0, algorithm_cls()).run(sequence)
             vectorized = VectorizedExecutor(nodes, 0, algorithm_cls()).run(sequence)
             assert vectorized == reference, algorithm_cls
+        # A sequence that runs dry before the horizon: interactions_used
+        # and remaining_owners must match the reference exactly.
+        short = InteractionSequence.from_pairs([(1, 2), (3, 4)])
+        nodes = list(range(5))
+        reference = Executor(nodes, 0, Waiting()).run(short, max_interactions=100)
+        vectorized = VectorizedExecutor(nodes, 0, Waiting()).run(
+            short, max_interactions=100
+        )
+        assert vectorized == reference
+        assert not vectorized.terminated
+        assert vectorized.remaining_owners == reference.remaining_owners
+        # A generic provider has no committed future: the trial runs on the
+        # reference engine inside the vectorized one, with the same result.
+        periodic = lambda: EventuallyPeriodicAdversary(
+            prefix=[(1, 2), (3, 4)], cycle=[(2, 3), (1, 0), (2, 0), (4, 0), (3, 0)]
+        )
+        reference = Executor(nodes, 0, Gathering()).run(
+            periodic(), max_interactions=50
+        )
+        vectorized = VectorizedExecutor(nodes, 0, Gathering()).run(
+            periodic(), max_interactions=50
+        )
+        assert vectorized == reference
 
     def test_initial_payloads_and_aggregation(self):
         nodes = list(range(8))
         adversary = make_adversary("uniform", nodes, seed=9, sink=0)
         sequence = adversary.committed_prefix(400)
-        payloads = {node: float(node) * 1.5 for node in nodes}
-        reference = Executor(nodes, 0, Gathering(), aggregation=MAX).run(
-            sequence, initial_payloads=payloads
-        )
-        vectorized = VectorizedExecutor(nodes, 0, Gathering(), aggregation=MAX).run(
-            sequence, initial_payloads=payloads
-        )
-        assert vectorized == reference
-        assert vectorized.sink_payload == max(payloads.values())
+        payloads = {node: float(node) * 1.5 - 4.0 for node in nodes}
+        for aggregation, expected in ((MAX, max), (MIN, min)):
+            reference = Executor(nodes, 0, Gathering(), aggregation=aggregation).run(
+                sequence, initial_payloads=payloads
+            )
+            vectorized = VectorizedExecutor(
+                nodes, 0, Gathering(), aggregation=aggregation
+            ).run(sequence, initial_payloads=payloads)
+            assert vectorized == reference
+            assert vectorized.sink_payload == expected(payloads.values())
 
     @pytest.mark.parametrize("block_size", (64, 1000, 4096, 1 << 17))
     def test_block_size_independence(self, block_size):
@@ -176,15 +201,165 @@ class TestKernelVsObjectDifferential:
             VectorizedExecutor(list(range(6)), 0, Gathering()).run(adversary)
 
 
+class TestBatchDifferential:
+    """Whole batches: ``VectorizedExecutor.run_many`` equals the reference
+    ``Executor.run_many`` — the engine its fallbacks run on — trial for
+    trial, while the rows of one lockstep mix adversary families and stop
+    at different budgets."""
+
+    @staticmethod
+    def batch(name, n, seed):
+        trials = []
+        for row in range(4):
+            algorithm = make_algorithm(name, n)
+            horizon = default_horizon(algorithm, n) // (row + 1)
+            family = FAMILIES[(seed + row) % len(FAMILIES)]
+            adversary = build_trial_adversary(
+                family, list(range(n)), 100 * seed + row, horizon, 0, None
+            )
+            knowledge, committed = build_knowledge_for_random_run(
+                algorithm, adversary, list(range(n)), 0, horizon
+            )
+            trials.append(
+                BatchTrial(
+                    source=committed if committed is not None else adversary,
+                    max_interactions=horizon,
+                    algorithm=algorithm,
+                    knowledge=knowledge,
+                )
+            )
+        return trials
+
+    @pytest.mark.parametrize("name", KERNELIZED)
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3, 4))
+    def test_run_many_matches_reference(self, name, seed):
+        n = 14
+        nodes = list(range(n))
+
+        def run_batch(engine_cls):
+            # Like a sweep cell, the executor's own algorithm and knowledge
+            # are the first trial's.
+            trials = self.batch(name, n, seed)
+            executor = engine_cls(
+                nodes, 0, trials[0].algorithm, knowledge=trials[0].knowledge,
+                capture_opt=True,
+            )
+            return executor, executor.run_many(trials)
+
+        _, reference = run_batch(Executor)
+        executor, vectorized = run_batch(VectorizedExecutor)
+        assert vectorized == reference
+        assert executor.last_fallback_count == 0
+
+
 class _UnregisteredGathering(Gathering):
     """A behavioural clone of Gathering whose name owns no kernel."""
 
     name = "unregistered_probe"
 
 
+class TestModelEnforcement:
+    """Model violations raise exactly as on the reference engine — also
+    for subclasses that override the registered decide() under its name."""
+
+    @staticmethod
+    def _violation(engine_cls, algorithm, nodes, pairs):
+        sequence = InteractionSequence.from_pairs(pairs)
+        with pytest.raises(ModelViolationError) as excinfo:
+            engine_cls(nodes, 0, algorithm).run(sequence)
+        return str(excinfo.value)
+
+    def test_sink_sender_rejected(self):
+        class SinkSender(Gathering):
+            name = "gathering"
+
+            def decide(self, first, second, time):
+                # Receiver is whichever node is NOT the sink: sink must send.
+                return second.id if first.is_sink else first.id
+
+        messages = {
+            self._violation(engine_cls, SinkSender(), [0, 1], [(0, 1)])
+            for engine_cls in (Executor, VectorizedExecutor)
+        }
+        assert len(messages) == 1
+
+    def test_foreign_receiver_rejected(self):
+        class Outsider(Gathering):
+            name = "gathering"
+
+            def decide(self, first, second, time):
+                return 99
+
+        messages = {
+            self._violation(engine_cls, Outsider(), [0, 1, 2], [(1, 2)])
+            for engine_cls in (Executor, VectorizedExecutor)
+        }
+        assert len(messages) == 1
+
+    def test_constructor_validations_match_reference(self):
+        sequence = InteractionSequence.from_pairs([(0, 1)])
+        for engine_cls in (Executor, VectorizedExecutor):
+            with pytest.raises(ModelViolationError):
+                engine_cls([0, 1], 9, Gathering()).run(sequence)
+            with pytest.raises(ModelViolationError):
+                engine_cls([0], 0, Gathering()).run(sequence)
+
+    def test_overridden_decide_falls_back(self):
+        class Abstainer(Gathering):
+            name = "gathering"
+
+            def decide(self, first, second, time):
+                return None
+
+        sequence = InteractionSequence.from_pairs([(0, 1), (0, 2), (1, 2)])
+        reference = Executor([0, 1, 2], 0, Abstainer()).run(sequence)
+        executor = VectorizedExecutor([0, 1, 2], 0, Abstainer())
+        assert executor.run(sequence) == reference
+        assert reference.transmission_count == 0
+        (reason,) = executor.last_fallback_reasons
+        assert "Abstainer" in reason
+
+    def test_same_name_subclass_with_own_tree_falls_back(self):
+        """Not only decide(): a subclass that builds another tree under the
+        name 'spanning_tree' must not run the BFS-tree kernel."""
+
+        class PathTree(SpanningTreeAggregation):
+            def _ensure_tree(self, view):
+                if self._parent is None:
+                    nodes = sorted(view.knowledge.underlying_graph().nodes)
+                    self._parent = {v: v - 1 if v else None for v in nodes}
+                    self._children = {
+                        v: {v + 1} if v + 1 < len(nodes) else set()
+                        for v in nodes
+                    }
+
+        nodes = list(range(8))
+
+        def run(engine_cls, algorithm):
+            horizon = default_horizon(algorithm, len(nodes))
+            adversary = build_trial_adversary(
+                "uniform", nodes, 4, horizon, 0, None
+            )
+            knowledge, committed = build_knowledge_for_random_run(
+                algorithm, adversary, nodes, 0, horizon
+            )
+            source = committed if committed is not None else adversary
+            executor = engine_cls(nodes, 0, algorithm, knowledge=knowledge)
+            return executor, executor.run(source, max_interactions=horizon)
+
+        _, reference = run(Executor, PathTree())
+        executor, vectorized = run(VectorizedExecutor, PathTree())
+        assert vectorized == reference
+        (reason,) = executor.last_fallback_reasons
+        assert "PathTree" in reason
+        # The BFS-tree kernel would have produced the stock algorithm's run.
+        _, stock = run(Executor, SpanningTreeAggregation())
+        assert stock != reference
+
+
 class TestFallback:
-    """The few trial shapes the kernels cannot mirror run through the fast
-    engine — exactly, and with an observable per-trial reason."""
+    """The few trial shapes the kernels cannot mirror run through the
+    reference engine — exactly, and with an observable per-trial reason."""
 
     def test_unregistered_algorithm_falls_back_with_reason(self):
         nodes = list(range(10))
@@ -306,7 +481,6 @@ class TestFallback:
         the lockstep: interleaving rows would consume the shared stream in
         a different order than sequential per-trial execution."""
         from repro.algorithms.random_baseline import RandomReceiver
-        from repro.core.fast_execution import BatchTrial
 
         n, sink = 14, 0
         nodes = list(range(n))
@@ -323,10 +497,15 @@ class TestFallback:
                 )
             return trials
 
-        shared_fast = RandomReceiver(seed=99)
-        expected = FastExecutor(nodes, sink, shared_fast).run_many(
-            batch(shared_fast)
-        )
+        # The expectation: the same shared instance run trial after trial
+        # on the reference engine.
+        shared_ref = RandomReceiver(seed=99)
+        expected = [
+            Executor(nodes, sink, shared_ref).run(
+                trial.source, max_interactions=trial.max_interactions
+            )
+            for trial in batch(shared_ref)
+        ]
         shared_vec = RandomReceiver(seed=99)
         executor = VectorizedExecutor(nodes, sink, shared_vec)
         actual = executor.run_many(batch(shared_vec))
@@ -334,41 +513,29 @@ class TestFallback:
         assert executor.last_fallback_count == 3
         for reason in executor.last_fallback_reasons:
             assert "shared across 3 trials" in reason
+
         # Distinct per-trial instances do take the kernel path and agree too.
-        per_trial_fast = [
-            BatchTrial(
-                source=build_trial_adversary(
-                    "uniform", nodes, seed, horizon, sink, None
-                ),
-                max_interactions=horizon,
-                algorithm=RandomReceiver(seed=seed),
-            )
-            for seed in (3, 4, 5)
-        ]
-        per_trial_vec = [
-            BatchTrial(
-                source=build_trial_adversary(
-                    "uniform", nodes, seed, horizon, sink, None
-                ),
-                max_interactions=horizon,
-                algorithm=RandomReceiver(seed=seed),
-            )
-            for seed in (3, 4, 5)
-        ]
-        assert (
-            VectorizedExecutor(nodes, sink, RandomReceiver(seed=0)).run_many(
-                per_trial_vec
-            )
-            == FastExecutor(nodes, sink, RandomReceiver(seed=0)).run_many(
-                per_trial_fast
-            )
-        )
+        def per_trial():
+            return [
+                BatchTrial(
+                    source=build_trial_adversary(
+                        "uniform", nodes, seed, horizon, sink, None
+                    ),
+                    max_interactions=horizon,
+                    algorithm=RandomReceiver(seed=seed),
+                )
+                for seed in (3, 4, 5)
+            ]
+
+        executor = VectorizedExecutor(nodes, sink, RandomReceiver(seed=0))
+        assert executor.run_many(per_trial()) == Executor(
+            nodes, sink, RandomReceiver(seed=0)
+        ).run_many(per_trial())
+        assert executor.last_fallback_count == 0
 
     def test_mixed_batch_preserves_order(self):
         """Heterogeneous algorithms interleave in one batch — and, now that
         every algorithm has a kernel, all of them take the lockstep."""
-        from repro.core.fast_execution import BatchTrial
-
         n, sink = 11, 0
         nodes = list(range(n))
         names = ["gathering", "spanning_tree", "waiting", "full_knowledge"]
@@ -466,11 +633,11 @@ class TestFallbackReporting:
         assert executor.last_fallback_count == 0
         assert executor.last_fallback_reasons == ()
 
-    def test_fast_engine_cells_report_nothing(self):
-        """Fallback telemetry is a vectorized-engine concept; fast cells
-        carry no tags."""
+    def test_reference_engine_cells_report_nothing(self):
+        """Fallback telemetry is a vectorized-engine concept; reference
+        cells carry no tags."""
         factory = lambda n: make_algorithm("spanning_tree", n)
-        metrics = run_sweep_cell(factory, 10, 3, master_seed=1, engine="fast")
+        metrics = run_sweep_cell(factory, 10, 3, master_seed=1, engine="reference")
         assert all(
             "engine_fallback" not in trial_metrics.extra
             for trial_metrics in metrics
@@ -535,30 +702,6 @@ class TestSweepPaths:
             engine="reference", adversary=family,
         )
         assert cell == serial.points[0].trials
-
-    def test_batched_sweep_vectorized(self):
-        factory = lambda n: WaitingGreedy(tau=optimal_tau(n))
-        batched = sweep_adversary_batched(
-            factory, ns=[8, 12], trials=3, master_seed=5, engine="vectorized",
-        )
-        serial = sweep_random_adversary(
-            factory, ns=[8, 12], trials=3, master_seed=5, engine="reference",
-        )
-        for batched_point, serial_point in zip(batched.points, serial.points):
-            assert batched_point.trials == serial_point.trials
-
-    def test_parallel_batched_cells_match_serial(self):
-        factory = lambda n: Gathering()
-        serial = sweep_random_adversary(
-            factory, ns=[8, 10, 12], trials=3, master_seed=2, engine="fast",
-        )
-        parallel = parallel_sweep(
-            factory, ns=[8, 10, 12], trials=3, master_seed=2,
-            engine="vectorized", workers=2, batched=True,
-        )
-        assert parallel.ns == serial.ns
-        for parallel_point, serial_point in zip(parallel.points, serial.points):
-            assert parallel_point.trials == serial_point.trials
 
     def test_block_size_threads_through_cell(self):
         factory = lambda n: Gathering()
