@@ -46,9 +46,10 @@ BENCH_TRIALS = 5
 #: are ~3x higher and live in the trajectory; perf_gate.py guards those).
 MIN_VECTORIZED_VS_REFERENCE = 10.0
 #: CI-safe hard floor for the knowledge-kernel gate (locally measured
-#: 2.6-5.2x vs reference; perf_gate.py requires and floors the recorded
-#: value).
-MIN_KNOWLEDGE_VS_REFERENCE = 1.5
+#: about 33x vs reference on a 2-vCPU x86_64 host since the knowledge
+#: trials stay in dense arrays, 3.6x before; perf_gate.py requires and
+#: floors the recorded value).
+MIN_KNOWLEDGE_VS_REFERENCE = 10.0
 #: Each engine is timed this many times and the best run is kept, so a
 #: single noisy measurement on a loaded machine cannot fail the gate.
 TIMING_ROUNDS = 3

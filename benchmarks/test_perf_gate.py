@@ -106,7 +106,7 @@ class TestMainExitCodes:
     def test_single_record_bootstrap_passes(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), opt_record(20.0),
-            knowledge_record(2.1),
+            knowledge_record(30.1),
         ])
         assert perf_gate.main(["--require-record"]) == 0
         assert "bootstrap" in capsys.readouterr().out
@@ -114,7 +114,7 @@ class TestMainExitCodes:
     def test_healthy_latest_record_passes(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), vectorized_record(31.0),
-            opt_record(20.0), knowledge_record(2.1),
+            opt_record(20.0), knowledge_record(30.1),
         ])
         assert perf_gate.main(["--require-record"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -163,7 +163,7 @@ class TestOptKernelGate:
     def test_healthy_opt_record_reported(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), vectorized_record(31.0),
-            opt_record(20.3), knowledge_record(2.1),
+            opt_record(20.3), knowledge_record(30.1),
         ])
         assert perf_gate.main(["--require-record"]) == 0
         out = capsys.readouterr().out
@@ -176,13 +176,13 @@ class TestKnowledgeKernelGate:
     def test_records_filter(self, gate_dir):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), opt_record(20.0),
-            knowledge_record(2.1), knowledge_record(2.3),
+            knowledge_record(30.1), knowledge_record(32.3),
             # Legacy records against the retired fast engine are not gated.
             {"engine": "vectorized_knowledge", "baseline": "fast",
              "speedup": 1.7},
         ])
         records = perf_gate.knowledge_kernel_records()
-        assert [r["speedup"] for r in records] == [2.1, 2.3]
+        assert [r["speedup"] for r in records] == [30.1, 32.3]
 
     def test_require_record_fails_without_knowledge_record(
         self, gate_dir, capsys
@@ -208,7 +208,7 @@ class TestKnowledgeKernelGate:
     def test_knowledge_record_below_floor_fails(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), vectorized_record(31.0),
-            opt_record(20.0), knowledge_record(0.8),
+            opt_record(20.0), knowledge_record(3.6),
         ])
         assert perf_gate.main(["--require-record"]) == 1
         assert "knowledge-kernel speedup" in capsys.readouterr().out
@@ -216,8 +216,8 @@ class TestKnowledgeKernelGate:
     def test_healthy_knowledge_record_reported(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), vectorized_record(31.0),
-            opt_record(20.0), knowledge_record(2.1),
+            opt_record(20.0), knowledge_record(30.1),
         ])
         assert perf_gate.main(["--require-record"]) == 0
         out = capsys.readouterr().out
-        assert "knowledge-kernel speedup: 2.1x" in out
+        assert "knowledge-kernel speedup: 30.1x" in out

@@ -211,17 +211,18 @@ class CommittedBlockAdversary(Adversary):
         )
 
     def committed_prefix(self, length: int) -> InteractionSequence:
-        """The first ``length`` committed interactions as a sequence."""
+        """The first ``length`` committed interactions as a sequence.
+
+        The sequence is backed by views of the committed buffers
+        (:meth:`InteractionSequence.from_index_arrays`): committed entries
+        never change, and the interaction objects are built only if an
+        object-level reader asks for them.
+        """
         self.ensure_committed(length)
         length = min(length, self._size)
-        nodes = self._nodes
-        pairs = [
-            (nodes[i], nodes[j])
-            for i, j in zip(
-                self._pi[:length].tolist(), self._pj[:length].tolist()
-            )
-        ]
-        return InteractionSequence.from_pairs(pairs)
+        return InteractionSequence.from_index_arrays(
+            self._nodes, self._pi[:length], self._pj[:length]
+        )
 
     def committed_index_block(
         self, start: int, stop: int

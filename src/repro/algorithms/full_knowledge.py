@@ -9,19 +9,37 @@ the baseline every other bound in Section 4 is converted against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.algorithm import DODAAlgorithm, KNOWLEDGE_FULL, registry
 from ..core.data import NodeId
-from ..core.exceptions import InvalidScheduleError
 from ..core.interaction import InteractionSequence
 from ..core.node import NodeView
-from ..offline.convergecast import build_convergecast_schedule
-from ..offline.schedule import AggregationSchedule
 
 #: ``time -> (sender, receiver)``: the materialised convergecast plan both
 #: the object algorithm and its decision kernel follow.
 ConvergecastPlan = Dict[int, Tuple[NodeId, NodeId]]
+
+
+def dense_pairs(
+    sequence: InteractionSequence, nodes: Iterable[NodeId]
+) -> Tuple[List[NodeId], List[int], List[int]]:
+    """``(order, i, j)``: the sequence's pairs as positions in ``order``.
+
+    ``order`` lists the distinct ``nodes`` first, in their order, then any
+    node the sequence mentions outside them.  The pairs are unordered (see
+    :meth:`~repro.core.interaction.InteractionSequence.index_arrays`); the
+    plan builders read them symmetrically.
+    """
+    index_of = {node: position for position, node in enumerate(dict.fromkeys(nodes))}
+    try:
+        i, j = sequence.index_arrays(index_of)
+    except KeyError:
+        for node in sorted(sequence.nodes(), key=repr):
+            index_of.setdefault(node, len(index_of))
+        i, j = sequence.index_arrays(index_of)
+    return list(index_of), i.tolist(), j.tolist()
 
 
 def convergecast_plan(
@@ -37,16 +55,63 @@ def convergecast_plan(
     plan builder shared by :class:`FullKnowledge`, the future-broadcast
     convergecast phase, and their vectorized decision kernels — sharing it
     makes kernel-vs-object plan equality true by construction.
+
+    The plan is the one :func:`repro.offline.convergecast.
+    build_convergecast_schedule` builds (the test suite holds the two
+    equal), computed on dense int lists instead of interaction objects: a
+    backward foremost-arrival sweep gives ``opt(start)``, then a reverse
+    flood from the sink over ``[start, opt(start)]`` schedules each node at
+    the interaction that first reaches it.
     """
-    try:
-        schedule: AggregationSchedule = build_convergecast_schedule(
-            sequence, nodes, sink, start=start
-        )
-    except InvalidScheduleError:
+    node_list = list(nodes)
+    order, first, second = dense_pairs(sequence, [*node_list, sink])
+    members = len(dict.fromkeys(node_list))
+    s = order.index(sink)
+    if len(node_list) <= 1:
+        completion = max(start - 1, 0)
+    else:
+        arrival = [math.inf] * len(order)
+        arrival[s] = start - 1
+        for time in range(len(first) - 1, start - 1, -1):
+            u = first[time]
+            v = second[time]
+            arrival_u = arrival[u]
+            arrival_v = arrival[v]
+            # A journey through the peer completes now when the peer is
+            # the sink, else continues through the peer's strictly later
+            # foremost arrival (the sweep has only seen later times).
+            if u != s:
+                candidate = time if v == s else (arrival_v if arrival_v > time else math.inf)
+                if candidate < arrival_u:
+                    arrival[u] = candidate
+            if v != s:
+                candidate = time if u == s else (arrival_u if arrival_u > time else math.inf)
+                if candidate < arrival_v:
+                    arrival[v] = candidate
+        worst = max(arrival[k] for k in range(members) if k != s)
+        if math.isinf(worst):
+            return None
+        completion = int(worst)
+    informed = [False] * len(order)
+    informed[s] = True
+    planned: List[Tuple[int, int, int]] = []
+    for time in range(completion, start - 1, -1):
+        u = first[time]
+        v = second[time]
+        if informed[u]:
+            if not informed[v]:
+                planned.append((time, v, u))
+                informed[v] = True
+        elif informed[v]:
+            planned.append((time, u, v))
+            informed[u] = True
+    # The flood must inform exactly the node set: a sink outside ``nodes``
+    # or a relay outside them leaves no valid schedule.
+    if not all(informed[:members]) or any(informed[members:]):
         return None
     return {
-        transmission.time: (transmission.sender, transmission.receiver)
-        for transmission in schedule.transmissions
+        time: (order[sender], order[receiver])
+        for time, sender, receiver in reversed(planned)
     }
 
 

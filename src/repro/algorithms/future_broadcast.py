@@ -25,13 +25,13 @@ interactions with high probability (Corollary 1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.algorithm import DODAAlgorithm, KNOWLEDGE_FUTURE, registry
 from ..core.data import NodeId
 from ..core.interaction import InteractionSequence
 from ..core.node import NodeView
-from .full_knowledge import ConvergecastPlan, convergecast_plan
+from .full_knowledge import ConvergecastPlan, convergecast_plan, dense_pairs
 
 _TABLE_KEY = "future_broadcast/known_futures"
 
@@ -173,17 +173,28 @@ def gossip_completion_time(
     Simulates the deterministic gossip process (each interaction merges the
     two endpoint tables) and returns the time of the interaction after which
     all nodes know all futures, or None if that never happens within the
-    sequence.
+    sequence.  Each table is one Python-int bitset over the dense node
+    positions, and a running count of fully informed nodes replaces a scan
+    of every table per step.
+
+    Raises:
+        KeyError: if the gossip reaches an interaction with a node outside
+            ``nodes`` before it completes.
     """
-    knowledge: Dict[NodeId, Set[NodeId]] = {node: {node} for node in nodes}
-    full = set(nodes)
-    if all(knowledge[node] == full for node in nodes):
+    size = len(dict.fromkeys(nodes))
+    if size <= 1:
         return -1
-    for interaction in sequence:
-        u, v = interaction.u, interaction.v
-        union = knowledge[u] | knowledge[v]
-        knowledge[u] = union
-        knowledge[v] = set(union)
-        if all(knowledge[node] >= full for node in nodes):
-            return interaction.time
+    order, first, second = dense_pairs(sequence, nodes)
+    full = (1 << size) - 1
+    known = [1 << position for position in range(size)]
+    informed = 0
+    for time, (u, v) in enumerate(zip(first, second)):
+        if u >= size or v >= size:
+            raise KeyError(order[max(u, v)])
+        union = known[u] | known[v]
+        if union == full:
+            informed += (known[u] != full) + (known[v] != full)
+            if informed == size:
+                return time
+        known[u] = known[v] = union
     return None

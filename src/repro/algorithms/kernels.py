@@ -751,7 +751,8 @@ class SpanningTreeKernel(DecisionKernel):
     side in time order on live candidates only — the exact call sites where
     the reference engine queries the object algorithm.  Tree antisymmetry
     (``parent[u] == v`` and ``parent[v] == u`` cannot both hold) makes the
-    raw-order branch test safe.
+    raw-order branch test safe.  A G-bar stored as the complete graph on
+    the executor's nodes needs no BFS: its tree is the sink's star.
     """
 
     algorithm_name = "spanning_tree"
@@ -767,6 +768,14 @@ class SpanningTreeKernel(DecisionKernel):
             raise KernelUnsupported("no underlying-graph oracle to mirror")
         if index_of is None:
             raise KernelUnsupported("engine did not supply the dense node order")
+        if getattr(oracle, "complete_nodes", None) == frozenset(index_of):
+            # G-bar is the complete graph on the executor's nodes: the BFS
+            # tree is the sink's star (every other node is its neighbour).
+            parent = [sink_index] * n
+            parent[sink_index] = -1
+            needed = [0] * n
+            needed[sink_index] = n - 1
+            return _TreeState(parent, needed)
         graph = oracle.underlying_graph()
         if sink_node not in graph:
             # The object form would crash computing the BFS tree; the

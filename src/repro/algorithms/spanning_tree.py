@@ -16,9 +16,7 @@ its parent at the first opportunity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.algorithm import (
     DODAAlgorithm,
@@ -27,6 +25,9 @@ from ..core.algorithm import (
 )
 from ..core.data import NodeId
 from ..core.node import NodeView
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 _RECEIVED_KEY = "spanning_tree/received_from"
 

@@ -7,7 +7,11 @@ sequence is its time of occurrence.  This module provides:
 * :class:`Interaction` — an unordered pair of distinct nodes plus its time;
 * :class:`InteractionSequence` — a finite sequence of interactions indexed by
   time ``0, 1, 2, ...`` with convenience queries (footprint, meetings with a
-  node, slicing, concatenation, repetition).
+  node, slicing, concatenation, repetition).  A sequence is either built
+  from interaction objects or stored as dense node-index arrays
+  (:meth:`InteractionSequence.from_index_arrays`, the form committed
+  adversaries hand out), in which case the objects are built only on the
+  first object-level access.
 
 Infinite sequences (used by impossibility constructions) are represented by
 adversaries that generate interactions on demand; see
@@ -18,17 +22,21 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from .data import NodeId
 from .exceptions import InvalidInteractionError
@@ -142,6 +150,27 @@ class InteractionSequence:
         """Build a sequence from an iterable of unordered pairs."""
         return cls(pairs)
 
+    @staticmethod
+    def from_index_arrays(
+        nodes: Sequence[NodeId], i: np.ndarray, j: np.ndarray
+    ) -> "InteractionSequence":
+        """The sequence ``I_t = {nodes[i[t]], nodes[j[t]]}``, kept as arrays.
+
+        The arrays are validated here, in numpy: equal lengths, indices in
+        ``range(len(nodes))`` and no self-loops.  The sequence holds
+        read-only views of them and builds its :class:`Interaction` objects
+        only on the first object-level access (iteration, indexing,
+        equality, :attr:`pairs`, ...); ``len``, :meth:`slice` and
+        :meth:`index_arrays` never build them.
+
+        Raises:
+            ValueError: on duplicate ``nodes``, arrays that are not
+                one-dimensional and of equal length, or an index out of
+                range.
+            InvalidInteractionError: on a self-loop.
+        """
+        return _IndexArraySequence(nodes, i, j)
+
     @classmethod
     def empty(cls) -> "InteractionSequence":
         """The empty sequence."""
@@ -238,6 +267,26 @@ class InteractionSequence:
         """Number of occurrences of the interaction ``{u, v}``."""
         return len(self._pair_index().get(frozenset((u, v)), ()))
 
+    def index_arrays(
+        self, index_of: Mapping[NodeId, int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The pairs as int64 arrays of dense indices, ``index_of[node]`` each.
+
+        The pairs are **unordered**: ``(i[t], j[t])`` names the two nodes of
+        ``I_t`` in either order, so consumers must not read a direction
+        into it.  A sequence stored as index arrays whose nodes sit at their
+        own positions in ``index_of`` returns its read-only arrays without
+        copying.
+
+        Raises:
+            KeyError: if the sequence mentions a node outside ``index_of``.
+        """
+        items = self._items
+        return (
+            np.fromiter((index_of[x.u] for x in items), np.int64, len(items)),
+            np.fromiter((index_of[x.v] for x in items), np.int64, len(items)),
+        )
+
     # ------------------------------------------------------------------ #
     # Transformations
     # ------------------------------------------------------------------ #
@@ -270,3 +319,80 @@ class InteractionSequence:
         Used by the broadcast/convergecast duality of Theorem 8.
         """
         return InteractionSequence(reversed(self._items))
+
+
+class _IndexArraySequence(InteractionSequence):
+    """:meth:`InteractionSequence.from_index_arrays`'s array-backed form.
+
+    ``_items``, which every object-level query reads, is built on first
+    use; ``len``, ``slice`` and ``index_arrays`` are answered from the
+    arrays.
+    """
+
+    def __init__(
+        self, nodes: Sequence[NodeId], i: np.ndarray, j: np.ndarray
+    ) -> None:
+        node_tuple = tuple(nodes)
+        if len(set(node_tuple)) != len(node_tuple):
+            raise ValueError("node identifiers must be unique")
+        i = np.asarray(i, dtype=np.int64).view()
+        j = np.asarray(j, dtype=np.int64).view()
+        if i.ndim != 1 or i.shape != j.shape:
+            raise ValueError(
+                f"index arrays must be one-dimensional and of equal length, "
+                f"got shapes {i.shape} and {j.shape}"
+            )
+        if i.size:
+            low = min(int(i.min()), int(j.min()))
+            high = max(int(i.max()), int(j.max()))
+            if low < 0 or high >= len(node_tuple):
+                raise ValueError(
+                    f"node index out of range(0, {len(node_tuple)}): "
+                    f"{low if low < 0 else high}"
+                )
+            loops = np.flatnonzero(i == j)
+            if loops.size:
+                time = int(loops[0])
+                raise InvalidInteractionError(
+                    f"interaction at time {time} is a self-loop on "
+                    f"{node_tuple[int(i[time])]!r}"
+                )
+        i.flags.writeable = False
+        j.flags.writeable = False
+        self._nodes = node_tuple
+        self._i = i
+        self._j = j
+        self._meetings_cache = {}
+        self._pair_times = None
+
+    @cached_property
+    def _items(self) -> Tuple[Interaction, ...]:  # type: ignore[override]
+        nodes = self._nodes
+        return tuple(
+            Interaction(time=time, u=nodes[a], v=nodes[b])
+            for time, (a, b) in enumerate(zip(self._i.tolist(), self._j.tolist()))
+        )
+
+    def __len__(self) -> int:
+        return int(self._i.shape[0])
+
+    def slice(self, start: int, stop: Optional[int] = None) -> "InteractionSequence":
+        stop = len(self) if stop is None else min(stop, len(self))
+        return _IndexArraySequence(
+            self._nodes, self._i[start:stop], self._j[start:stop]
+        )
+
+    def index_arrays(
+        self, index_of: Mapping[NodeId, int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        table = [index_of.get(node, -1) for node in self._nodes]
+        if table == list(range(len(table))):
+            return self._i, self._j
+        lookup = np.asarray(table, dtype=np.int64)
+        i, j = lookup[self._i], lookup[self._j]
+        missing = np.flatnonzero((i < 0) | (j < 0))
+        if missing.size:
+            time = int(missing[0])
+            side = self._i if i[time] < 0 else self._j
+            raise KeyError(self._nodes[int(side[time])])
+        return i, j

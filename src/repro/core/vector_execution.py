@@ -52,7 +52,7 @@ Waiting / Gathering / Waiting-Greedy sweep) is recorded in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -161,32 +161,15 @@ INITIAL_BLOCK = 1024
 _REFILTER_AFTER = 48
 
 
-class _SequenceBlocks:
-    """Adapt a finite :class:`InteractionSequence` to committed-block reads.
+class _IndexRows(NamedTuple):
+    """A finite sequence's :meth:`InteractionSequence.index_arrays`, read
+    through the committed-block protocol."""
 
-    Emits dense indices directly in the executor's node order, so rows built
-    from sequences need no translation.
-    """
-
-    def __init__(self, sequence: InteractionSequence, index_of: Dict[NodeId, int]) -> None:
-        length = len(sequence)
-        self._i = np.fromiter(
-            (index_of[sequence[k].u] for k in range(length)),
-            dtype=np.int64,
-            count=length,
-        )
-        self._j = np.fromiter(
-            (index_of[sequence[k].v] for k in range(length)),
-            dtype=np.int64,
-            count=length,
-        )
+    i: np.ndarray
+    j: np.ndarray
 
     def committed_index_block(self, start: int, stop: int):
-        stop = min(stop, self._i.shape[0])
-        if start >= stop:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return self._i[start:stop], self._j[start:stop]
+        return self.i[start:stop], self.j[start:stop]
 
 
 @dataclass
@@ -196,7 +179,7 @@ class _KernelTrial:
     index: int  # position in the caller's trial list
     kernel: Any
     state: Any
-    fetcher: Any  # committed-block reader (adversary or sequence adapter)
+    fetcher: Any  # committed-block reader (adversary or _IndexRows)
     translate: Optional[np.ndarray]
     horizon: int
     payloads: List[float]
@@ -433,7 +416,7 @@ class VectorizedExecutor:
             if horizon is None:
                 horizon = len(source)
             try:
-                fetcher: Any = _SequenceBlocks(source, self.index_of)
+                fetcher: Any = _IndexRows(*source.index_arrays(self.index_of))
             except KeyError:
                 # The per-interaction engines only trip over such an
                 # interaction if the run actually reaches it, so route the

@@ -9,13 +9,14 @@ meeting statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Tuple
 
 from ..core.data import NodeId
 from ..core.exceptions import InvalidInteractionError
 from ..core.interaction import InteractionSequence
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,8 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     def underlying_graph(self) -> nx.Graph:
         """The footprint G-bar: an edge per pair interacting at least once."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.nodes)
         for pair in self.sequence.footprint_edges():
@@ -92,6 +95,8 @@ class DynamicGraph:
 
     def is_footprint_connected(self) -> bool:
         """True if G-bar is connected (a necessary condition for aggregation)."""
+        import networkx as nx
+
         graph = self.underlying_graph()
         if graph.number_of_nodes() == 0:
             return True

@@ -15,18 +15,21 @@ This module provides both directions of the conversion:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
 
 from ..core.data import NodeId
 from ..core.interaction import InteractionSequence
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def to_evolving_graph(
     sequence: InteractionSequence, nodes: Iterable[NodeId]
 ) -> List[nx.Graph]:
     """Represent ``sequence`` as one single-edge static graph per time step."""
+    import networkx as nx
+
     node_list = list(nodes)
     snapshots: List[nx.Graph] = []
     for interaction in sequence:
@@ -71,6 +74,8 @@ def snapshot_at(
     time: int,
 ) -> nx.Graph:
     """The single-edge static graph of the interaction occurring at ``time``."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(list(nodes))
     if 0 <= time < len(sequence):
@@ -86,6 +91,8 @@ def aggregate_window(
     stop: int,
 ) -> nx.Graph:
     """The union of all edges appearing at times in ``[start, stop)``."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(list(nodes))
     stop = min(stop, len(sequence))

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..core.data import NodeId
 from ..core.exceptions import ConfigurationError
 from ..core.interaction import InteractionSequence
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def default_nodes(n: int) -> List[int]:
@@ -126,6 +127,8 @@ def tree_recurrent_sequence(
       optimal convergecast towards the root;
     * ``"sorted"`` — canonical edge order (depth-agnostic).
     """
+    import networkx as nx
+
     if not nx.is_tree(tree):
         raise ConfigurationError("tree_recurrent_sequence requires a tree")
     edges = list(tree.edges())
@@ -183,6 +186,8 @@ def random_tree(
     n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None
 ) -> nx.Graph:
     """A uniformly random labelled tree on nodes ``0..n-1`` (Prüfer decoding)."""
+    import networkx as nx
+
     rng = _resolve_rng(rng, seed)
     if n < 2:
         raise ConfigurationError("a tree needs at least two nodes")

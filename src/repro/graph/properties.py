@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from ..core.data import NodeId
 from .dynamic_graph import DynamicGraph
 from .journeys import is_temporally_connected_to
@@ -35,6 +33,8 @@ class SequenceStatistics:
 
 def footprint_is_tree(graph: DynamicGraph) -> bool:
     """True if the underlying graph G-bar is a tree (Theorem 5's hypothesis)."""
+    import networkx as nx
+
     footprint = graph.underlying_graph()
     return footprint.number_of_nodes() > 0 and nx.is_tree(footprint)
 
@@ -68,6 +68,8 @@ def mean_intercontact_time(times: List[int]) -> Optional[float]:
 
 def summarize(graph: DynamicGraph, recurrence_threshold: int = 2) -> SequenceStatistics:
     """Compute the :class:`SequenceStatistics` of a dynamic graph."""
+    import networkx as nx
+
     footprint = graph.underlying_graph()
     contacts = sink_contact_times(graph)
     return SequenceStatistics(

@@ -1,20 +1,24 @@
 """The underlying-graph oracle of Section 3.2 (nodes know G-bar).
 
 G-bar is the static graph whose edges are the pairs of nodes interacting at
-least once in the whole sequence.  The oracle can be built either from an
-explicit edge list (useful for adaptive adversaries that commit to a
-footprint without committing to the sequence) or from a committed finite
-sequence.
+least once in the whole sequence.  The oracle can be built from an explicit
+edge list (useful for adaptive adversaries that commit to a footprint
+without committing to the sequence), from a committed finite sequence, or
+— for adversaries that can eventually produce every pair — as the complete
+graph on a node set (:meth:`UnderlyingGraphKnowledge.complete`), which
+stores no edge list at all.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
-
-import networkx as nx
+from itertools import combinations
+from typing import TYPE_CHECKING, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.data import NodeId
 from ..core.interaction import InteractionSequence
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class UnderlyingGraphKnowledge:
@@ -30,22 +34,50 @@ class UnderlyingGraphKnowledge:
     ) -> None:
         if (edges is None) == (sequence is None):
             raise ValueError("provide exactly one of 'edges' or 'sequence'")
-        graph = nx.Graph()
-        graph.add_nodes_from(nodes)
+        self._nodes: List[NodeId] = list(nodes)
+        # None marks the complete graph on ``_nodes`` (see complete()).
+        self._edges: Optional[List[Tuple[NodeId, ...]]]
         if edges is not None:
-            graph.add_edges_from(edges)
+            self._edges = list(edges)
         else:
             assert sequence is not None
-            for pair in sequence.footprint_edges():
-                u, v = tuple(pair)
-                graph.add_edge(u, v)
-        self._graph = graph
+            self._edges = [tuple(pair) for pair in sequence.footprint_edges()]
+
+    @classmethod
+    def complete(cls, nodes: Iterable[NodeId]) -> "UnderlyingGraphKnowledge":
+        """G-bar as the complete graph on ``nodes``, with no edge list stored."""
+        oracle = cls.__new__(cls)
+        oracle._nodes = list(nodes)
+        oracle._edges = None
+        return oracle
+
+    @property
+    def complete_nodes(self) -> Optional[FrozenSet[NodeId]]:
+        """The node set when G-bar is stored as its complete graph, else None.
+
+        Lets array-form readers (the spanning-tree decision kernel) use the
+        complete graph's structure without building it.
+        """
+        return frozenset(self._nodes) if self._edges is None else None
 
     def underlying_graph(self) -> nx.Graph:
-        """A copy of G-bar (copies are cheap and keep the oracle immutable)."""
-        return self._graph.copy()
+        """G-bar as a new networkx graph, built on every call.
+
+        Callers may mutate the result without touching the oracle.  A build
+        is not cheap: the complete graph at n = 300 takes about 45 ms (and
+        copying it took twice that), so object-form readers call this once
+        per run.
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(self._nodes)
+        graph.add_edges_from(
+            combinations(self._nodes, 2) if self._edges is None else self._edges
+        )
+        return graph
 
     @property
     def edge_set(self) -> Set[FrozenSet[NodeId]]:
         """The edges of G-bar as a set of unordered pairs."""
-        return {frozenset(edge) for edge in self._graph.edges()}
+        return {frozenset(edge) for edge in self.underlying_graph().edges()}

@@ -35,7 +35,6 @@ Invariants:
 from .kernels import (
     foremost_arrival_matrix,
     opt_end_matrix,
-    sequence_index_blocks,
     successive_convergecast_end_matrix,
 )
 from .semantics import (
@@ -52,6 +51,5 @@ __all__ = [
     "foremost_arrival_matrix",
     "opt_cost_from_end",
     "opt_end_matrix",
-    "sequence_index_blocks",
     "successive_convergecast_end_matrix",
 ]

@@ -27,7 +27,7 @@ Row conventions (shared with ``committed_index_matrix``):
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .semantics import UNREACHABLE
 __all__ = [
     "foremost_arrival_matrix",
     "opt_end_matrix",
-    "sequence_index_blocks",
     "successive_convergecast_end_matrix",
 ]
 
@@ -293,29 +292,3 @@ def successive_convergecast_end_matrix(
         starts = np.where(progressed, safe_ends + 1, starts)
     return ends
 
-
-def sequence_index_blocks(
-    sequence, index_of: Dict, length: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense node-index arrays for a finite interaction sequence prefix.
-
-    Adapts an :class:`~repro.core.interaction.InteractionSequence` to the
-    kernels' input shape, mirroring how the executors map node identifiers
-    to dense indices (``index_of``).  Returns ``(i, j)`` int64 arrays of
-    the first ``length`` interactions (the whole sequence by default).
-
-    Raises:
-        KeyError: if the prefix mentions a node outside ``index_of``.
-    """
-    limit = len(sequence) if length is None else min(length, len(sequence))
-    i = np.fromiter(
-        (index_of[sequence[k].u] for k in range(limit)),
-        dtype=np.int64,
-        count=limit,
-    )
-    j = np.fromiter(
-        (index_of[sequence[k].v] for k in range(limit)),
-        dtype=np.int64,
-        count=limit,
-    )
-    return i, j

@@ -111,6 +111,14 @@ def build_knowledge_for_random_run(
     a committed finite sequence (``future`` or ``full_knowledge``), the
     pre-drawn sequence the executor must replay instead of querying the
     adversary lazily.
+
+    Nothing here builds per-interaction objects or a graph: the committed
+    prefix is backed by the adversary's index buffers
+    (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
+    committed_prefix`), and G-bar is the implicit complete graph
+    (:meth:`~repro.knowledge.underlying_graph.UnderlyingGraphKnowledge.
+    complete`).  Object-form readers (the reference engine) materialise
+    either on first use.
     """
     required = set(algorithm.requires)
     if not required:
@@ -134,11 +142,7 @@ def build_knowledge_for_random_run(
         # Every named adversary family can eventually produce any pair
         # (uniform/non-uniform draws, waypoint proximity, community mixture),
         # so the footprint is the complete graph.
-        from itertools import combinations
-
-        oracles.append(
-            UnderlyingGraphKnowledge(nodes, edges=list(combinations(nodes, 2)))
-        )
+        oracles.append(UnderlyingGraphKnowledge.complete(nodes))
     return KnowledgeBundle(*oracles), committed
 
 

@@ -1,5 +1,9 @@
 """Tests for the CLI and the public package surface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -13,6 +17,21 @@ class TestPackageSurface:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_campaign_import_leaves_networkx_unloaded(self):
+        """networkx is imported only by the graph-building calls that need it."""
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.campaign; "
+                "sys.exit('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert result.returncode == 0, result.stderr or "networkx was imported"
 
     def test_paper_algorithms_exposed(self):
         assert repro.Gathering().name == "gathering"

@@ -274,12 +274,12 @@ def test_competitive_ratio_knowledge_algorithms(engine, name):
 def test_ratio_kernel_opt_matches_oracle(data):
     import numpy as np
 
-    from repro.ratio.kernels import opt_end_matrix, sequence_index_blocks
+    from repro.ratio.kernels import opt_end_matrix
     from repro.ratio.semantics import opt_cost_from_end
 
     n, sequence = data
     index_of = {node: node for node in range(n)}
-    i, j = sequence_index_blocks(sequence, index_of)
+    i, j = sequence.index_arrays(index_of)
     ends = opt_end_matrix(
         i[None, :], j[None, :], np.array([len(sequence)]), n, 0
     )

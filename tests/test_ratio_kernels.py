@@ -37,7 +37,6 @@ from repro.ratio.kernels import (
     _TIME_CHUNK,
     foremost_arrival_matrix,
     opt_end_matrix,
-    sequence_index_blocks,
     successive_convergecast_end_matrix,
 )
 from repro.ratio.semantics import (
@@ -53,14 +52,14 @@ from repro.ratio.semantics import (
 
 def single_row(sequence: InteractionSequence, n: int):
     index_of = {node: node for node in range(n)}
-    i, j = sequence_index_blocks(sequence, index_of)
+    i, j = sequence.index_arrays(index_of)
     return i[None, :], j[None, :], np.array([len(sequence)], dtype=np.int64)
 
 
 def cell_rows(sequences, n: int):
     """``(I, J, lengths)`` of one cell, one row per sequence, zero-padded."""
     index_of = {node: node for node in range(n)}
-    blocks = [sequence_index_blocks(s, index_of) for s in sequences]
+    blocks = [s.index_arrays(index_of) for s in sequences]
     width = max(len(s) for s in sequences)
     I = np.zeros((len(sequences), width), dtype=np.int64)
     J = np.zeros((len(sequences), width), dtype=np.int64)
@@ -166,7 +165,7 @@ class TestOptEndMatrix:
         n = 5
         sequence = random_sequence(rng, n, 50)
         index_of = {node: node for node in range(n)}
-        i, j = sequence_index_blocks(sequence, index_of)
+        i, j = sequence.index_arrays(index_of)
         batch = 4
         I = np.tile(i, (batch, 1))
         J = np.tile(j, (batch, 1))
