@@ -227,9 +227,9 @@ def check_opt_kernel(
 
     The opt kernel has a single acceptance floor (>= 10x, the same one
     ``test_bench_opt.py`` asserts) rather than a ratchet: its wall-clock
-    is dominated by one numpy sweep, so the two-tier host tolerance of the
-    engine gate adds nothing.  Returns the exit-code contribution (0 ok,
-    1 regression, 2 missing required record).
+    is dominated by one Python sweep per row, so the two-tier host
+    tolerance of the engine gate adds nothing.  Returns the exit-code
+    contribution (0 ok, 1 regression, 2 missing required record).
     """
     if not records:
         if require_record:

@@ -13,9 +13,9 @@ adversaries and bounds of Bramas, Masuzawa and Tixeuil (ICDCS 2016):
 * :mod:`repro.knowledge` — the knowledge oracles (meetTime, future, G-bar,
   full knowledge);
 * :mod:`repro.offline` — exact offline optimum (convergecast) and schedules;
-* :mod:`repro.ratio` — competitive-ratio subsystem: trial-vectorized
-  offline-optimum kernels and the shared ratio semantics behind the
-  engines' ``capture_opt`` path;
+* :mod:`repro.ratio` — competitive-ratio subsystem: the dense offline
+  optimum and the shared ratio semantics behind the engines'
+  ``capture_opt`` path;
 * :mod:`repro.analysis` — bounds, growth-rate fitting, statistics;
 * :mod:`repro.sim` — trial/sweep runners and result tables;
 * :mod:`repro.experiments` — one module per paper claim (see DESIGN.md);
@@ -98,12 +98,7 @@ from .offline import (
     opt,
     validate_schedule,
 )
-from .ratio import (
-    competitive_ratio,
-    foremost_arrival_matrix,
-    opt_end_matrix,
-    successive_convergecast_end_matrix,
-)
+from .ratio import competitive_ratio, opt_end_matrix
 from .sim import (
     ExperimentReport,
     ResultTable,
@@ -111,7 +106,7 @@ from .sim import (
     sweep_random_adversary,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 from .campaign import (  # noqa: E402  (needs __version__ for store manifests)
     CampaignReport,
@@ -172,7 +167,6 @@ __all__ = [
     "competitive_ratio",
     "cost_of_duration",
     "cost_of_result",
-    "foremost_arrival_matrix",
     "foremost_arrival_times",
     "is_optimal",
     "load_campaign_spec",
@@ -180,7 +174,6 @@ __all__ = [
     "opt",
     "opt_end_matrix",
     "optimal_tau",
-    "successive_convergecast_end_matrix",
     "registry",
     "run_algorithm",
     "run_campaign",

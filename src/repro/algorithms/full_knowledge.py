@@ -16,6 +16,7 @@ from ..core.algorithm import DODAAlgorithm, KNOWLEDGE_FULL, registry
 from ..core.data import NodeId
 from ..core.interaction import InteractionSequence
 from ..core.node import NodeView
+from ..ratio.kernels import foremost_arrivals
 
 #: ``time -> (sender, receiver)``: the materialised convergecast plan both
 #: the object algorithm and its decision kernel follow.
@@ -58,10 +59,11 @@ def convergecast_plan(
 
     The plan is the one :func:`repro.offline.convergecast.
     build_convergecast_schedule` builds (the test suite holds the two
-    equal), computed on dense int lists instead of interaction objects: a
-    backward foremost-arrival sweep gives ``opt(start)``, then a reverse
-    flood from the sink over ``[start, opt(start)]`` schedules each node at
-    the interaction that first reaches it.
+    equal), computed on dense int lists instead of interaction objects: the
+    dense foremost-arrival sweep that also serves ratio capture
+    (:func:`repro.ratio.kernels.foremost_arrivals`) gives ``opt(start)``,
+    then a reverse flood from the sink over ``[start, opt(start)]``
+    schedules each node at the interaction that first reaches it.
     """
     node_list = list(nodes)
     order, first, second = dense_pairs(sequence, [*node_list, sink])
@@ -70,24 +72,7 @@ def convergecast_plan(
     if len(node_list) <= 1:
         completion = max(start - 1, 0)
     else:
-        arrival = [math.inf] * len(order)
-        arrival[s] = start - 1
-        for time in range(len(first) - 1, start - 1, -1):
-            u = first[time]
-            v = second[time]
-            arrival_u = arrival[u]
-            arrival_v = arrival[v]
-            # A journey through the peer completes now when the peer is
-            # the sink, else continues through the peer's strictly later
-            # foremost arrival (the sweep has only seen later times).
-            if u != s:
-                candidate = time if v == s else (arrival_v if arrival_v > time else math.inf)
-                if candidate < arrival_u:
-                    arrival[u] = candidate
-            if v != s:
-                candidate = time if u == s else (arrival_u if arrival_u > time else math.inf)
-                if candidate < arrival_v:
-                    arrival[v] = candidate
+        arrival = foremost_arrivals(first, second, len(order), s, start)
         worst = max(arrival[k] for k in range(members) if k != s)
         if math.isinf(worst):
             return None

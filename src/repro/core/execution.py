@@ -164,10 +164,6 @@ class ExecutionResult:
         """Number of transmissions performed."""
         return len(self.transmissions)
 
-    def transmissions_by_sender(self) -> dict:
-        """Map sender -> transmission, for schedule inspection."""
-        return {t.sender: t for t in self.transmissions}
-
 
 class Executor:
     """Run DODA algorithms while enforcing the interaction model."""
@@ -348,8 +344,9 @@ class Executor:
 
         The reference engine evaluates the baseline through the pure-Python
         oracle (:func:`repro.offline.convergecast.opt`) — it *is* the
-        semantics oracle — while the optimized engines go through the
-        differential-equal vectorized kernels of :mod:`repro.ratio`.
+        semantics oracle — while the vectorized engine goes through the
+        differential-equal dense sweep of :func:`repro.ratio.kernels.
+        opt_end_matrix`.
         Committed adversaries are read back via ``committed_prefix`` (the
         window is already committed, so this never draws), finite sequences
         are sliced, and generic providers were wrapped in a

@@ -3,10 +3,9 @@
 :class:`VectorizedExecutor` is the optimised execution engine, the twin of
 the reference :class:`~repro.core.execution.Executor` (the semantics
 oracle).  It executes a *batch* of B trials simultaneously in
-struct-of-arrays form — ``owns_data[B, n]``, ``transmitted_at[B, n]``,
-``origin_counts[B, n]`` (payloads fold scalar-side in event order, in
-per-row lists, to reproduce the reference engine's float semantics
-exactly) — consuming the committed
+struct-of-arrays form — ``owns_data[B, n]`` and ``origin_counts[B, n]``
+(payloads fold scalar-side in event order, in per-row lists, to reproduce
+the reference engine's float semantics exactly) — consuming the committed
 futures of all B adversaries as ``(B, block)`` dense index matrices
 (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
 committed_index_matrix`).
@@ -498,7 +497,6 @@ class VectorizedExecutor:
         # (plain list reads are several times cheaper than numpy scalar
         # indexing); writes go through _consume_row, which updates both.
         owns_py = [[True] * n for _ in range(batch_size)]
-        transmitted_at = np.full((batch_size, n), -1, dtype=np.int64)
         origin_counts = np.ones((batch_size, n), dtype=np.int64)
         # Payloads are folded scalar-side in event order (to reproduce the
         # reference engine's float semantics bit for bit), so they live as
@@ -601,7 +599,6 @@ class VectorizedExecutor:
                             cursor,
                             owns,
                             owns_py[b],
-                            transmitted_at,
                             origin_counts,
                             payload[b],
                             remaining,
@@ -672,12 +669,13 @@ class VectorizedExecutor:
     def _captured_opt_costs(
         self, kernel_trials: List[_KernelTrial], used: List[int]
     ) -> List[float]:
-        """Offline-optimum durations for every row, in one batched kernel call.
+        """Offline-optimum durations for every row, in one ``opt_end_matrix`` call.
 
         Re-reads the exact committed windows the lockstep consumed (all
-        already committed — zero extra adversary draws), applies each row's
-        node translation, and evaluates ``opt(0)`` for the whole cell as
-        ``(B, L)`` numpy array ops.
+        already committed — zero extra adversary draws) as one ``(B, L)``
+        index matrix, applies each row's node translation, and evaluates
+        ``opt(0)`` per row with :func:`repro.ratio.kernels.opt_end_matrix`,
+        whose dense sweep also builds the full-knowledge plans.
         """
         from ..ratio.kernels import opt_end_matrix
         from ..ratio.semantics import opt_cost_from_end
@@ -711,7 +709,6 @@ class VectorizedExecutor:
         cursor: int,
         owns: np.ndarray,
         owns_list: List[bool],
-        transmitted_at: np.ndarray,
         origin_counts: np.ndarray,
         payload_row: List[float],
         remaining: List[int],
@@ -815,7 +812,6 @@ class VectorizedExecutor:
             origin_counts[b, receiver] += origin_counts[b, sender]
             owns_b[sender] = False
             owns_list[sender] = False
-            transmitted_at[b, sender] = time
             remaining[b] -= 1
             transmissions[b].append(
                 Transmission(time=time, sender=nodes[sender], receiver=nodes[receiver])

@@ -31,7 +31,7 @@ from .schedule import AggregationSchedule, ScheduledTransmission
 #: journey exists within the finite sequence (the paper's ``opt(t) = ∞``).
 #: This is the *documented sentinel* for impossible aggregations — finite
 #: traces that end too early, disconnected tails, nodes that never meet —
-#: shared with the vectorized kernels as
+#: shared with the dense sweep of :mod:`repro.ratio.kernels` as
 #: :data:`repro.ratio.semantics.UNREACHABLE`.  Callers must treat it as a
 #: value, never as an error: every function here returns it instead of
 #: raising when the offline optimum does not exist.

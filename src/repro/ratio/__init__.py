@@ -1,4 +1,4 @@
-"""Competitive-ratio subsystem: vectorized offline-optimum baselines.
+"""Competitive-ratio subsystem: the dense offline-optimum baseline.
 
 The paper's headline metric is not an algorithm's raw termination time but
 its cost *relative to successive convergecasts performed by an offline
@@ -6,11 +6,12 @@ optimum that knows the whole interaction sequence* (``opt(t)``, Section
 2.3; the broadcast/convergecast duality of Theorem 8).  This package makes
 that baseline cheap enough to attach to every Monte-Carlo trial:
 
-* :mod:`repro.ratio.kernels` — trial-vectorized offline-optimum kernels:
-  foremost arrival times, ``opt(t)`` and successive-convergecast end times
-  for a whole ``(B, L)`` cell of committed futures as numpy array ops,
-  consuming the same dense index matrices the trial-vectorized engine does
-  (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
+* :mod:`repro.ratio.kernels` — the dense offline optimum: one backward
+  foremost-arrival sweep over int lists (:func:`~repro.ratio.kernels.
+  foremost_arrivals`, shared with the full-knowledge plan builder) and
+  ``opt(t)`` for a whole ``(B, L)`` cell of committed futures, one row at a
+  time, read from the same dense index matrices the trial-vectorized engine
+  consumes (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
   committed_index_matrix`);
 * :mod:`repro.ratio.semantics` — the scalar vocabulary: ``opt_cost``
   (offline-optimal duration in interactions), ``competitive_ratio`` and
@@ -19,11 +20,12 @@ that baseline cheap enough to attach to every Monte-Carlo trial:
 
 Invariants:
 
-* **Differential equality** — every kernel is sequence-for-sequence equal
-  to the pure-Python oracle in :mod:`repro.offline.convergecast`
+* **Differential equality** — the dense sweep is sequence-for-sequence
+  equal to the pure-Python oracle in :mod:`repro.offline.convergecast`
   (``tests/test_ratio_kernels.py``); engines may therefore mix the two
-  freely (the reference engine captures through the oracle, the optimized
-  engines through the kernels) and still produce byte-identical metrics.
+  freely (the reference engine captures through the oracle, the vectorized
+  engine through :func:`~repro.ratio.kernels.opt_end_matrix`) and still
+  produce byte-identical metrics.
 * **Ratio lower bound** — a terminated online run can never beat the
   offline optimum, so ``competitive_ratio >= 1`` exactly whenever it is
   finite (``tests/test_property_invariants.py``).
@@ -32,11 +34,7 @@ Invariants:
   committed future.
 """
 
-from .kernels import (
-    foremost_arrival_matrix,
-    opt_end_matrix,
-    successive_convergecast_end_matrix,
-)
+from .kernels import opt_end_matrix
 from .semantics import (
     RATIO_UNDEFINED,
     UNREACHABLE,
@@ -48,8 +46,6 @@ __all__ = [
     "RATIO_UNDEFINED",
     "UNREACHABLE",
     "competitive_ratio",
-    "foremost_arrival_matrix",
     "opt_cost_from_end",
     "opt_end_matrix",
-    "successive_convergecast_end_matrix",
 ]

@@ -269,6 +269,32 @@ def test_competitive_ratio_knowledge_algorithms(engine, name):
             assert metrics.competitive_ratio == math.inf
 
 
+@pytest.mark.parametrize("engine", sorted(RATIO_LEGS))
+@pytest.mark.parametrize(
+    "adversary", ["uniform", "zipf", "hub", "waypoint", "community"]
+)
+def test_full_knowledge_ratio_is_exactly_one(engine, adversary):
+    """Theorem 8 on the engine path: following the offline optimum costs opt.
+
+    FullKnowledge executes ``convergecast_plan`` from time 0, and ratio
+    capture evaluates ``opt(0)`` on the window the run consumed; on the
+    vectorized engine both run ``repro.ratio.kernels.foremost_arrivals``.
+    Every terminated trial must therefore end exactly at ``opt_cost``.
+    """
+    from repro.core.algorithm import registry
+
+    factory = lambda n: registry.create("full_knowledge")
+    terminated = [
+        metrics
+        for metrics in ratio_cell(engine, factory, adversary, 6)
+        if metrics.terminated
+    ]
+    assert terminated
+    for metrics in terminated:
+        assert metrics.duration == metrics.opt_cost
+        assert metrics.competitive_ratio == 1.0
+
+
 @common_settings
 @given(data=interaction_sequences())
 def test_ratio_kernel_opt_matches_oracle(data):

@@ -1,10 +1,11 @@
 """Differential tests: ratio kernels vs the pure-Python offline oracle.
 
-The vectorized kernels in :mod:`repro.ratio.kernels` must reproduce
+The dense sweep in :mod:`repro.ratio.kernels` must reproduce
 :mod:`repro.offline.convergecast` sequence for sequence — foremost arrival
-times, ``opt(t)`` and successive-convergecast end times — on random
-sequences, committed adversary cells and trace replays, including the
-impossible-aggregation sentinel cases.  This file also pins the hardened
+times, ``opt(t)`` and, chained through per-row starts, successive-
+convergecast end times — on random sequences, committed adversary cells
+and trace replays, including the impossible-aggregation sentinel cases.
+This file also pins the hardened
 :func:`~repro.offline.convergecast.successive_convergecasts` semantics
 (satellite: documented sentinel instead of looping/raising on traces that
 never complete) and the scalar ratio vocabulary of
@@ -33,12 +34,7 @@ from repro.offline.convergecast import (
     opt,
     successive_convergecasts,
 )
-from repro.ratio.kernels import (
-    _TIME_CHUNK,
-    foremost_arrival_matrix,
-    opt_end_matrix,
-    successive_convergecast_end_matrix,
-)
+from repro.ratio.kernels import foremost_arrivals, opt_end_matrix
 from repro.ratio.semantics import (
     RATIO_UNDEFINED,
     UNREACHABLE,
@@ -48,6 +44,12 @@ from repro.ratio.semantics import (
 
 
 # random_sequence is shared suite-wide — see tests/strategies.py.
+
+
+def dense_lists(sequence: InteractionSequence, n: int):
+    """The sequence's endpoints as the two int lists ``foremost_arrivals`` reads."""
+    i, j = sequence.index_arrays({node: node for node in range(n)})
+    return i.tolist(), j.tolist()
 
 
 def single_row(sequence: InteractionSequence, n: int):
@@ -97,6 +99,21 @@ def bursty_sequence(rng: random.Random, n: int, length: int):
     return InteractionSequence.from_pairs(pairs[:length])
 
 
+def chained_opt_ends(I, J, lengths, n: int, count: int):
+    """``T(1) .. T(count)`` per row: ``opt_end_matrix`` with ``T(i) + 1`` starts.
+
+    A row whose last end is infinite starts past its window, which answers
+    :data:`UNREACHABLE` again: the oracle's inf-tail convention.
+    """
+    starts = np.zeros(len(lengths), dtype=np.int64)
+    columns = []
+    for _ in range(count):
+        ends = opt_end_matrix(I, J, lengths, n, 0, starts=starts)
+        columns.append(ends)
+        starts = np.where(np.isfinite(ends), ends + 1, I.shape[1]).astype(np.int64)
+    return np.column_stack(columns)
+
+
 def traced_opt_ends(*args, **kwargs):
     """``opt_end_matrix`` plus the ``ratio.swept_columns`` it emitted."""
     collector = RecordingCollector()
@@ -108,43 +125,55 @@ def traced_opt_ends(*args, **kwargs):
     return ends, swept
 
 
-class TestForemostArrivalMatrix:
+class TestForemostArrivals:
     def test_matches_oracle_on_random_sequences(self):
         rng = random.Random(7)
         for _ in range(120):
             n = rng.randint(2, 9)
             sequence = random_sequence(rng, n, rng.randint(0, 90))
             start = rng.randint(0, max(len(sequence), 1))
-            I, J, lengths = single_row(sequence, n)
-            kernel = foremost_arrival_matrix(I, J, lengths, n, 0, starts=start)
+            first, second = dense_lists(sequence, n)
+            arrival = foremost_arrivals(first, second, n, 0, start)
             oracle = foremost_arrival_times(
                 sequence, list(range(n)), 0, start=start
             )
-            for node in range(n):
-                assert kernel[0, node] == float(oracle[node])
+            assert arrival == [oracle[node] for node in range(n)]
+
+    @common_settings
+    @given(data=st.data())
+    def test_matches_oracle_relabelled_to_dense_indices(self, data):
+        n, sequence = data.draw(interaction_sequences(min_len=0))
+        isolated = data.draw(st.integers(min_value=0, max_value=3))
+        nodes = data.draw(st.permutations(range(n + isolated)))
+        sink = data.draw(st.sampled_from(nodes))
+        start = data.draw(st.integers(min_value=0, max_value=len(sequence) + 3))
+        index_of = {node: position for position, node in enumerate(nodes)}
+        i, j = sequence.index_arrays(index_of)
+        arrival = foremost_arrivals(
+            i.tolist(), j.tolist(), len(nodes), index_of[sink], start
+        )
+        oracle = foremost_arrival_times(sequence, nodes, sink, start=start)
+        assert arrival == [oracle[node] for node in nodes]
 
     def test_disconnected_node_is_unreachable(self):
         # Node 3 never interacts: its arrival must be the inf sentinel.
         sequence = InteractionSequence.from_pairs([(1, 0), (2, 0), (1, 2)])
-        I, J, lengths = single_row(sequence, 4)
-        kernel = foremost_arrival_matrix(I, J, lengths, 4, 0)
-        assert kernel[0, 3] == UNREACHABLE
+        arrival = foremost_arrivals(*dense_lists(sequence, 4), 4, 0)
+        assert arrival[3] == UNREACHABLE
 
     def test_rows_with_different_lengths_and_padding(self):
         rng = random.Random(13)
         n = 6
         sequences = [random_sequence(rng, n, length) for length in (0, 5, 40, 17)]
         I, J, lengths = cell_rows(sequences, n)
-        kernel = foremost_arrival_matrix(I, J, lengths, n, 0)
+        ends = opt_end_matrix(I, J, lengths, n, 0)
         for row, sequence in enumerate(sequences):
-            oracle = foremost_arrival_times(sequence, list(range(n)), 0)
-            for node in range(n):
-                assert kernel[row, node] == float(oracle[node])
+            assert ends[row] == float(opt(sequence, list(range(n)), 0))
 
     def test_empty_batch(self):
         I = np.empty((0, 0), dtype=np.int64)
-        arrival = foremost_arrival_matrix(I, I, np.empty(0, dtype=np.int64), 4, 0)
-        assert arrival.shape == (0, 4)
+        ends = opt_end_matrix(I, I, np.empty(0, dtype=np.int64), 4, 0)
+        assert ends.shape == (0,)
 
 
 class TestOptEndMatrix:
@@ -195,35 +224,26 @@ class TestOptEndMatrix:
             sequence = adversary.committed_prefix(stop)
             assert kernel[row] == float(opt(sequence, nodes, 0))
 
-
-class TestSuccessiveConvergecastMatrix:
-    def test_matches_oracle_with_inf_tail_convention(self):
+    def test_chained_starts_match_successive_convergecasts(self):
         rng = random.Random(5)
         count = 6
         for _ in range(80):
             n = rng.randint(2, 7)
             sequence = random_sequence(rng, n, rng.randint(0, 80))
-            I, J, lengths = single_row(sequence, n)
-            kernel = successive_convergecast_end_matrix(
-                I, J, lengths, n, 0, count
-            )
+            ends = chained_opt_ends(*single_row(sequence, n), n, count)
             oracle = successive_convergecasts(
                 sequence, list(range(n)), 0, count=count
             )
-            for position in range(count):
-                expected = (
-                    float(oracle[position])
-                    if position < len(oracle)
-                    else INFINITY
-                )
-                assert kernel[0, position] == expected
+            expected = [float(value) for value in oracle]
+            expected += [INFINITY] * (count - len(expected))
+            assert ends[0].tolist() == expected
 
-    def test_rejects_non_positive_count(self):
-        I = np.zeros((1, 0), dtype=np.int64)
-        with pytest.raises(ValueError, match="count"):
-            successive_convergecast_end_matrix(
-                I, I, np.array([0]), 3, 0, 0
-            )
+    def test_rejects_mismatched_matrices(self):
+        I = np.zeros((2, 5), dtype=np.int64)
+        with pytest.raises(ValueError, match="one shape"):
+            opt_end_matrix(I, I[:, :4], np.array([5, 5]), 3, 0)
+        with pytest.raises(ValueError, match="one shape"):
+            opt_end_matrix(I[0], I[0], np.array([5]), 3, 0)
 
 
 class TestPrefixSweep:
@@ -248,7 +268,9 @@ class TestPrefixSweep:
         assert ends.tolist() == [float(at) for at in late]
         for row, sequence in enumerate(sequences):
             assert ends[row] == float(opt(sequence, list(range(n)), 0))
-        assert swept == (4 + 8 + 16 + 32 + 48) * n
+        # Each row pays for its own passes: 4n, 4n + 8n, ... up to the
+        # whole-window pass of the last row.
+        assert swept == (4 + 12 + 28 + 60 + 108) * n
 
     def test_row_that_never_completes_sweeps_its_window(self):
         rng = random.Random(43)
@@ -285,8 +307,10 @@ class TestPrefixSweep:
     def test_window_longer_than_the_time_chunk(self):
         rng = random.Random(53)
         n = 8
-        length = _TIME_CHUNK + 4000
-        late_at = _TIME_CHUNK + 1000
+        # Twelve doubling passes from 4n = 32, the last one capped at the
+        # window.
+        length = 36_768
+        late_at = 33_768
         sequences = [
             late_node_sequence(rng, n, late_at, length),
             late_node_sequence(rng, n, None, length),
@@ -306,15 +330,14 @@ class TestPrefixSweep:
         sequences = [
             bursty_sequence(rng, n, rng.randint(40 * n, 80 * n)) for _ in range(6)
         ]
-        I, J, lengths = cell_rows(sequences, n)
-        kernel = successive_convergecast_end_matrix(I, J, lengths, n, 0, count)
+        ends = chained_opt_ends(*cell_rows(sequences, n), n, count)
         for row, sequence in enumerate(sequences):
             oracle = successive_convergecasts(
                 sequence, list(range(n)), 0, count=count
             )
             expected = [float(value) for value in oracle]
             expected += [INFINITY] * (count - len(expected))
-            assert kernel[row].tolist() == expected
+            assert ends[row].tolist() == expected
 
     @common_settings
     @given(data=st.data())
