@@ -4,7 +4,9 @@ The paper closes by asking whether randomized adversaries with a
 *non-uniform* interaction distribution change the Section 4 bounds (in the
 spirit of Yamauchi et al. on probabilistic schedulers).  This adversary
 draws each interaction with probability proportional to the product of the
-two endpoints' weights, which covers the natural skews:
+two endpoints' weights (an exact inverse-CDF pick of one uniform, from a
+pair table built once per weight vector and shared read-only), which
+covers the natural skews:
 
 * a *popular hub* (one node, possibly the sink, with a much larger weight);
 * *Zipf-distributed* activity (a few very social nodes, a long tail);
@@ -20,8 +22,9 @@ algorithms unchanged under the skewed distribution.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from functools import lru_cache
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +51,36 @@ def hub_weights(
     return weights
 
 
+@lru_cache(maxsize=4)
+def _pair_table(weights: Tuple[float, ...]) -> Tuple[np.ndarray, ...]:
+    """Read-only pair ends (``itertools.combinations`` order), left-to-right CDF
+    and guide table of ``weights``.  ``M = len(guide) - 1`` is a power of two
+    ≥ 8 × pairs, so ``cdf[i] < g / M`` iff ``floor(cdf[i] * M) < g``, and
+    ``guide[g]`` counts those ``i``."""
+    first, second = np.triu_indices(len(weights), 1)
+    pair_weights = np.take(weights, first) * np.take(weights, second)
+    total = np.cumsum(pair_weights)[-1]
+    if not (min(weights) > 0 and 0 < total < math.inf):
+        raise ConfigurationError("weights and their pair-product sum must be finite and positive")
+    cdf = np.cumsum(pair_weights / total)
+    cdf[-1] = 1.0  # so every uniform u < 1 picks a pair
+    buckets = 1 << (8 * cdf.size - 1).bit_length()
+    runs = np.diff((cdf * buckets).astype(np.intp) + 1, prepend=0, append=buckets + 1)
+    table = (first, second, cdf, np.repeat(np.arange(cdf.size + 1, dtype=np.int32), runs))
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _guide_pick(cdf: np.ndarray, guide: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, points, "left")`` for ``points`` in ``[0, 1)``."""
+    cells = (points * (guide.size - 1)).astype(np.intp)  # exact: M is a power of two
+    picks = guide[cells]
+    split = np.flatnonzero(picks != guide[cells + 1])  # buckets holding a CDF step
+    picks[split] = np.searchsorted(cdf, points[split], side="left")
+    return picks
+
+
 class NonUniformRandomizedAdversary(CommittedBlockAdversary):
     """Randomized adversary with pair probability proportional to weight products."""
 
@@ -64,50 +97,23 @@ class NonUniformRandomizedAdversary(CommittedBlockAdversary):
         weights = weights or {node: 1.0 for node in self._nodes}
         missing = set(self._nodes) - set(weights)
         if missing:
-            raise ConfigurationError(
-                f"missing weights for nodes {sorted(map(repr, missing))}"
-            )
-        if any(weights[node] <= 0 for node in self._nodes):
-            raise ConfigurationError("weights must be strictly positive")
-        self._weights = {node: float(weights[node]) for node in self._nodes}
-        self._pairs: List[Tuple[NodeId, NodeId]] = list(
-            itertools.combinations(self._nodes, 2)
+            raise ConfigurationError(f"missing weights for nodes {sorted(map(repr, missing))}")
+        self._first, self._second, self._cdf, self._guide = _pair_table(
+            tuple(float(weights[node]) for node in self._nodes)
         )
-        # Dense index view of the same pair list, for committed-block commits.
-        self._pair_indices = np.array(
-            [
-                (self._index_of[u], self._index_of[v])
-                for u, v in self._pairs
-            ],
-            dtype=np.int64,
-        )
-        pair_weights = [
-            self._weights[u] * self._weights[v] for u, v in self._pairs
-        ]
-        total = sum(pair_weights)
-        self._cumulative: List[float] = []
-        running = 0.0
-        for weight in pair_weights:
-            running += weight / total
-            self._cumulative.append(running)
-        self._cumulative[-1] = 1.0
-        self._cdf = np.asarray(self._cumulative, dtype=np.float64)
-        # Seeded PCG64 stream (seeds arrive derived via repro.sim.seeding);
-        # the stdlib-random stream this replaces was never byte-pinned — the
-        # committed-future contract only requires draws to be a pure,
-        # chunk-alignment-independent function of the seed, which a single
-        # Generator consumed in commit order satisfies.
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
     # ------------------------------------------------------------------ #
     def pair_probability(self, u: NodeId, v: NodeId) -> float:
-        """The per-interaction probability of the pair ``{u, v}``."""
-        try:
-            index = self._pairs.index((u, v))
-        except ValueError:
-            index = self._pairs.index((v, u))
-        lower = self._cumulative[index - 1] if index > 0 else 0.0
-        return self._cumulative[index] - lower
+        """The per-interaction probability of the pair ``{u, v}`` of distinct nodes."""
+        a, b = sorted((self._index_of.get(u, -1), self._index_of.get(v, -1)))
+        if a < 0 or a == b:
+            raise ConfigurationError(f"{(u, v)!r} is not a pair of distinct nodes")
+        return self._dense_pair_probability(a, b)
+
+    def _dense_pair_probability(self, low: int, high: int) -> float:
+        index = low * len(self._nodes) - low * (low + 1) // 2 + high - low - 1
+        return float(self._cdf[index] - (self._cdf[index - 1] if index else 0.0))
 
     def _sample_block(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Draw ``k`` pairs by inverse-CDF sampling, one uniform each.
@@ -118,15 +124,9 @@ class NonUniformRandomizedAdversary(CommittedBlockAdversary):
         future a pure prefix-deterministic function of the seed regardless
         of chunk alignment.
         """
-        last = len(self._pairs) - 1
-        points = self._rng.random(k)
-        picks = np.minimum(
-            np.searchsorted(self._cdf, points, side="left"), last
-        ).astype(np.int64)
-        chosen = self._pair_indices[picks]
-        return chosen[:, 0].copy(), chosen[:, 1].copy()
+        picks = _guide_pick(self._cdf, self._guide, self._rng.random(k))
+        return self._first[picks], self._second[picks]
 
     def _meeting_search_block(self, iu: int, iv: int) -> int:
         """Extend by the pair's expected waiting time per probe."""
-        u, v = self._nodes[iu], self._nodes[iv]
-        return max(16, int(2.0 / max(self.pair_probability(u, v), 1e-9)))
+        return max(16, int(2.0 / max(self._dense_pair_probability(*sorted((iu, iv))), 1e-9)))
