@@ -7,12 +7,15 @@ shape the paper implies must hold: the offline optimum (and the
 future/full-knowledge algorithms) are fastest, Waiting Greedy sits strictly
 between them and the no-knowledge algorithms, Gathering beats Waiting, and
 the random-receiver baseline is worst.
+
+Each algorithm is one :func:`~repro.sim.parallel.sweep_random_adversary`
+call (one :func:`~repro.sim.batch.run_sweep_cell` per ``n``), so the runner
+accepts ``engine`` and ``workers`` and neither changes a number.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..algorithms.full_knowledge import FullKnowledge
 from ..algorithms.future_broadcast import FutureBroadcast
@@ -21,9 +24,8 @@ from ..algorithms.random_baseline import RandomReceiver
 from ..algorithms.waiting import Waiting
 from ..algorithms.waiting_greedy import WaitingGreedy, optimal_tau
 from ..core.algorithm import DODAAlgorithm
+from ..sim.parallel import sweep_random_adversary
 from ..sim.results import ExperimentReport, ResultTable
-from ..sim.runner import run_random_trial
-from ..sim.seeding import derive_seed
 
 DEFAULT_NS: Sequence[int] = (16, 24, 36, 54)
 DEFAULT_TRIALS = 8
@@ -49,27 +51,28 @@ def run_comparison(
     tau_constant: float = 2.0,
     master_seed: int = 0,
     lineup: Optional[Dict[str, Callable[[int], DODAAlgorithm]]] = None,
+    engine: str = "reference",
+    workers: int = 1,
 ) -> ExperimentReport:
-    """E16 — mean interactions to termination for every algorithm across n."""
+    """E16 — mean interactions to termination for every algorithm across n.
+
+    Trial seeds derive from ``(master_seed, "comparison", algorithm name, n,
+    trial)``; the default lineup is keyed by those names.
+    """
     factories = lineup or algorithm_lineup(tau_constant=tau_constant)
+    means = {
+        name: sweep_random_adversary(
+            factory, ns, trials, master_seed=master_seed, experiment="comparison",
+            engine=engine, workers=workers,
+        ).mean_durations
+        for name, factory in factories.items()
+    }
     table = ResultTable(
         title="Comparison: mean interactions to termination (randomized adversary)",
         columns=["n"] + list(factories),
     )
-    means: Dict[str, List[float]] = {name: [] for name in factories}
-    for n in ns:
-        row: Dict[str, float] = {"n": n}
-        for name, factory in factories.items():
-            durations: List[float] = []
-            for trial in range(trials):
-                seed = derive_seed(master_seed, "comparison", name, n, trial)
-                metrics = run_random_trial(factory(int(n)), int(n), seed)
-                durations.append(metrics.duration)
-            finite = [d for d in durations if not math.isinf(d)]
-            mean = sum(finite) / len(finite) if finite else math.inf
-            row[name] = mean
-            means[name].append(mean)
-        table.add_row(**row)
+    for index, n in enumerate(ns):
+        table.add_row(n=n, **{name: values[index] for name, values in means.items()})
     # Expected ordering at the largest n (the paper's qualitative claim).
     last = {name: values[-1] for name, values in means.items()}
     ordering_holds = (

@@ -26,23 +26,24 @@ suggests:
   seed for seed — across the paper's algorithms and adversary families,
   while running the whole sweep cell as numpy arrays.  The report also
   records the measured wall-clock ratio (the engine's reason to exist).
+
+E18 and E19 run on the one sweep path: every scenario × algorithm, and
+every tau exponent, is one single-``n``
+:func:`~repro.sim.parallel.sweep_random_adversary` call, so both accept
+``engine`` and ``workers`` and neither knob changes a number.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..adversaries.nonuniform import (
-    NonUniformRandomizedAdversary,
-    hub_weights,
-    zipf_weights,
-)
 from ..algorithms.gathering import Gathering
 from ..algorithms.spanning_tree import SpanningTreeAggregation
 from ..algorithms.waiting import Waiting
 from ..algorithms.waiting_greedy import WaitingGreedy
+from ..analysis.statistics import fraction_within
 from ..core.cost import cost_of_result
 from ..core.execution import Executor
 from ..graph.generators import (
@@ -54,6 +55,7 @@ from ..graph.generators import (
 from ..knowledge import KnowledgeBundle, UnderlyingGraphKnowledge
 from ..offline.brute_force import brute_force_opt
 from ..offline.convergecast import opt as fast_opt
+from ..sim.parallel import sweep_random_adversary
 from ..sim.results import ExperimentReport, ResultTable
 from ..sim.seeding import derive_seed
 
@@ -109,42 +111,40 @@ def run_nonuniform_adversary(
     hub_factor: float = 8.0,
     zipf_exponent: float = 1.0,
     master_seed: int = 0,
+    engine: str = "reference",
+    workers: int = 1,
 ) -> ExperimentReport:
-    """E18 — how the Section 4 bounds shift under non-uniform adversaries."""
-    nodes = list(range(n))
-    sink = 0
-    scenarios: Dict[str, Optional[Dict]] = {
-        "uniform": None,
-        "active_sink_hub": hub_weights(nodes, hub=sink, hub_factor=hub_factor),
-        "lazy_sink": hub_weights(nodes, hub=sink, hub_factor=1.0 / hub_factor),
-        "zipf_activity": zipf_weights(nodes, exponent=zipf_exponent),
+    """E18 — how the Section 4 bounds shift under non-uniform adversaries.
+
+    Each scenario is an adversary family (``uniform``, ``hub`` with the sink
+    as hub, ``zipf``), and each algorithm in it one single-``n`` sweep.
+    """
+    scenarios: Dict[str, Tuple[str, Optional[Dict[str, float]]]] = {
+        "uniform": ("uniform", None),
+        "active_sink_hub": ("hub", {"hub_factor": hub_factor}),
+        "lazy_sink": ("hub", {"hub_factor": 1.0 / hub_factor}),
+        "zipf_activity": ("zipf", {"exponent": zipf_exponent}),
+    }
+    algorithms = {
+        "gathering": lambda size: Gathering(),
+        "waiting": lambda size: Waiting(),
+    }
+    means = {
+        scenario: {
+            name: sweep_random_adversary(
+                factory, [n], trials, master_seed=master_seed,
+                experiment=f"nonuniform/{scenario}", engine=engine, workers=workers,
+                horizon_fn=lambda algorithm, size: 64 * size * size,
+                adversary=family, adversary_params=params,
+            ).points[0].mean_duration
+            for name, factory in algorithms.items()
+        }
+        for scenario, (family, params) in scenarios.items()
     }
     table = ResultTable(
         title="Non-uniform randomized adversary: mean interactions to termination",
         columns=["scenario", "gathering", "waiting", "gathering_vs_uniform"],
     )
-    horizon = 64 * n * n
-    means: Dict[str, Dict[str, float]] = {}
-    for scenario, weights in scenarios.items():
-        durations: Dict[str, List[float]] = {"gathering": [], "waiting": []}
-        for trial in range(trials):
-            seed = derive_seed(master_seed, "nonuniform", scenario, trial)
-            for name, algorithm in (("gathering", Gathering()), ("waiting", Waiting())):
-                adversary = NonUniformRandomizedAdversary(
-                    nodes, weights=weights, seed=seed, max_horizon=horizon
-                )
-                executor = Executor(nodes, sink, algorithm)
-                result = executor.run(adversary, max_interactions=horizon)
-                durations[name].append(
-                    result.duration if result.terminated else math.inf
-                )
-        means[scenario] = {
-            name: (
-                sum(d for d in values if not math.isinf(d))
-                / max(1, sum(1 for d in values if not math.isinf(d)))
-            )
-            for name, values in durations.items()
-        }
     for scenario in scenarios:
         table.add_row(
             scenario=scenario,
@@ -176,6 +176,8 @@ def run_tau_tradeoff(
     trials: int = 8,
     exponents: Sequence[float] = (0.25, 0.375, 0.5, 0.625, 0.75),
     master_seed: int = 0,
+    engine: str = "reference",
+    workers: int = 1,
 ) -> ExperimentReport:
     """E19 — Theorem 10's trade-off: tau(f) = max(n·f, n² log n / f).
 
@@ -183,9 +185,9 @@ def run_tau_tradeoff(
     optimum is ``e = 1/2`` (Corollary 3).  The verdict checks that the
     measured termination time at the optimal exponent is no worse than at
     the extreme exponents (a U-shaped curve with its minimum in the middle).
+    Each exponent is one single-``n`` sweep; all of them share the trial
+    seeds, so every exponent runs on the same committed sequences.
     """
-    from ..sim.runner import run_random_trial
-
     log_n = math.log(n)
     table = ResultTable(
         title="Waiting Greedy: termination time vs the choice of f(n) in tau",
@@ -195,27 +197,21 @@ def run_tau_tradeoff(
     for exponent in exponents:
         f_n = n ** exponent * math.sqrt(log_n)
         tau = int(math.ceil(max(n * f_n, n * n * log_n / f_n)))
-        durations: List[float] = []
-        within = 0
-        for trial in range(trials):
-            seed = derive_seed(master_seed, "tau_tradeoff", exponent, trial)
-            metrics = run_random_trial(
-                WaitingGreedy(tau=tau), n, seed, horizon=max(6 * tau, 8 * n * n)
-            )
-            durations.append(metrics.duration)
-            if metrics.duration <= tau:
-                within += 1
-        mean_duration = sum(d for d in durations if not math.isinf(d)) / max(
-            1, sum(1 for d in durations if not math.isinf(d))
-        )
-        mean_by_exponent[exponent] = mean_duration
+        point = sweep_random_adversary(
+            lambda size: WaitingGreedy(tau=tau), [n], trials, master_seed=master_seed,
+            experiment="tau_tradeoff", engine=engine, workers=workers,
+            horizon_fn=lambda algorithm, size: max(6 * tau, 8 * size * size),
+        ).points[0]
+        mean_by_exponent[exponent] = point.mean_duration
         table.add_row(
             **{
                 "f_exponent": exponent,
                 "f(n)": f_n,
                 "tau": tau,
-                "mean_duration": mean_duration,
-                "fraction_within_tau": within / trials,
+                "mean_duration": point.mean_duration,
+                "fraction_within_tau": fraction_within(
+                    [trial.duration for trial in point.trials], tau
+                ),
             }
         )
     optimal = mean_by_exponent[0.5]
@@ -307,7 +303,6 @@ def run_vectorized_engine_check(
     """
     from ..algorithms.waiting_greedy import optimal_tau
     from ..obs import now as _obs_now
-    from ..sim.parallel import sweep_random_adversary
 
     factories: Dict[str, object] = {
         "waiting": lambda size: Waiting(),

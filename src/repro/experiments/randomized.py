@@ -6,11 +6,13 @@ the paper's claimed growth rate — by direct ratio against exact expectation
 formulas where the paper derives them, and by log-log growth-rate fitting
 for the asymptotic (Θ/O/Ω, w.h.p.) claims.
 
-The trial-based experiments (E7–E11, E13, E14) accept ``engine``
-("reference" or "vectorized", see :mod:`repro.core.vector_execution`); the
-sweep-based ones (E9–E11) additionally accept ``workers`` (process fan-out
-over sweep cells, see :mod:`repro.sim.parallel`).  Both knobs change only wall-clock time,
-never the measured numbers.
+E7–E11, E13 and E15 are sweeps (one :func:`~repro.sim.batch.run_sweep_cell`
+of :func:`~repro.sim.parallel.sweep_random_adversary` per ``n``) and accept
+``engine`` and ``workers``; per-trial extras are functions of a cell's
+metrics and of each trial's committed window, rebuilt from its seed.  E14
+takes ``engine`` only: it runs three algorithms on shared trial seeds, and
+a sweep mixes the algorithm name into every seed.  E12 runs no algorithm.
+Neither knob changes a measured number.
 """
 
 from __future__ import annotations
@@ -35,14 +37,14 @@ from ..analysis.bounds import (
 )
 from ..analysis.fitting import fit_power_law, ratio_drift
 from ..analysis.statistics import fraction_within
-from ..core.cost import cost_of_result
-from ..core.execution import Executor
+from ..core.cost import cost_of_duration
+from ..core.interaction import InteractionSequence
 from ..graph.generators import uniform_random_sequence
 from ..offline.broadcast import broadcast_completion_time
-from ..offline.convergecast import opt as offline_opt
+from ..sim.metrics import TrialMetrics
 from ..sim.parallel import sweep_random_adversary
 from ..sim.results import ExperimentReport, ResultTable
-from ..sim.runner import resolve_engine, run_random_trial
+from ..sim.runner import build_trial_adversary, execute_random_trial, run_random_trial
 from ..sim.seeding import derive_seed
 
 DEFAULT_NS: Sequence[int] = (16, 24, 36, 54, 80)
@@ -54,6 +56,7 @@ def run_theorem7(
     trials: int = DEFAULT_TRIALS,
     master_seed: int = 0,
     engine: str = "reference",
+    workers: int = 1,
 ) -> ExperimentReport:
     """E7 — Theorem 7: every no-knowledge algorithm needs Ω(n²) interactions.
 
@@ -61,8 +64,14 @@ def run_theorem7(
     interact, which takes ``n(n-1)/2`` interactions in expectation).  We
     measure, for the optimal no-knowledge algorithm (Gathering), both the
     total duration and the waiting time of the final transmission, and check
-    that they are at least the claimed lower bounds.
+    that they are at least the claimed lower bounds.  The last wait is read
+    from the transmission logs of the cell's own trials, re-run one by one
+    because sweep metrics carry no log.
     """
+    sweep = sweep_random_adversary(
+        lambda n: Gathering(), ns, trials, master_seed=master_seed,
+        experiment="theorem7", engine=engine, workers=workers,
+    )
     table = ResultTable(
         title="Theorem 7: lower bound Ω(n²) without knowledge (measured on Gathering)",
         columns=[
@@ -75,30 +84,35 @@ def run_theorem7(
         ],
     )
     ratios: List[float] = []
-    means: List[float] = []
-    for n in ns:
-        durations: List[float] = []
-        for trial in range(trials):
-            seed = derive_seed(master_seed, "theorem7", n, trial)
-            metrics = run_random_trial(Gathering(), n, seed, engine=engine)
-            durations.append(metrics.duration)
-        last_waits = _last_transmission_waits(n, trials, master_seed, engine=engine)
-        bound = last_transmission_expected(n)
-        mean_duration = sum(durations) / len(durations)
+    for point in sweep.points:
+        results = [
+            execute_random_trial(Gathering(), t.n, t.seed, t.horizon, engine=engine)[0]
+            for t in point.trials if t.terminated
+        ]
+        last_waits = [
+            float(r.transmissions[-1].time - r.transmissions[-2].time)
+            for r in results if len(r.transmissions) >= 2
+        ] or [math.nan]
+        bound = last_transmission_expected(point.n)
         mean_last = sum(last_waits) / len(last_waits)
-        means.append(mean_duration)
-        ratios.append(mean_duration / bound)
+        ratios.append(point.mean_duration / bound)
         table.add_row(
-            n=n,
-            mean_duration=mean_duration,
+            n=point.n,
+            mean_duration=point.mean_duration,
             **{"lower_bound_n(n-1)/2": bound},
-            duration_over_bound=mean_duration / bound,
+            duration_over_bound=point.mean_duration / bound,
             mean_last_wait=mean_last,
             last_wait_over_bound=mean_last / bound,
         )
-    fit = fit_power_law(list(ns), means)
+    fit = fit_power_law(sweep.ns, sweep.mean_durations)
     table.add_note(f"fitted exponent of mean duration: {fit.exponent:.2f} (claim: 2)")
-    verdict = all(ratio >= 0.9 for ratio in ratios) and 1.6 <= fit.exponent <= 2.4
+    # mean_duration averages terminated trials only, so every trial must
+    # terminate (rate = terminated/trials <= 1, so ">= 1.0" is "all").
+    verdict = (
+        all(point.termination_rate >= 1.0 for point in sweep.points)
+        and all(ratio >= 0.9 for ratio in ratios)
+        and 1.6 <= fit.exponent <= 2.4
+    )
     return ExperimentReport(
         experiment_id="E7",
         claim="Theorem 7: Ω(n²) interactions are required without knowledge",
@@ -108,25 +122,12 @@ def run_theorem7(
     )
 
 
-def _last_transmission_waits(
-    n: int, trials: int, master_seed: int, engine: str = "reference"
-) -> List[float]:
-    """Waiting time before the final transmission of Gathering runs."""
-    waits: List[float] = []
-    executor_cls = resolve_engine(engine)
-    for trial in range(trials):
-        seed = derive_seed(master_seed, "theorem7-last", n, trial)
-        from ..adversaries.randomized import RandomizedAdversary
-
-        adversary = RandomizedAdversary(list(range(n)), seed=seed)
-        executor = executor_cls(list(range(n)), 0, Gathering())
-        result = executor.run(adversary, max_interactions=64 * n * n)
-        if not result.terminated or len(result.transmissions) < 2:
-            continue
-        last = result.transmissions[-1].time
-        previous = result.transmissions[-2].time
-        waits.append(float(last - previous))
-    return waits or [math.nan]
+def _committed_window(trial: TrialMetrics) -> InteractionSequence:
+    """The uniform committed window a sweep trial ran on, rebuilt from its seed."""
+    adversary = build_trial_adversary(
+        "uniform", list(range(trial.n)), trial.seed, trial.horizon, 0
+    )
+    return adversary.committed_prefix(trial.horizon)
 
 
 def run_theorem8(
@@ -134,14 +135,21 @@ def run_theorem8(
     trials: int = DEFAULT_TRIALS,
     master_seed: int = 0,
     engine: str = "reference",
+    workers: int = 1,
 ) -> ExperimentReport:
     """E8 — Theorem 8: with full knowledge the optimum is Θ(n log n).
 
-    Measured three ways on the same random sequences: the offline optimum
-    ``opt(0)``, the flooding broadcast completion on the reversed sequence
-    (the duality used in the proof), and the termination of the
-    full-knowledge algorithm, which must equal ``opt(0) + 1`` interactions.
+    Measured three ways on each trial's one committed window: the offline
+    optimum ``opt(0) + 1`` (captured by the cell), the flooding broadcast
+    completion on the reversed window (the duality used in the proof), and
+    the termination of the full-knowledge algorithm, which must equal the
+    optimum on every trial (competitive ratio exactly 1).
     """
+    sweep = sweep_random_adversary(
+        lambda n: FullKnowledge(), ns, trials, master_seed=master_seed,
+        experiment="theorem8", engine=engine, workers=workers, capture_opt=True,
+        horizon_fn=lambda algorithm, n: int(30 * n * max(1.0, math.log(n))),
+    )
     table = ResultTable(
         title="Theorem 8: offline optimum under the randomized adversary",
         columns=[
@@ -155,36 +163,16 @@ def run_theorem8(
     )
     mean_opts: List[float] = []
     verdict = True
-    for n in ns:
-        nodes = list(range(n))
-        sink = 0
-        opts: List[float] = []
-        broadcasts: List[float] = []
-        runs: List[float] = []
-        horizon = int(30 * n * max(1.0, math.log(n)))
-        for trial in range(trials):
-            seed = derive_seed(master_seed, "theorem8", n, trial)
-            sequence = uniform_random_sequence(nodes, horizon, seed=seed)
-            optimum = offline_opt(sequence, nodes, sink, start=0)
-            if math.isinf(optimum):
-                verdict = False
-                continue
-            opts.append(optimum + 1)
-            # Duality of the proof: a convergecast within a window is a
-            # broadcast from the sink on the reversed window, so the reverse
-            # flood's completion length has the same distribution as opt+1.
-            reversed_completion = broadcast_completion_time(
-                sequence.reversed(), sink, nodes
-            )
-            broadcasts.append(
-                reversed_completion + 1
-                if not math.isinf(reversed_completion)
-                else math.inf
-            )
-            metrics = run_random_trial(
-                FullKnowledge(), n, seed, horizon=horizon, engine=engine
-            )
-            runs.append(metrics.duration)
+    for point in sweep.points:
+        n = point.n
+        opts = [trial.opt_cost for trial in point.trials]
+        # Duality of the proof: a convergecast within a window is a
+        # broadcast from the sink on the reversed window, so the reverse
+        # flood's completion length has the same distribution as opt+1.
+        broadcasts = [
+            broadcast_completion_time(_committed_window(t).reversed(), 0, range(n)) + 1
+            for t in point.trials
+        ]
         mean_opt = sum(opts) / len(opts)
         mean_opts.append(mean_opt)
         expected = broadcast_expected_exact(n)
@@ -192,13 +180,20 @@ def run_theorem8(
             n=n,
             mean_opt=mean_opt,
             mean_broadcast_reversed=sum(broadcasts) / len(broadcasts),
-            mean_full_knowledge_run=sum(runs) / len(runs),
+            mean_full_knowledge_run=sum(t.duration for t in point.trials)
+            / len(point.trials),
             **{"expected_broadcast_(n-1)H(n-1)": expected},
             opt_over_nlogn=mean_opt / n_log_n(n),
         )
-        if not (0.5 * expected <= mean_opt <= 2.0 * expected):
+        # Ratios are >= 1 exactly whenever finite, so "<= 1.0" is "exactly 1";
+        # unterminated runs (inf) and unreachable optima (None) fail too.
+        optimal = all(
+            trial.competitive_ratio is not None and trial.competitive_ratio <= 1.0
+            for trial in point.trials
+        )
+        if not optimal or not 0.5 * expected <= mean_opt <= 2.0 * expected:
             verdict = False
-    drift = ratio_drift(list(ns), mean_opts, n_log_n)
+    drift = ratio_drift(sweep.ns, mean_opts, n_log_n)
     table.add_note(
         f"log-slope of opt / (n log n): {drift:+.2f} (≈ 0 when the Θ(n log n) shape holds)"
     )
@@ -407,6 +402,7 @@ def run_theorem10(
     tau_constant: float = 2.0,
     master_seed: int = 0,
     engine: str = "reference",
+    workers: int = 1,
 ) -> ExperimentReport:
     """E13 — Theorem 10 / Corollary 3: Waiting Greedy terminates by tau w.h.p.
 
@@ -415,6 +411,11 @@ def run_theorem10(
     runs terminating within ``tau`` must be large and must not degrade as n
     grows, and the termination time must scale like n^{3/2}√(log n).
     """
+    sweep = sweep_random_adversary(
+        lambda n: WaitingGreedy(tau=optimal_tau(n, constant=tau_constant)), ns, trials,
+        master_seed=master_seed, experiment="theorem10", engine=engine, workers=workers,
+        horizon_fn=lambda algorithm, n: max(8 * optimal_tau(n, constant=tau_constant), 4 * n * n),
+    )
     table = ResultTable(
         title="Theorem 10 / Corollary 3: Waiting Greedy with tau = c·n^{3/2}√log n",
         columns=[
@@ -428,41 +429,27 @@ def run_theorem10(
     )
     fractions: List[float] = []
     slack_fractions: List[float] = []
-    means: List[float] = []
-    for n in ns:
-        tau = optimal_tau(n, constant=tau_constant)
-        durations: List[float] = []
-        for trial in range(trials):
-            seed = derive_seed(master_seed, "theorem10", n, trial)
-            metrics = run_random_trial(
-                WaitingGreedy(tau=tau),
-                n,
-                seed,
-                horizon=max(8 * tau, 4 * n * n),
-                engine=engine,
-            )
-            durations.append(metrics.duration)
+    for point in sweep.points:
+        tau = optimal_tau(point.n, constant=tau_constant)
+        durations = [trial.duration for trial in point.trials]
         fraction = fraction_within(durations, tau)
         slack_fraction = fraction_within(durations, 1.2 * tau)
         fractions.append(fraction)
         slack_fractions.append(slack_fraction)
-        mean_duration = sum(d for d in durations if not math.isinf(d)) / max(
-            1, sum(1 for d in durations if not math.isinf(d))
-        )
-        means.append(mean_duration)
         table.add_row(
-            n=n,
+            n=point.n,
             tau=tau,
-            mean_duration=mean_duration,
+            mean_duration=point.mean_duration,
             fraction_within_tau=fraction,
             **{
                 "fraction_within_1.2tau": slack_fraction,
-                "duration_over_n3/2sqrtlog": mean_duration
-                / n_three_halves_sqrt_log_n(n),
+                "duration_over_n3/2sqrtlog": point.mean_duration
+                / n_three_halves_sqrt_log_n(point.n),
             },
         )
-    drift = ratio_drift(list(ns), means, n_three_halves_sqrt_log_n)
-    fit = fit_power_law(list(ns), means)
+    means = sweep.mean_durations
+    drift = ratio_drift(sweep.ns, means, n_three_halves_sqrt_log_n)
+    fit = fit_power_law(sweep.ns, means)
     table.add_note(
         f"fitted exponent {fit.exponent:.2f} (claim 1.5 + √log factor); "
         f"log-slope vs n^(3/2)√log n {drift:+.2f}"
@@ -568,47 +555,45 @@ def run_cost_conversion(
     ns: Sequence[int] = (12, 18, 27, 40),
     trials: int = 8,
     master_seed: int = 0,
+    engine: str = "reference",
+    workers: int = 1,
 ) -> ExperimentReport:
     """E15 — Section 4 conversion: O(n²) interactions ⇒ cost O(n / log n).
 
-    Runs Gathering on committed random sequences and evaluates the paper's
-    cost measure directly (number of successive offline convergecasts that
-    fit within the algorithm's duration).
+    Runs Gathering with an ``8n²`` horizon and evaluates the paper's cost
+    measure directly on each trial's committed window (the number of
+    successive offline convergecasts that fit within the algorithm's
+    duration).
     """
+    sweep = sweep_random_adversary(
+        lambda n: Gathering(), ns, trials, master_seed=master_seed,
+        experiment="cost_conversion", engine=engine, workers=workers,
+        horizon_fn=lambda algorithm, n: 8 * n * n,
+    )
     table = ResultTable(
         title="Cost of Gathering under the randomized adversary",
         columns=["n", "mean_duration", "mean_cost", "n_over_logn", "cost_over_bound"],
     )
     ratios: List[float] = []
     costs: List[float] = []
-    for n in ns:
-        nodes = list(range(n))
-        sink = 0
-        horizon = 8 * n * n
-        trial_costs: List[float] = []
-        trial_durations: List[float] = []
-        for trial in range(trials):
-            seed = derive_seed(master_seed, "cost_conversion", n, trial)
-            sequence = uniform_random_sequence(nodes, horizon, seed=seed)
-            executor = Executor(nodes, sink, Gathering())
-            result = executor.run(sequence)
-            breakdown = cost_of_result(result, sequence, nodes, sink)
-            trial_costs.append(breakdown.cost)
-            trial_durations.append(
-                result.duration if result.terminated else math.inf
-            )
+    for point in sweep.points:
+        n = point.n
+        trial_costs = [
+            cost_of_duration(trial.duration, _committed_window(trial), range(n), 0).cost
+            for trial in point.trials
+        ]
         mean_cost = sum(trial_costs) / len(trial_costs)
         bound = n / math.log(n)
         costs.append(mean_cost)
         ratios.append(mean_cost / bound)
         table.add_row(
             n=n,
-            mean_duration=sum(trial_durations) / len(trial_durations),
+            mean_duration=point.mean_duration,
             mean_cost=mean_cost,
             n_over_logn=bound,
             cost_over_bound=mean_cost / bound,
         )
-    drift = ratio_drift(list(ns), costs, lambda n: n / math.log(n))
+    drift = ratio_drift(sweep.ns, costs, lambda n: n / math.log(n))
     table.add_note(
         f"log-slope of cost / (n/log n): {drift:+.2f} (≈ 0 when the conversion holds)"
     )

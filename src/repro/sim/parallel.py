@@ -4,11 +4,10 @@ A sweep is a list of cells, each one :func:`repro.sim.batch.run_sweep_cell`
 call.  Cells are embarrassingly parallel: every trial derives its own seed
 from ``(master_seed, experiment, algorithm, n, trial)`` via
 :func:`~repro.sim.seeding.derive_seed` and shares no RNG state with any
-other trial.  :func:`run_sweep_cells` farms cells over a
-``multiprocessing`` pool while preserving that derivation, so a parallel
-sweep reproduces the serial one bit for bit — same
-:class:`~repro.sim.metrics.TrialMetrics`, same
-:class:`~repro.sim.results.ResultTable` — for any ``workers`` count.
+other trial.  :func:`run_sweep_cells` farms cells over a process pool
+while preserving that derivation, so a parallel sweep reproduces the
+serial one bit for bit — same :class:`~repro.sim.metrics.TrialMetrics`,
+same :class:`~repro.sim.results.ResultTable` — for any ``workers`` count.
 
 :func:`sweep_random_adversary` is the ``n`` sweep of one algorithm (one
 cell per ``n``, split into one contiguous trial range per worker); a
@@ -127,7 +126,7 @@ def run_sweep_cells(
     :func:`repro.sim.batch.run_sweep_cell`; each cell may name a different
     algorithm factory and adversary family, which is exactly the shape of a
     campaign grid (:mod:`repro.campaign`).  Results are yielded **in task
-    order as each cell completes** (``imap`` under the hood), so a caller
+    order as each cell completes** (``ProcessPoolExecutor.map``), so a caller
     can checkpoint cell by cell; an interrupt mid-iteration loses only
     cells not yet yielded.  Per-cell results are identical for every
     ``workers`` value (each cell re-derives its trials from seeds alone).
@@ -140,6 +139,8 @@ def run_sweep_cells(
     Raises:
         ValueError: if ``workers < 1`` (raised at call time, before any
             cell runs — the iterator itself never raises it).
+        concurrent.futures.process.BrokenProcessPool: from the iterator,
+            when a worker process dies mid-sweep.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -157,18 +158,23 @@ def _iter_sweep_cells(
             elapsed = _now() - start
             yield (metrics, elapsed) if with_timing else metrics
         return
-    config = {"cells": cell_kwargs}
-    processes = min(workers, len(cell_kwargs))
-    with context.Pool(
-        processes=processes, initializer=_init_worker, initargs=(config,)
-    ) as pool:
-        for metrics, elapsed, snapshot in pool.imap(
-            _run_cell_task, range(len(cell_kwargs)), 1
-        ):
+    # Imported here: at module level it would slow ``import repro.campaign``.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        min(workers, len(cell_kwargs)), mp_context=context,
+        initializer=_init_worker, initargs=({"cells": cell_kwargs},),
+    )
+    try:
+        # ``map`` yields in task order; a dead worker raises BrokenProcessPool.
+        for metrics, elapsed, snapshot in pool.map(_run_cell_task, range(len(cell_kwargs))):
             # Merge before yielding so a caller that checkpoints cell by
             # cell sees the worker's spans as soon as the cell lands.
             _merge_snapshots((snapshot,))
             yield (metrics, elapsed) if with_timing else metrics
+    finally:
+        # An early close() must not wait for the cells still running.
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def sweep_random_adversary(

@@ -34,6 +34,20 @@ class TestNonUniformAdversaryExperiment:
         assert means["lazy_sink"]["gathering"] > means["uniform"]["gathering"]
 
 
+@pytest.mark.parametrize(
+    "runner",
+    [
+        lambda **knobs: run_nonuniform_adversary(n=10, trials=3, **knobs),
+        lambda **knobs: run_tau_tradeoff(n=12, trials=3, **knobs),
+    ],
+    ids=["E18", "E19"],
+)
+def test_report_is_engine_and_worker_invariant(runner):
+    reference = runner(engine="reference", workers=1)
+    vectorized = runner(engine="vectorized", workers=2)
+    assert vectorized.to_markdown() == reference.to_markdown()
+
+
 class TestTauTradeoff:
     def test_optimal_exponent_is_half(self):
         report = run_tau_tradeoff(n=40, trials=5)

@@ -2,8 +2,14 @@
 
 import math
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
@@ -13,7 +19,7 @@ from repro.core.vector_execution import VectorizedExecutor
 from repro.obs import RecordingCollector, use_collector
 from repro.sim.batch import run_sweep_cell
 from repro.sim.metrics import TrialMetrics, durations, mean_duration, termination_rate
-from repro.sim.parallel import sweep_random_adversary
+from repro.sim.parallel import run_sweep_cells, sweep_random_adversary
 from repro.sim.results import ExperimentReport, ResultTable
 from repro.sim.runner import (
     ENGINES,
@@ -284,3 +290,61 @@ class TestSweepDeterminism:
                 lambda n: Gathering(), ns=[1, 8], trials=2, engine=engine,
                 workers=workers,
             )
+
+
+#: Runs three cells on two workers; the middle cell's factory SIGKILLs the
+#: worker that runs it.  Exits 0 only if the sweep raises BrokenProcessPool.
+KILLED_WORKER_SCRIPT = """
+import os, signal, sys
+from concurrent.futures.process import BrokenProcessPool
+
+from repro.algorithms.gathering import Gathering
+from repro.sim.parallel import run_sweep_cells
+
+parent = os.getpid()
+
+
+def killer(n):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return Gathering()
+
+
+cells = [
+    dict(algorithm_factory=factory, n=8, trials=2)
+    for factory in (lambda n: Gathering(), killer, lambda n: Gathering())
+]
+try:
+    for _ in run_sweep_cells(cells, workers=2):
+        pass
+except BrokenProcessPool:
+    sys.exit(0)
+sys.exit("the sweep finished without raising BrokenProcessPool")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="worker pools need fork")
+class TestWorkerPool:
+    def test_dead_worker_raises_instead_of_hanging(self):
+        # A subprocess with a timeout: a hang must fail the test, not the suite.
+        result = subprocess.run(
+            [sys.executable, "-c", KILLED_WORKER_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_early_close_does_not_wait_for_running_cells(self):
+        def slow(n):
+            time.sleep(2)
+            return Gathering()
+
+        cells = [dict(algorithm_factory=lambda n: Gathering(), n=8, trials=1)]
+        cells += [dict(algorithm_factory=slow, n=8, trials=1)] * 3
+        iterator = run_sweep_cells(cells, workers=2)
+        assert len(next(iterator)) == 1
+        started = time.monotonic()
+        iterator.close()
+        assert time.monotonic() - started < 1.0
