@@ -8,8 +8,11 @@ replays.  This module hosts the machinery every such adversary shares —
 uniform randomized (Section 4), non-uniform randomized (concluding remarks,
 Q3), and the mobility families in :mod:`repro.adversaries.mobility`:
 
-* committed draws stored as dense node-index numpy buffers with amortised
-  O(1) growth (:meth:`CommittedBlockAdversary.draw_block`);
+* committed draws stored as int32 dense node-index numpy buffers with
+  amortised O(1) growth (:meth:`CommittedBlockAdversary.draw_block`); the
+  buffers hold only the retained window of the committed future, since a
+  consumer that is done with the past may drop it
+  (:meth:`CommittedBlockAdversary.release_before`);
 * fixed-chunk extension (:data:`COMMIT_CHUNK`) so the committed future for a
   given seed does not depend on the query pattern — single
   ``interaction_at`` calls, block reads from the vectorized engine, oracle
@@ -74,17 +77,24 @@ class CommittedBlockAdversary(Adversary):
             node: position for position, node in enumerate(self._nodes)
         }
         self._max_horizon = max_horizon
-        # Committed draws, stored as dense node indices in doubling buffers
-        # (amortised O(1) growth) plus a canonical pair code per interaction
-        # used for vectorised meeting lookups.
+        # Committed draws, stored as int32 dense node indices.  The buffers
+        # hold the retained window [_base, _size) of absolute times (slot 0
+        # is time _base); ``_size`` stays the absolute committed count.
+        # release_before raises ``_floor``, and the next growth drops
+        # [_base, _floor) by copying the live suffix into fresh buffers —
+        # never in place, since committed_index_block hands out views.
         self._size = 0
+        self._base = 0
+        self._floor = 0
         self._exhausted = False
-        self._pi = np.empty(0, dtype=np.int64)
-        self._pj = np.empty(0, dtype=np.int64)
+        self._pi = np.empty(0, dtype=np.int32)
+        self._pj = np.empty(0, dtype=np.int32)
         # Canonical pair codes are derived data used only by the per-pair
         # meeting index (``next_meeting``); they are computed lazily up to
-        # ``_codes_size`` so block consumers that never query meetings (the
-        # trial-vectorized engine) skip the work entirely.
+        # absolute time ``_codes_size``, aligned with the index buffers, so
+        # block consumers that never query meetings (the trial-vectorized
+        # engine) skip the work entirely.  Codes are int64: n * n overflows
+        # int32 above n = 46,340.
         self._codes = np.empty(0, dtype=np.int64)
         self._codes_size = 0
         # Per-pair sorted list of meeting times, built lazily per queried
@@ -134,48 +144,82 @@ class CommittedBlockAdversary(Adversary):
         """
         k = min(k, self._max_horizon - self._size)
         if k <= 0 or self._exhausted:
-            empty = np.empty(0, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int32)
             return empty, empty
         i, j = self._sample_block(k)
         count = i.shape[0]
         if count < k:
             self._exhausted = True
         if count == 0:
-            empty = np.empty(0, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int32)
             return empty, empty
         self._grow(count)
-        start, stop = self._size, self._size + count
-        self._pi[start:stop] = i
-        self._pj[start:stop] = j
-        self._size = stop
+        start = self._size - self._base
+        # The int32 buffers cast samplers that draw int64.
+        self._pi[start : start + count] = i
+        self._pj[start : start + count] = j
+        self._size += count
         return i, j
 
     def _grow(self, extra: int) -> None:
-        """Ensure the buffers can hold ``extra`` more committed interactions."""
-        needed = self._size + extra
-        if needed <= self._pi.shape[0]:
+        """Ensure the buffers can hold ``extra`` more committed interactions.
+
+        Reallocation drops the released past: the new buffers receive only
+        the live suffix ``[floor, size)`` and are sized from it (at least
+        twice it, so growth stays amortised O(1)), not from the whole
+        committed history.
+        """
+        if self._size - self._base + extra <= self._pi.shape[0]:
             return
-        capacity = max(needed, 2 * self._pi.shape[0], COMMIT_CHUNK)
+        live = self._size - self._floor
+        capacity = max(live + extra, 2 * live, COMMIT_CHUNK)
+        start = self._floor - self._base
         for name in ("_pi", "_pj"):
-            old = getattr(self, name)
-            new = np.empty(capacity, dtype=np.int64)
-            new[: self._size] = old[: self._size]
+            new = np.empty(capacity, dtype=np.int32)
+            new[:live] = getattr(self, name)[start : start + live]
             setattr(self, name, new)
+        if self._floor > self._base:
+            self._base = self._floor
+            # Pair codes are re-derived from the new base on demand.
+            self._codes = np.empty(0, dtype=np.int64)
+            self._codes_size = self._base
 
     def _codes_upto(self, stop: int) -> None:
-        """Materialise canonical pair codes for the committed prefix."""
+        """Materialise canonical pair codes for the retained window up to ``stop``."""
         if stop <= self._codes_size:
             return
+        done = self._codes_size - self._base
         if self._codes.shape[0] < self._pi.shape[0]:
             grown = np.empty(self._pi.shape[0], dtype=np.int64)
-            grown[: self._codes_size] = self._codes[: self._codes_size]
+            grown[:done] = self._codes[:done]
             self._codes = grown
-        start = self._codes_size
-        i = self._pi[start:stop]
-        j = self._pj[start:stop]
+        end = stop - self._base
+        i = self._pi[done:end].astype(np.int64)
+        j = self._pj[done:end].astype(np.int64)
         n = len(self._nodes)
-        self._codes[start:stop] = np.minimum(i, j) * n + np.maximum(i, j)
+        self._codes[done:end] = np.minimum(i, j) * n + np.maximum(i, j)
         self._codes_size = stop
+
+    def _require_retained(self, time: int) -> None:
+        """Raise unless committed time ``time`` is still readable."""
+        if time < self._floor:
+            raise ConfigurationError(
+                f"committed time {time} was released: the adversary keeps "
+                f"only times from {self._floor} on (see release_before)"
+            )
+
+    def release_before(self, time: int) -> None:
+        """Let the committed interactions before ``time`` go.
+
+        From now on a read of any committed time below the floor raises
+        :class:`~repro.core.exceptions.ConfigurationError`, naming the
+        time.  The floor only rises, and never past the committed length;
+        the committed future itself is unchanged.  Memory is reclaimed
+        lazily, by the next buffer growth.  The vectorized engine calls
+        this after every lockstep block when it does not capture the
+        offline optimum.
+        """
+        self._floor = max(self._floor, min(int(time), self._size))
 
     def ensure_committed(self, length: int) -> None:
         """Extend the committed sequence to at least ``length`` interactions.
@@ -187,9 +231,12 @@ class CommittedBlockAdversary(Adversary):
         if length > self._max_horizon:
             length = self._max_horizon
         if length > self._size:
-            # One allocation for the whole extension instead of a doubling
-            # reallocation per chunk.
-            self._grow(length - self._size)
+            # One allocation for the whole chunk-aligned extension instead
+            # of a doubling reallocation per chunk.
+            chunks = -(-(length - self._size) // COMMIT_CHUNK)
+            self._grow(
+                min(chunks * COMMIT_CHUNK, self._max_horizon - self._size)
+            )
         while self._size < length and not self._exhausted:
             self.draw_block(COMMIT_CHUNK)
 
@@ -205,19 +252,24 @@ class CommittedBlockAdversary(Adversary):
 
     def committed_pair(self, time: int) -> Tuple[NodeId, NodeId]:
         """The committed pair at ``time`` (which must already be committed)."""
+        self._require_retained(time)
+        offset = time - self._base
         return (
-            self._nodes[int(self._pi[time])],
-            self._nodes[int(self._pj[time])],
+            self._nodes[int(self._pi[offset])],
+            self._nodes[int(self._pj[offset])],
         )
 
     def committed_prefix(self, length: int) -> InteractionSequence:
         """The first ``length`` committed interactions as a sequence.
 
-        The sequence is backed by views of the committed buffers
-        (:meth:`InteractionSequence.from_index_arrays`): committed entries
-        never change, and the interaction objects are built only if an
-        object-level reader asks for them.
+        The sequence is backed by int64 copies of the committed index
+        buffers (:meth:`InteractionSequence.from_index_arrays`): the
+        interaction objects are built only if an object-level reader asks
+        for them.  Raises :class:`~repro.core.exceptions.ConfigurationError`
+        once the committed past has been released.
         """
+        if length > 0:
+            self._require_retained(0)
         self.ensure_committed(length)
         length = min(length, self._size)
         return InteractionSequence.from_index_arrays(
@@ -233,14 +285,18 @@ class CommittedBlockAdversary(Adversary):
         ``max_horizon`` (or at a finite future's end), so it may be shorter
         than requested — empty once the committed future is exhausted.  This
         is the batched alternative to per-interaction
-        :meth:`interaction_at` calls.
+        :meth:`interaction_at` calls.  The blocks are int32 views of the
+        committed buffers; a ``start`` below the released floor raises
+        :class:`~repro.core.exceptions.ConfigurationError`.
         """
+        self._require_retained(start)
         self.ensure_committed(stop)
         stop = min(stop, self._size)
         if start >= stop:
-            empty = np.empty(0, dtype=np.int64)
+            empty = np.empty(0, dtype=np.int32)
             return empty, empty
-        return self._pi[start:stop], self._pj[start:stop]
+        low, high = start - self._base, stop - self._base
+        return self._pi[low:high], self._pj[low:high]
 
     @classmethod
     def committed_index_matrix(
@@ -323,16 +379,15 @@ class CommittedBlockAdversary(Adversary):
         scan of the committed suffix since the pair's watermark, so only
         pairs that are actually queried ever pay for indexing.
         """
-        times = self._meeting_index.get(code)
-        if times is None:
-            times = []
-            self._meeting_index[code] = times
-            scanned = 0
-        else:
-            scanned = self._meeting_watermark.get(code, 0)
+        scanned = self._meeting_watermark.get(code, 0)
+        times = self._meeting_index.setdefault(code, [])
         if scanned < self._size:
+            self._require_retained(scanned)
             self._codes_upto(self._size)
-            hits = np.nonzero(self._codes[scanned : self._size] == code)[0]
+            base = self._base
+            hits = np.nonzero(
+                self._codes[scanned - base : self._size - base] == code
+            )[0]
             if hits.size:
                 times.extend((hits + scanned).tolist())
         self._meeting_watermark[code] = self._size

@@ -60,10 +60,13 @@ class RandomizedAdversary(CommittedBlockAdversary):
         Each pair is drawn with the classic two-step scheme (uniform ``i``,
         uniform ``j`` among the remaining ``n - 1`` indices), vectorised over
         the whole block, so the per-pair distribution is exactly uniform over
-        the ``n(n-1)/2`` unordered pairs.
+        the ``n(n-1)/2`` unordered pairs.  The draws are int32, the dtype of
+        the committed buffers: for ranges below 2**32 numpy takes the same
+        bounded 32-bit path for int32 and int64 output, so the values (and
+        the committed future of every seed) are those of an int64 draw.
         """
         n = len(self._nodes)
-        i = self._rng.integers(0, n, size=k)
-        j = self._rng.integers(0, n - 1, size=k)
-        j = np.where(j >= i, j + 1, j)
+        i = self._rng.integers(0, n, size=k, dtype=np.int32)
+        j = self._rng.integers(0, n - 1, size=k, dtype=np.int32)
+        j += j >= i
         return i, j

@@ -145,6 +145,17 @@ class DecisionKernel:
         """Late-resolve one :data:`PENDING` decision (vectorized kernels)."""
         raise NotImplementedError
 
+    def release_floor(self, state: Any, cursor: int) -> int:
+        """The earliest committed time this row may still read.
+
+        ``cursor`` is where the row's next lockstep block starts.  When the
+        engine does not capture the offline optimum, it releases each
+        committed source's past up to the minimum floor over the rows that
+        read it; a kernel whose state reads the source lazily reports how
+        far back that read can reach.
+        """
+        return cursor
+
 
 #: algorithm name -> kernel instance.
 KERNELS: Dict[str, DecisionKernel] = {}
@@ -300,7 +311,10 @@ class SinkMeetTable:
         hit = (i == self._sink) | (j == self._sink)
         if hit.any():
             offsets = np.nonzero(hit)[0]
-            self._partners.append((i[offsets] + j[offsets]) - self._sink)
+            # int64 before the keys are formed: node * stride overflows
+            # int32, the committed buffers' dtype, once it passes 2**31.
+            partners = i[offsets].astype(np.int64) + j[offsets]
+            self._partners.append(partners - self._sink)
             self._times.append(offsets + self._covered)
             partners = np.concatenate(self._partners)
             times = np.concatenate(self._times)
@@ -356,6 +370,7 @@ class SinkMeetTable:
         (``> covered - 1``).  Nodes equal to the sink get the identity
         ``meetTime`` (``t``), always known.
         """
+        nodes = np.asarray(nodes, dtype=np.int64)
         count = nodes.shape[0]
         values = np.full(count, self._horizon + 1, dtype=np.int64)
         sink_rows = nodes == self._sink
@@ -468,6 +483,11 @@ class WaitingGreedyKernel(DecisionKernel):
         dirs[k1 & ~k2] = FIRST_RECEIVES
         dirs[~k1 & k2] = SECOND_RECEIVES
         return dirs
+
+    def release_floor(self, state, cursor):
+        # The meet table scans forward from its covered prefix, which can
+        # trail the lockstep's cursor.
+        return min(cursor, state.table.covered)
 
     def resolve_one(self, state, iu, iv, t):
         table = state.table

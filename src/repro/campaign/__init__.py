@@ -24,6 +24,7 @@ cell).  CLI: ``python -m repro campaign run|status|report``; docs:
 from .report import CampaignReport, build_campaign_report, write_campaign_figures
 from .runner import (
     CampaignRunSummary,
+    CampaignWorkerError,
     campaign_status,
     default_store_dir,
     run_campaign,
@@ -52,6 +53,7 @@ __all__ = [
     "CampaignStore",
     "CampaignStoreError",
     "CampaignStoreMismatch",
+    "CampaignWorkerError",
     "CellStatus",
     "algorithm_factory_for",
     "build_campaign_report",

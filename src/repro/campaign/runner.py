@@ -43,7 +43,22 @@ from ..sim.parallel import run_sweep_cells
 from .spec import CampaignCell, CampaignSpec, algorithm_factory_for
 from .store import CampaignStore
 
-__all__ = ["CampaignRunSummary", "campaign_status", "default_store_dir", "run_campaign"]
+__all__ = [
+    "CampaignRunSummary",
+    "CampaignWorkerError",
+    "campaign_status",
+    "default_store_dir",
+    "run_campaign",
+]
+
+
+class CampaignWorkerError(RuntimeError):
+    """A worker process died mid-campaign (e.g. killed by the OS).
+
+    The message names the first cell that did not finish.  Every cell
+    checkpointed before the failure stays in the store, so re-running the
+    campaign resumes from there.
+    """
 
 
 @dataclass
@@ -122,8 +137,12 @@ def run_campaign(
 
     Raises:
         CampaignStoreMismatch: if ``store_dir`` holds a different campaign.
+        CampaignWorkerError: if a worker process dies; the store keeps every
+            cell checkpointed before that and stays resumable.
         ValueError: if ``workers < 1`` or ``max_cells < 0``.
     """
+    from concurrent.futures import BrokenExecutor
+
     if max_cells is not None and max_cells < 0:
         raise ValueError(f"max_cells must be >= 0, got {max_cells}")
     spec = spec.with_engine(engine, block_size)
@@ -157,7 +176,18 @@ def run_campaign(
         repaired = 0
         kwargs = [_cell_kwargs(spec, cell, spec.engine) for cell in to_run]
         cell_results = run_sweep_cells(kwargs, workers=workers, with_timing=True)
-        for cell, (metrics, elapsed) in zip(to_run, cell_results):
+        for cell in to_run:
+            try:
+                metrics, elapsed = next(cell_results)
+            except BrokenExecutor as error:
+                # Cells arrive in order, so this is the first one the dead
+                # pool did not finish.
+                raise CampaignWorkerError(
+                    f"a worker process died before cell {cell.label()} "
+                    f"[{cell.key}] finished; the {len(executed)} cell(s) "
+                    f"checkpointed by this run stay in the store, and "
+                    f"running the campaign again resumes from there"
+                ) from error
             fallback_count = sum(
                 1
                 for trial_metrics in metrics

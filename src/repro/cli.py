@@ -703,6 +703,7 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
     from .campaign import (
         CampaignSpecError,
         CampaignStoreError,
+        CampaignWorkerError,
         build_campaign_report,
         campaign_status,
         default_store_dir,
@@ -751,11 +752,12 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
                     )
             _emit(report.to_markdown(), args.output)
             return 0
-    except (CampaignSpecError, CampaignStoreError) as error:
+    except (CampaignSpecError, CampaignStoreError, CampaignWorkerError) as error:
         # Mirrors the perf_gate.py hardening: a missing, empty or corrupt
-        # store (or a broken spec) is an operator-facing condition, so it
-        # exits 2 with one clear actionable line — never a traceback, and
-        # no argparse usage noise drowning the message.
+        # store, a broken spec or a dead worker process is an
+        # operator-facing condition, so it exits 2 with one clear
+        # actionable line — never a traceback, and no argparse usage noise
+        # drowning the message.
         print(f"campaign error: {error}", file=sys.stderr)
         return 2
     parser.error(f"unknown campaign command {args.campaign_command!r}")

@@ -203,6 +203,10 @@ class VectorizedExecutor:
             enforce on the kernel path).
         block_size: maximum lockstep window length (default
             :data:`DEFAULT_BLOCK_SIZE`).
+        capture_opt: evaluate each row's offline optimum after the
+            lockstep.  When False, a run consumes its committed adversaries:
+            their past is released block by block, and reading it back
+            afterwards raises (``docs/engines.md``, "Memory").
     """
 
     def __init__(
@@ -224,7 +228,11 @@ class VectorizedExecutor:
         self.enforce_oblivious = enforce_oblivious
         # Offline-optimum capture (see Executor): after the lockstep, the
         # whole cell's baselines are evaluated in one batched kernel call
-        # over the exact committed windows the rows consumed.
+        # over the exact committed windows the rows consumed.  Without it,
+        # the lockstep releases each committed adversary's consumed past
+        # (CommittedBlockAdversary.release_before) as it goes, so the run
+        # consumes its adversaries: a later read below the consumed
+        # cursor raises.
         self.capture_opt = capture_opt
         if block_size is not None and block_size < 1:
             raise ConfigurationError("block_size must be a positive integer")
@@ -509,6 +517,9 @@ class VectorizedExecutor:
         horizons = [trial.horizon for trial in kernel_trials]
 
         active = [b for b in range(batch_size) if horizons[b] > 0]
+        # Opt capture re-reads every row's window [0, used) after the
+        # lockstep, so only runs without it may drop the consumed past.
+        release = not self.capture_opt
         cursor = 0
         window = min(INITIAL_BLOCK, self.block_size)
         while active:
@@ -616,6 +627,8 @@ class VectorizedExecutor:
                 if used[b] < horizons[b]:
                     still_active.append(b)
             active = still_active
+            if release:
+                self._release_consumed(kernel_trials, active, used)
             cursor += window
             window = min(window * 2, self.block_size)
 
@@ -664,6 +677,32 @@ class VectorizedExecutor:
                 sink_payload=float(payload[b][sink]),
                 opt_cost=opt_costs[b],
             )
+
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _release_consumed(
+        kernel_trials: List[_KernelTrial], active: List[int], used: List[int]
+    ) -> None:
+        """Release each committed source's past that no active row reads again.
+
+        A row's floor is its kernel's :meth:`~repro.algorithms.kernels.
+        DecisionKernel.release_floor` at the next cursor (``used``); a
+        source shared by several rows keeps everything from their minimum
+        floor on.  Sources without ``release_before`` (finite sequences and
+        knowledge prefixes) are left alone.
+        """
+        floors: Dict[int, Tuple[Any, int]] = {}
+        for b in active:
+            trial = kernel_trials[b]
+            fetcher = trial.fetcher
+            if not hasattr(fetcher, "release_before"):
+                continue
+            floor = trial.kernel.release_floor(trial.state, used[b])
+            held = floors.get(id(fetcher))
+            if held is None or floor < held[1]:
+                floors[id(fetcher)] = (fetcher, floor)
+        for fetcher, floor in floors.values():
+            fetcher.release_before(floor)
 
     # ------------------------------------------------------------------ #
     def _captured_opt_costs(

@@ -270,7 +270,8 @@ def materialize_base(
         params=dict(params) if params else None,
     )
     i, j = adversary.committed_index_block(0, horizon)
-    return Schedule(i=i.copy(), j=j.copy(), n=n)
+    # Committed blocks are int32 views; schedules hold int64 copies.
+    return Schedule(i=i.astype(np.int64), j=j.astype(np.int64), n=n)
 
 
 # --------------------------------------------------------------------- #

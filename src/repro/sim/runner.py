@@ -113,7 +113,7 @@ def build_knowledge_for_random_run(
     adversary lazily.
 
     Nothing here builds per-interaction objects or a graph: the committed
-    prefix is backed by the adversary's index buffers
+    prefix is backed by copies of the adversary's index buffers
     (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
     committed_prefix`), and G-bar is the implicit complete graph
     (:meth:`~repro.knowledge.underlying_graph.UnderlyingGraphKnowledge.

@@ -2,10 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.adversaries import TraceReplayAdversary, make_adversary
 from repro.adversaries.base import Adversary, EventuallyPeriodicAdversary
+from repro.adversaries.committed import COMMIT_CHUNK, CommittedBlockAdversary
 from repro.adversaries.randomized import RandomizedAdversary
+from repro.algorithms.kernels import SinkMeetTable
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
 from repro.core.exceptions import ConfigurationError
 from repro.core.node import NetworkState
@@ -173,3 +177,169 @@ class TestAdversaryBatching:
         t = adversary.next_meeting(0, 1, after=-1)
         if t is not None and t < 7:
             assert replay[t].pair == frozenset((0, 1))
+
+
+def _released_reads(adversary, stop, step):
+    """Read ``[0, stop)`` block by block, releasing each block once read."""
+    blocks_i, blocks_j = [], []
+    for start in range(0, stop, step):
+        i, j = adversary.committed_index_block(start, min(start + step, stop))
+        blocks_i.append(i.copy())
+        blocks_j.append(j.copy())
+        adversary.release_before(start + i.shape[0])
+    return np.concatenate(blocks_i), np.concatenate(blocks_j)
+
+
+def _trace_replay(nodes, seed):
+    source = RandomizedAdversary(nodes, seed=seed)
+    i, j = source.committed_index_block(0, 5 * COMMIT_CHUNK + 123)
+    return TraceReplayAdversary.from_dense_indices(i, j, nodes)
+
+
+class TestRelease:
+    """``release_before``: the consumed past goes, the committed future stays."""
+
+    @staticmethod
+    def released():
+        adversary = RandomizedAdversary(list(range(6)), seed=5)
+        adversary.committed_index_block(0, 100)
+        # Index one pair's meetings before the release.
+        adversary.next_meeting(0, 1, after=-1)
+        adversary.release_before(50)
+        return adversary
+
+    @pytest.mark.parametrize(
+        "read, time",
+        [
+            (lambda a: a.committed_index_block(49, 60), 49),
+            (lambda a: a.committed_pair(7), 7),
+            (lambda a: a.interaction_at(49, NetworkState(list(range(6)), 0)), 49),
+            (lambda a: a.committed_prefix(1), 0),
+            (
+                lambda a: CommittedBlockAdversary.committed_index_matrix(
+                    [a], 10, 60
+                ),
+                10,
+            ),
+            # A pair never indexed before the release would have to scan
+            # from time 0.
+            (lambda a: a.next_meeting(2, 3, after=60), 0),
+        ],
+        ids=[
+            "index_block", "pair", "interaction_at", "prefix", "matrix",
+            "next_meeting",
+        ],
+    )
+    def test_reads_below_the_floor_raise(self, read, time):
+        with pytest.raises(
+            ConfigurationError, match=f"committed time {time} was released"
+        ):
+            read(self.released())
+
+    def test_reads_from_the_floor_on_match_a_twin(self):
+        adversary = self.released()
+        twin = RandomizedAdversary(list(range(6)), seed=5)
+        i, j = adversary.committed_index_block(50, 300)
+        twin_i, twin_j = twin.committed_index_block(50, 300)
+        assert (i == twin_i).all() and (j == twin_j).all()
+        assert adversary.committed_pair(50) == twin.committed_pair(50)
+        # The pair indexed before the release answers from its index.
+        assert adversary.next_meeting(0, 1, after=60) == twin.next_meeting(
+            0, 1, after=60
+        )
+
+    def test_floor_only_rises_and_stops_at_the_committed_length(self):
+        adversary = RandomizedAdversary(list(range(6)), seed=5)
+        twin = RandomizedAdversary(list(range(6)), seed=5)
+        adversary.ensure_committed(100)
+        twin.ensure_committed(100)
+        committed = adversary.committed_length
+        adversary.release_before(60)
+        adversary.release_before(10)
+        with pytest.raises(ConfigurationError, match="committed time 59"):
+            adversary.committed_pair(59)
+        assert adversary.committed_pair(60) == twin.committed_pair(60)
+        adversary.release_before(committed + 500)
+        i, _ = adversary.committed_index_block(committed, committed + 600)
+        twin_i, _ = twin.committed_index_block(committed, committed + 600)
+        assert (i == twin_i).all()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda nodes: make_adversary("uniform", nodes, seed=11, sink=0),
+            lambda nodes: make_adversary("zipf", nodes, seed=11, sink=0),
+            lambda nodes: make_adversary("waypoint", nodes, seed=11, sink=0),
+            lambda nodes: _trace_replay(nodes, seed=11),
+        ],
+        ids=["uniform", "zipf", "waypoint", "trace_replay"],
+    )
+    def test_release_never_changes_the_committed_future(self, build):
+        nodes = list(range(20))
+        adversary, twin = build(nodes), build(nodes)
+        stop = 6 * COMMIT_CHUNK
+        i, j = _released_reads(adversary, stop, step=3000)
+        twin_i, twin_j = twin.committed_index_block(0, stop)
+        assert i.shape == twin_i.shape
+        assert (i == twin_i).all() and (j == twin_j).all()
+        # Several compactions kept only the live suffix, not the history.
+        assert adversary._pi.shape[0] < 4 * COMMIT_CHUNK
+
+
+
+class TestIndexDtypes:
+    """Committed draws are int32; every key formed from them is int64."""
+
+    @pytest.mark.parametrize("n", (2, 3, 400, 70_000))
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_uniform_int32_stream_equals_the_int64_stream(self, n, seed):
+        stop = 3 * COMMIT_CHUNK + 17
+        i, j = RandomizedAdversary(list(range(n)), seed=seed).committed_index_block(
+            0, stop
+        )
+        assert i.dtype == j.dtype == np.int32
+        # The int64 draw the uniform sampler used to make, chunk by chunk.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        chunks_i, chunks_j = [], []
+        for _ in range(4):
+            first = rng.integers(0, n, size=COMMIT_CHUNK)
+            second = rng.integers(0, n - 1, size=COMMIT_CHUNK)
+            chunks_i.append(first)
+            chunks_j.append(np.where(second >= first, second + 1, second))
+        assert (i == np.concatenate(chunks_i)[:stop]).all()
+        assert (j == np.concatenate(chunks_j)[:stop]).all()
+
+    def test_pair_codes_stay_int64_past_46340_nodes(self):
+        n = 50_000
+        adversary = RandomizedAdversary(
+            list(range(n)), seed=71, max_horizon=COMMIT_CHUNK
+        )
+        adversary.ensure_committed(1)
+        u, v = adversary.committed_pair(0)
+        # This seed's first pair has a code past int32's range.
+        assert min(u, v) * n + max(u, v) >= 2**31
+        assert adversary.next_meeting(u, v, -1) == 0
+
+    def test_sink_meet_table_keys_stay_int64_past_2_31(self):
+        n, sink, horizon = 1000, 0, 5_000_000
+        adversary = RandomizedAdversary(list(range(n)), seed=3)
+        table = SinkMeetTable(adversary, sink, horizon, gap=n * (n - 1) // 2)
+        table.ensure_scanned(600_000)
+        i, j = adversary.committed_index_block(0, table.covered)
+        times = np.flatnonzero((i == sink) | (j == sink))
+        partners = (i[times] + j[times] - sink).astype(np.int64)
+        # Partners whose key node * (horizon + 2) passes 2**31.
+        high = partners * (horizon + 2) >= 2**31
+        assert high.sum() >= 10
+        nodes = partners[high].astype(np.int32)
+        before = times[high] - 1
+        values, known = table.lookup(nodes, before)
+        assert known.all()
+        expected = [
+            adversary.next_meeting(int(node), sink, int(t))
+            for node, t in zip(nodes, before)
+        ]
+        assert values.tolist() == expected
+        assert [
+            table.lookup_one(int(node), int(t))[0] for node, t in zip(nodes, before)
+        ] == expected

@@ -14,9 +14,14 @@ The contracts under test (see ``docs/campaigns.md``):
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign import (
     CampaignSpec,
     CampaignStore,
@@ -48,6 +53,81 @@ def shard_bytes(store_dir, campaign_spec):
         cell.key: store.shard_path(cell.key).read_bytes()
         for cell in campaign_spec.cells()
     }
+
+
+#: ``repro campaign run`` with two workers, where the worker that picks up
+#: the third cell SIGKILLs itself once the first two are checkpointed (so
+#: the first unfinished cell is the third one, whatever the scheduling).
+DEAD_WORKER_SCRIPT = """
+import os, signal, sys, time
+
+import repro.sim.parallel as parallel
+from repro.campaign import CampaignStore, load_campaign_spec
+from repro.cli import main
+
+spec_path, store_dir = sys.argv[1], sys.argv[2]
+cells = load_campaign_spec(spec_path).cells()
+doomed = cells[2]
+parent = os.getpid()
+run_cell = parallel.run_sweep_cell
+
+
+def dying_cell(**kwargs):
+    n = kwargs["n"]
+    if (
+        os.getpid() != parent
+        and n == doomed.n
+        and kwargs["algorithm_factory"](n).name == doomed.algorithm
+    ):
+        store = CampaignStore(store_dir)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and any(
+            store.verify_cell(cell).state != "complete" for cell in cells[:2]
+        ):
+            time.sleep(0.02)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_cell(**kwargs)
+
+
+parallel.run_sweep_cell = dying_cell
+sys.exit(
+    main(["campaign", "run", spec_path, "--store", store_dir, "--workers", "2"])
+)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="worker pools need fork")
+def test_dead_worker_names_its_cell_and_the_store_resumes(tmp_path):
+    s = spec(name="dead-worker")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "name": s.name, "algorithms": list(s.algorithms),
+        "adversaries": list(s.adversaries), "ns": list(s.ns),
+        "trials": s.trials, "engine": s.engine,
+    }))
+    killed = tmp_path / "killed"
+    # A subprocess with a timeout: a hang must fail the test, not the suite.
+    result = subprocess.run(
+        [sys.executable, "-c", DEAD_WORKER_SCRIPT, str(spec_path), str(killed)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    doomed = s.cells()[2]
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    error = result.stderr.strip().splitlines()[-1]
+    assert error.startswith("campaign error: ")
+    assert f"{doomed.label()} [{doomed.key}]" in error
+    states = [status.state for status in CampaignStore(killed).verify(s)]
+    assert states == ["complete", "complete", "pending", "pending"]
+
+    resumed = run_campaign(s, killed)
+    assert resumed.skipped == 2 and resumed.executed == 2 and resumed.complete
+    fresh = tmp_path / "fresh"
+    run_campaign(s, fresh)
+    assert shard_bytes(fresh, s) == shard_bytes(killed, s)
 
 
 class TestKillAndResume:

@@ -69,10 +69,14 @@ def run_case(case_seed: int, engine_cls=VectorizedExecutor):
     nodes = list(range(n))
     algorithm = make_algorithm(name, n)
     horizon = default_horizon(algorithm, n)
-    adversary = make_adversary(
-        family, nodes, seed=seed,
-        max_horizon=max(horizon * 2, horizon + 1024), sink=sink,
-    )
+
+    def derive_adversary():
+        return make_adversary(
+            family, nodes, seed=seed,
+            max_horizon=max(horizon * 2, horizon + 1024), sink=sink,
+        )
+
+    adversary = derive_adversary()
     knowledge, committed = build_knowledge_for_random_run(
         algorithm, adversary, nodes, sink, horizon
     )
@@ -80,7 +84,11 @@ def run_case(case_seed: int, engine_cls=VectorizedExecutor):
     result = engine_cls(nodes, sink, algorithm, knowledge=knowledge).run(
         source, max_interactions=horizon
     )
-    return family, name, n, sink, seed, adversary, result, horizon
+    # The run consumed its adversary (a vectorized run without opt capture
+    # releases the committed past), so the checks below read a twin
+    # re-derived from the same (family, seed, max_horizon, sink): it
+    # commits the same future.
+    return family, name, n, sink, seed, derive_adversary(), result, horizon
 
 
 @pytest.mark.slow

@@ -13,10 +13,15 @@ every fallback carries a reason in ``VectorizedExecutor.last_fallbacks``
 and sweep cells warn.
 """
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.adversaries import TraceReplayAdversary, make_adversary
 from repro.adversaries.base import EventuallyPeriodicAdversary
@@ -41,6 +46,11 @@ from repro.sim.runner import (
     default_horizon,
     execute_random_trial,
 )
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None
 
 FAMILIES = ("uniform", "zipf", "hub", "waypoint", "community")
 #: Algorithms with a registered decision kernel — every registered
@@ -712,3 +722,131 @@ class TestSweepPaths:
             factory, 10, 3, master_seed=1, engine="vectorized", block_size=128
         )
         assert tuned == default
+
+
+class TestConsumedPast:
+    """Without opt capture a run releases its adversaries' consumed past."""
+
+    @staticmethod
+    def adversary(n=12, seed=3):
+        return make_adversary("uniform", list(range(n)), seed=seed, sink=0)
+
+    def test_run_releases_the_consumed_past(self):
+        adversary = self.adversary()
+        result = VectorizedExecutor(
+            list(range(12)), 0, Gathering(), block_size=64
+        ).run(adversary, max_interactions=10_000)
+        assert result.terminated and result.interactions_used > 64
+        with pytest.raises(ConfigurationError, match="was released"):
+            adversary.committed_prefix(result.interactions_used)
+
+    def test_capture_opt_run_releases_nothing(self):
+        adversary, twin = self.adversary(), self.adversary()
+        result = VectorizedExecutor(
+            list(range(12)), 0, Gathering(), block_size=64, capture_opt=True
+        ).run(adversary, max_interactions=10_000)
+        used = result.interactions_used
+        assert used > 64
+        assert adversary.committed_prefix(used) == twin.committed_prefix(used)
+
+    @pytest.mark.parametrize("seed", (1, 5, 9))
+    def test_shared_adversary_rows_match_reference(self, seed):
+        # One adversary read by a waiting_greedy row and a gathering row:
+        # the lockstep keeps everything from the rows' minimum floor on, and
+        # the Waiting Greedy row's floor trails its meet table's scan.
+        n = 16
+        nodes = list(range(n))
+
+        def trials(adversary):
+            greedy = WaitingGreedy(tau=optimal_tau(n))
+            horizon = default_horizon(greedy, n)
+            knowledge, _ = build_knowledge_for_random_run(
+                greedy, adversary, nodes, 0, horizon
+            )
+            return [
+                BatchTrial(
+                    source=adversary, max_interactions=horizon,
+                    algorithm=greedy, knowledge=knowledge,
+                ),
+                BatchTrial(
+                    source=adversary, max_interactions=horizon,
+                    algorithm=Gathering(),
+                ),
+            ]
+
+        adversary = self.adversary(n, seed)
+        vectorized = VectorizedExecutor(
+            nodes, 0, Gathering(), block_size=16
+        ).run_many(trials(adversary))
+        reference = Executor(nodes, 0, Gathering()).run_many(
+            trials(self.adversary(n, seed))
+        )
+        assert vectorized == reference
+        with pytest.raises(ConfigurationError, match="was released"):
+            adversary.committed_prefix(1)
+
+    def test_waiting_greedy_floor_trails_its_meet_table(self):
+        # Node 2 hands its data to node 1 at t = 0 and node 1 to the sink at
+        # t = 1; the 4998 interactions of data-less nodes that follow let
+        # the lockstep's cursor overtake the meet table's first scan (4096
+        # interactions).  At t = 5000 the table must then scan on from
+        # 4096 to decide between nodes 3 and 4, behind the cursor.
+        nodes = list(range(5))
+        i = [1, 0] + [1] * 4998 + [3, 0, 0]
+        j = [2, 1] + [2] * 4998 + [4, 3, 4]
+
+        def run(engine_cls, **kwargs):
+            adversary = TraceReplayAdversary.from_dense_indices(
+                np.array(i), np.array(j), nodes
+            )
+            greedy = WaitingGreedy(tau=0)
+            knowledge, _ = build_knowledge_for_random_run(
+                greedy, adversary, nodes, 0, len(i)
+            )
+            return engine_cls(
+                nodes, 0, greedy, knowledge=knowledge, **kwargs
+            ).run(adversary, max_interactions=len(i))
+
+        vectorized = run(VectorizedExecutor, block_size=16)
+        assert vectorized.duration == 5002
+        assert vectorized == run(Executor)
+
+
+BOUNDED_MEMORY_SCRIPT = """
+import resource
+
+limit = 512 * 1024 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+from repro.algorithms.waiting import Waiting
+from repro.sim.batch import run_sweep_cell
+
+metrics = run_sweep_cell(
+    lambda n: Waiting(), 1000, 64, master_seed=0, engine="vectorized"
+)
+assert len(metrics) == 64
+assert all(trial.terminated for trial in metrics)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    resource is None or not hasattr(resource, "RLIMIT_AS"),
+    reason="needs resource.RLIMIT_AS",
+)
+def test_waiting_cell_at_n_1000_fits_in_512_mb_of_address_space():
+    # Each row keeps only the committed window it has yet to consume: the
+    # whole cell's committed history would be several gigabytes.
+    result = subprocess.run(
+        [sys.executable, "-c", BOUNDED_MEMORY_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={
+            "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            # One BLAS thread: per-thread buffers are address space too.
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+        },
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
