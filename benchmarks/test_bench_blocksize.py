@@ -1,4 +1,4 @@
-"""Micro-benchmark: tune the vectorized engine's ``block_size`` option.
+"""Micro-benchmark: tune the vectorized engine's window cap.
 
 Sweeps the committed-future window consumed per engine step over a range of
 powers of two, running the standard n=120 vectorized cell (``gathering`` +
@@ -9,18 +9,23 @@ Two things are asserted:
   reference metrics trial for trial (the block boundaries are pure
   consumption windows, never semantics);
 * the engine's **default** (:data:`repro.core.vector_execution.
-  DEFAULT_BLOCK_SIZE`, exposed as the ``block_size`` engine option) is not
-  badly mistuned: it must reach at least half the throughput of the best
-  size measured in this run.
+  DEFAULT_BLOCK_SIZE`, the cap of the lockstep's doubling window schedule)
+  is not badly mistuned: it must reach at least half the throughput of the
+  best size measured in this run.
+
+Sweep cells take no window option, so each size is measured by patching
+the module default for the duration of the run.
 
 The measured table is printed and appended to ``BENCH_blocksize.json`` so
 the tuning can be revisited when the workload shape changes.
 """
 
 import time
+from unittest import mock
 
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting import Waiting
+from repro.core import vector_execution
 from repro.core.vector_execution import DEFAULT_BLOCK_SIZE
 from repro.sim.batch import run_sweep_cell
 
@@ -38,18 +43,18 @@ FACTORIES = {
 
 
 def _run_cells(block_size):
-    return {
-        name: run_sweep_cell(
-            factory,
-            BENCH_N,
-            BENCH_TRIALS,
-            master_seed=7,
-            experiment="bench_blocksize",
-            engine="vectorized",
-            block_size=block_size,
-        )
-        for name, factory in FACTORIES.items()
-    }
+    with mock.patch.object(vector_execution, "DEFAULT_BLOCK_SIZE", block_size):
+        return {
+            name: run_sweep_cell(
+                factory,
+                BENCH_N,
+                BENCH_TRIALS,
+                master_seed=7,
+                experiment="bench_blocksize",
+                engine="vectorized",
+            )
+            for name, factory in FACTORIES.items()
+        }
 
 
 def test_block_size_tuning(benchmark):

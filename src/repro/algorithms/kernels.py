@@ -2,27 +2,28 @@
 
 The trial-vectorized engine (:class:`~repro.core.vector_execution.
 VectorizedExecutor`) does not call ``algorithm.decide`` once per
-interaction.  Instead, each supported algorithm registers a **decision
-kernel**: a pure-array function that, given dense index arrays ``(iu, iv)``
-(canonically ordered, lower rank first) and the interaction times ``t``,
-returns a *direction* per interaction:
+interaction.  Instead, each registered algorithm has a **decision kernel**
+with one protocol:
 
-* :data:`FIRST_RECEIVES` (0) — the canonically-first node receives,
-* :data:`SECOND_RECEIVES` (1) — the canonically-second node receives,
-* :data:`NO_TRANSMISSION` (-1) — the algorithm abstains.
+* :meth:`DecisionKernel.prepare` builds the per-trial state (tables,
+  parameters, RNG references);
+* :meth:`DecisionKernel.decide_block` takes a block of candidates as dense
+  index arrays ``(iu, iv)`` (canonically ordered, lower identifier rank
+  first, unless the kernel is ``sparse``) and their interaction times
+  ``t``, and returns a *direction* per candidate:
 
-Two kernel flavours exist:
-
-* **vectorized** kernels (``vectorized = True``) are pure functions of the
-  interaction and per-trial precomputed tables; the engine evaluates them on
-  whole candidate blocks with one numpy call (``decide_block``).
-* **sequential** kernels (``vectorized = False``) consume per-decision
-  state — the randomized baselines draw from their ``random.Random`` stream
-  once per decision, exactly like their object form.  The engine calls
-  ``decide_one`` scalar-by-scalar on exactly the interactions whose
-  endpoints both own data at execution time, in time order, so the RNG
-  stream (and therefore the run) is identical to the reference engine's,
-  seed for seed.
+  * :data:`FIRST_RECEIVES` (0) — the ``iu`` node receives,
+  * :data:`SECOND_RECEIVES` (1) — the ``iv`` node receives,
+  * :data:`NO_TRANSMISSION` (-1) — the algorithm abstains,
+  * :data:`PENDING` (-2) — decided later, by
+    :meth:`DecisionKernel.resolve_one`;
+* :meth:`DecisionKernel.resolve_one` decides one :data:`PENDING`
+  candidate.  The engine's walk calls it only on candidates whose
+  endpoints both own data at that point, in time order — the reference
+  engine's ``decide`` call sites.  Kernels whose decisions read running
+  state (a spanning tree's reported children, the randomized baselines'
+  ``random.Random`` stream) defer to it, so they stay seed-for-seed equal
+  to the object form.
 
 A kernel validates its preconditions in :meth:`DecisionKernel.prepare` and
 raises :class:`KernelUnsupported` when the trial's source or knowledge shape
@@ -59,12 +60,12 @@ __all__ = [
 NO_TRANSMISSION = -1
 FIRST_RECEIVES = 0
 SECOND_RECEIVES = 1
-#: A vectorized kernel may return this for interactions it chose not to
-#: decide yet; the engine calls :meth:`DecisionKernel.resolve_one` when (and
-#: only when) such a candidate turns out to be live at execution time.
-#: Deferral is exactness-preserving — a resolved decision is a pure function
-#: of the committed future — and is what keeps oracle-backed kernels from
-#: scanning the future for interactions the reference engine never queries.
+#: A kernel returns this for candidates it decides later: the engine calls
+#: :meth:`DecisionKernel.resolve_one` when (and only when) such a candidate
+#: turns out to be live at execution time, in time order.  Deferral keeps
+#: oracle-backed kernels from scanning the future for interactions the
+#: reference engine never queries, and lets stateful kernels consume their
+#: state at exactly the reference engine's ``decide`` call sites.
 PENDING = -2
 
 
@@ -83,12 +84,15 @@ class DecisionKernel:
     """Base class for array-form decision kernels.
 
     Subclasses set ``algorithm_name`` (the registered algorithm they mirror)
-    and ``vectorized``, and implement :meth:`prepare` plus
-    :meth:`decide_block` (vectorized) or :meth:`decide_one` (sequential).
+    and implement :meth:`prepare` and :meth:`decide_block`, plus
+    :meth:`resolve_one` when ``decide_block`` returns :data:`PENDING`.
     """
 
     algorithm_name: str = "abstract"
-    vectorized: bool = True
+    #: Stateful kernels read running state from the algorithm instance (the
+    #: randomized baselines' ``random.Random`` stream), so an instance
+    #: shared by several trials of a batch cannot enter the lockstep.
+    stateful: bool = False
     #: Sparse kernels have a rare non-abstain set and an ownership-free,
     #: order-insensitive pure decision (e.g. Waiting's sink-only rule).
     #: The engine then runs ``decide_block`` on the raw draw order over the
@@ -123,26 +127,24 @@ class DecisionKernel:
     def decide_block(
         self, state: Any, iu: np.ndarray, iv: np.ndarray, t: np.ndarray
     ) -> np.ndarray:
-        """Directions for a block of interactions (vectorized kernels).
+        """Directions for a block of candidates.
 
         ``iu``/``iv`` are dense node indices in canonical order (``iu`` has
-        the lower identifier rank); ``t`` the interaction times.  Must be a
-        pure function of its inputs and ``state``'s precomputed tables.
-        """
-        raise NotImplementedError
-
-    def decide_one(self, state: Any, iu: int, iv: int, t: int) -> int:
-        """Direction for one interaction (sequential kernels).
-
-        Called on exactly the interactions whose endpoints both own data at
-        execution time, in time order — the same call sites, in the same
-        order, as the object algorithm's ``decide`` under the reference
-        engine, so stateful kernels (RNG streams) stay seed-for-seed equal.
+        the lower identifier rank; raw draw order for ``sparse`` kernels);
+        ``t`` the interaction times.  Must be a pure function of its inputs
+        and ``state``'s precomputed tables; anything that depends on
+        running state is returned :data:`PENDING`.
         """
         raise NotImplementedError
 
     def resolve_one(self, state: Any, iu: int, iv: int, t: int) -> int:
-        """Late-resolve one :data:`PENDING` decision (vectorized kernels)."""
+        """Decide one :data:`PENDING` candidate.
+
+        Called on exactly the candidates whose endpoints both own data at
+        execution time, in time order — the same call sites, in the same
+        order, as the object algorithm's ``decide`` under the reference
+        engine, so stateful kernels (RNG streams) stay seed-for-seed equal.
+        """
         raise NotImplementedError
 
     def release_floor(self, state: Any, cursor: int) -> int:
@@ -205,7 +207,6 @@ class GatheringKernel(DecisionKernel):
     """Array form of :class:`~repro.algorithms.gathering.Gathering`."""
 
     algorithm_name = "gathering"
-    vectorized = True
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
                 translate=None, sink_node=None, index_of=None):
@@ -230,7 +231,6 @@ class WaitingKernel(DecisionKernel):
     """
 
     algorithm_name = "waiting"
-    vectorized = True
     sparse = True
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
@@ -420,20 +420,12 @@ class WaitingGreedyKernel(DecisionKernel):
     """
 
     algorithm_name = "waiting_greedy"
-    vectorized = True
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
                 translate=None, sink_node=None, index_of=None):
         from ..knowledge.meet_time import MeetTimeKnowledge
 
-        oracle = None
-        if knowledge is not None and hasattr(knowledge, "oracle"):
-            try:
-                oracle = knowledge.oracle(KNOWLEDGE_MEET_TIME)
-            except Exception:
-                oracle = None
-        elif isinstance(knowledge, MeetTimeKnowledge):
-            oracle = knowledge
+        oracle = _bundle_oracle(knowledge, KNOWLEDGE_MEET_TIME)
         if not isinstance(oracle, MeetTimeKnowledge):
             raise KernelUnsupported("no meetTime oracle to mirror")
         if oracle.strict or oracle.horizon is None:
@@ -507,7 +499,7 @@ class WaitingGreedyKernel(DecisionKernel):
 
 
 # --------------------------------------------------------------------- #
-# Sequential kernels: the randomized oblivious baselines
+# Stateful kernels: the randomized oblivious baselines
 # --------------------------------------------------------------------- #
 class _RngState:
     __slots__ = ("sink_index", "random", "p")
@@ -518,24 +510,32 @@ class _RngState:
         self.p = p
 
 
-@register_kernel
-class CoinFlipGatheringKernel(DecisionKernel):
-    """Sequential twin of :class:`~repro.algorithms.random_baseline.CoinFlipGathering`.
+class _RngKernel(DecisionKernel):
+    """A randomized baseline: every decision draws from the instance's stream.
 
-    Shares the algorithm instance's ``random.Random`` stream, so decisions —
-    and therefore the whole run — are identical to the object form as long
-    as the engine calls :meth:`decide_one` on exactly the reference
-    engine's ``decide`` call sites (both endpoints owning data, time order).
+    The kernel shares the algorithm instance's ``random.Random`` stream and
+    defers every candidate, so it draws only at the reference engine's
+    ``decide`` call sites (both endpoints owning data, time order) and the
+    run is identical to the object form's, seed for seed.
     """
 
+    stateful = True
+
+    def decide_block(self, state, iu, iv, t):
+        return np.full(iu.shape[0], PENDING, dtype=np.int8)
+
+
+@register_kernel
+class CoinFlipGatheringKernel(_RngKernel):
+    """Twin of :class:`~repro.algorithms.random_baseline.CoinFlipGathering`."""
+
     algorithm_name = "coin_flip_gathering"
-    vectorized = False
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
                 translate=None, sink_node=None, index_of=None):
         return _RngState(sink_index, algorithm._rng.random, p=algorithm.p)
 
-    def decide_one(self, state, iu, iv, t):
+    def resolve_one(self, state, iu, iv, t):
         if state.random() >= state.p:
             return NO_TRANSMISSION
         if iu == state.sink_index:
@@ -546,17 +546,16 @@ class CoinFlipGatheringKernel(DecisionKernel):
 
 
 @register_kernel
-class RandomReceiverKernel(DecisionKernel):
-    """Sequential twin of :class:`~repro.algorithms.random_baseline.RandomReceiver`."""
+class RandomReceiverKernel(_RngKernel):
+    """Twin of :class:`~repro.algorithms.random_baseline.RandomReceiver`."""
 
     algorithm_name = "random_receiver"
-    vectorized = False
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
                 translate=None, sink_node=None, index_of=None):
         return _RngState(sink_index, algorithm._rng.random)
 
-    def decide_one(self, state, iu, iv, t):
+    def resolve_one(self, state, iu, iv, t):
         if state.random() < 0.5:
             # First receives, second sends — unless the sender is the sink.
             return NO_TRANSMISSION if iv == state.sink_index else FIRST_RECEIVES
@@ -663,7 +662,6 @@ class FullKnowledgeKernel(DecisionKernel):
     """
 
     algorithm_name = "full_knowledge"
-    vectorized = True
     sparse = True
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
@@ -707,7 +705,6 @@ class FutureBroadcastKernel(DecisionKernel):
     """
 
     algorithm_name = "future_broadcast"
-    vectorized = True
     sparse = True
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
@@ -776,7 +773,6 @@ class SpanningTreeKernel(DecisionKernel):
     """
 
     algorithm_name = "spanning_tree"
-    vectorized = True
     sparse = True
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,

@@ -13,6 +13,11 @@ reproduction:
   which node is the sink unless the sink is the drawn receiver), which is
   strictly worse than Gathering and shows up as such in the comparison
   figure.
+
+Both draw their decisions from a ``random.Random(seed)`` stream, with
+``seed=0`` by default, so a run is reproducible even when the algorithm is
+built by name (``registry.create``, the CLI, campaign specs): every fresh
+instance replays the same decision stream.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ class CoinFlipGathering(DODAAlgorithm):
     oblivious = True
     requires = frozenset()
 
-    def __init__(self, p: float = 0.5, seed: Optional[int] = None) -> None:
+    def __init__(self, p: float = 0.5, seed: Optional[int] = 0) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must be in [0, 1]")
         self.p = p
@@ -63,7 +68,7 @@ class RandomReceiver(DODAAlgorithm):
     oblivious = True
     requires = frozenset()
 
-    def __init__(self, seed: Optional[int] = None) -> None:
+    def __init__(self, seed: Optional[int] = 0) -> None:
         self._rng = random.Random(seed)
 
     def decide(

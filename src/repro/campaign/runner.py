@@ -108,7 +108,6 @@ def _cell_kwargs(spec: CampaignSpec, cell: CampaignCell, engine: str) -> Dict[st
         "engine": engine,
         "adversary": cell.adversary,
         "adversary_params": spec.params_for(cell.adversary) or None,
-        "block_size": spec.block_size,
         "capture_opt": spec.ratio,
     }
 
@@ -119,7 +118,6 @@ def run_campaign(
     engine: Optional[str] = None,
     workers: int = 1,
     max_cells: Optional[int] = None,
-    block_size: Optional[int] = None,
     echo: Optional[Callable[[str], None]] = None,
 ) -> CampaignRunSummary:
     """Run (or resume) a campaign into ``store_dir``.
@@ -132,7 +130,6 @@ def run_campaign(
         workers: processes for cell-level fan-out (cells are independent).
         max_cells: execute at most this many pending cells, then stop —
             the deterministic "interrupt" used by the resume tests.
-        block_size: run-time committed-window override.
         echo: optional progress sink (e.g. ``print``); called once per cell.
 
     Raises:
@@ -145,7 +142,7 @@ def run_campaign(
 
     if max_cells is not None and max_cells < 0:
         raise ValueError(f"max_cells must be >= 0, got {max_cells}")
-    spec = spec.with_engine(engine, block_size)
+    spec = spec.with_engine(engine)
     started = _now()
     store = CampaignStore(store_dir)
     store.initialize(spec)

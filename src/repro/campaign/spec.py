@@ -15,10 +15,10 @@ Invariants:
   campaign fails before any cell runs.
 * :meth:`CampaignSpec.spec_hash` covers exactly the *result-determining*
   fields (algorithms, adversaries, ns, trials, master seed, experiment
-  label, adversary parameters).  The engine, block size and description are
-  excluded on purpose: all engines produce identical results seed for seed,
-  so a campaign resumed under a different engine must verify against the
-  same hash.
+  label, adversary parameters).  The engine and description are excluded on
+  purpose: all engines produce identical results seed for seed, so a
+  campaign resumed under a different engine must verify against the same
+  hash.
 * :meth:`CampaignSpec.cells` enumerates the grid in a fixed deterministic
   order (adversary-major, then algorithm, then ``n``) and every cell's
   :attr:`CampaignCell.key` is a pure function of ``(spec_hash, adversary,
@@ -117,7 +117,6 @@ class CampaignSpec:
         engine: default execution engine (overridable at run time — results
             are engine-invariant, wall-clock is not).  The retired name
             ``"fast"`` is still accepted and runs the vectorized engine.
-        block_size: committed-window override for the vectorized engine.
         adversary_params: per-family parameter overrides, e.g.
             ``{"zipf": {"exponent": 1.5}}``.
         ratio: when True every trial also captures the offline-optimum
@@ -137,7 +136,6 @@ class CampaignSpec:
     master_seed: int = 0
     experiment: str = "campaign"
     engine: str = "vectorized"
-    block_size: Optional[int] = None
     adversary_params: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     ratio: bool = False
     description: str = ""
@@ -166,10 +164,6 @@ class CampaignSpec:
             validate_sweep_parameters(self.ns, self.trials)
         except ValueError as error:
             raise CampaignSpecError(str(error)) from None
-        if self.block_size is not None and self.block_size < 1:
-            raise CampaignSpecError(
-                f"block_size must be >= 1, got {self.block_size}"
-            )
         for family in self.adversary_params:
             if family not in ADVERSARY_FAMILIES:
                 raise CampaignSpecError(
@@ -206,7 +200,7 @@ class CampaignSpec:
     def spec_hash(self) -> str:
         """SHA-256 over the canonical result-determining fields.
 
-        Stable across engine/block-size/description changes and across
+        Stable across engine/description changes and across
         processes (plain JSON, sorted keys, no floats in the keyed fields).
         """
         canonical = json.dumps(self.result_fields(), sort_keys=True)
@@ -241,22 +235,14 @@ class CampaignSpec:
                 "name": self.name,
                 "description": self.description,
                 "engine": self.engine,
-                "block_size": self.block_size,
                 "ratio": self.ratio,
             }
         )
         return data
 
-    def with_engine(
-        self, engine: Optional[str], block_size: Optional[int] = None
-    ) -> "CampaignSpec":
-        """A copy with the engine/block-size run-time overrides applied."""
-        changes: Dict[str, Any] = {}
-        if engine is not None:
-            changes["engine"] = engine
-        if block_size is not None:
-            changes["block_size"] = block_size
-        return replace(self, **changes) if changes else self
+    def with_engine(self, engine: Optional[str]) -> "CampaignSpec":
+        """A copy with the run-time engine override applied."""
+        return self if engine is None else replace(self, engine=engine)
 
 
 def cell_key(spec_hash: str, adversary: str, algorithm: str, n: int) -> str:
@@ -272,6 +258,8 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
 
     Accepts the exact key set of the TOML/JSON file format (see
     ``docs/campaigns.md``); unknown keys are rejected so typos fail loudly.
+    ``block_size``, a retired key that older specs and store manifests
+    carry, is accepted and ignored.
 
     Raises:
         CampaignSpecError: on unknown keys, missing required keys, or any
@@ -287,7 +275,7 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
         "master_seed",
         "experiment",
         "engine",
-        "block_size",
+        "block_size",  # retired: accepted and ignored
         "adversary_params",
         "ratio",
     }
@@ -322,7 +310,7 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
     }
     if "adversaries" in data:
         kwargs["adversaries"] = as_tuple(data["adversaries"], "adversaries")
-    for key in ("trials", "master_seed", "block_size"):
+    for key in ("trials", "master_seed"):
         if data.get(key) is not None:
             kwargs[key] = as_int(data[key], key)
     for key in ("experiment", "engine", "description"):

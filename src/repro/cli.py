@@ -30,8 +30,7 @@ Usage examples::
 Knob composition (details in ``docs/engines.md``): ``--engine`` selects the
 executor everywhere it appears; ``--workers`` fans sweep cells (one per
 ``n``, split into one trial range per worker, or one per campaign grid
-point) over processes; ``--block-size``
-tunes the vectorized engine's committed window.  ``--ratio`` (on ``run``,
+point) over processes.  ``--ratio`` (on ``run``,
 ``run-all``, ``trial`` and ``sweep``) additionally captures the
 offline-optimum baseline per trial, adding ``opt_cost``/
 ``competitive_ratio`` metrics and ratio table columns
@@ -50,6 +49,7 @@ import sys
 from typing import List, Optional
 
 from .adversaries.factory import ADVERSARY_FAMILIES
+from .campaign.spec import algorithm_factory_for
 from .core.algorithm import registry
 from .experiments.registry import EXPERIMENTS, run_experiment
 from .sim.parallel import sweep_random_adversary
@@ -170,14 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers_option(sweep_parser)
     add_adversary_option(sweep_parser)
     add_ratio_option(sweep_parser)
-    sweep_parser.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="committed-future window consumed per vectorized-engine step "
-        "(ignored by the reference engine; default: the engine's "
-        "benchmarked default)",
-    )
 
     search_parser = subparsers.add_parser(
         "search",
@@ -289,13 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execute at most this many pending cells, then stop (the "
         "store stays resumable; mainly for smoke tests and budgeted runs)",
-    )
-    campaign_run.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="override the spec's committed-window block size for the "
-        "vectorized engine",
     )
 
     campaign_status_parser = campaign_sub.add_parser(
@@ -409,9 +394,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if all_ok else 1
 
     if args.command == "trial":
-        algorithm = _create_algorithm(args.algorithm, args.n, tau=args.tau)
+        try:
+            validate_sweep_parameters([args.n], 1)
+            factory = algorithm_factory_for(args.algorithm, tau=args.tau)
+        except ValueError as error:
+            parser.error(str(error))
         metrics = run_random_trial(
-            algorithm, args.n, args.seed, engine=args.engine,
+            factory(args.n), args.n, args.seed, engine=args.engine,
             adversary=args.adversary, capture_opt=args.ratio,
         )
         line = (
@@ -438,26 +427,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             resolve_engine(args.engine)
             if args.workers < 1:
                 raise ValueError(f"workers must be >= 1, got {args.workers}")
-            if args.block_size is not None and args.block_size < 1:
-                raise ValueError(
-                    f"--block-size must be >= 1, got {args.block_size}"
-                )
-            if args.algorithm not in registry.names():
-                raise ValueError(
-                    f"unknown algorithm {args.algorithm!r}; "
-                    f"available: {', '.join(registry.names())}"
-                )
+            factory = algorithm_factory_for(args.algorithm)
         except ValueError as error:
             parser.error(str(error))
         sweep = sweep_random_adversary(
-            lambda n: _create_algorithm(args.algorithm, n),
+            factory,
             ns,
             args.trials,
             master_seed=args.master_seed,
             engine=args.engine,
             workers=args.workers,
             adversary=args.adversary,
-            block_size=args.block_size,
             capture_opt=args.ratio,
         )
         _emit(sweep.to_table().to_markdown(), args.output)
@@ -722,7 +702,6 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
                 engine=args.engine,
                 workers=args.workers,
                 max_cells=args.max_cells,
-                block_size=args.block_size,
                 echo=lambda line: print(line, file=sys.stderr),
             )
             print(summary.to_text())
@@ -762,16 +741,6 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
         return 2
     parser.error(f"unknown campaign command {args.campaign_command!r}")
     return 2
-
-
-def _create_algorithm(name: str, n: int, tau: Optional[int] = None):
-    """Instantiate a registered algorithm, filling in per-``n`` parameters."""
-    kwargs = {}
-    if name == "waiting_greedy":
-        from .algorithms.waiting_greedy import optimal_tau
-
-        kwargs["tau"] = tau if tau is not None else optimal_tau(n)
-    return registry.create(name, **kwargs)
 
 
 def _engine_kwargs(runner, args) -> dict:

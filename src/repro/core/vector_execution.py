@@ -16,14 +16,20 @@ Per-interaction Python work is eliminated through two observations:
   again, so a block-level ownership mask computed *once per block* is a
   sound superset of the interactions that can possibly matter; everything
   outside the mask is discarded with numpy, never touching Python;
-* **algorithm decisions are (mostly) pure** — each supported algorithm
-  registers a :mod:`~repro.algorithms.kernels` decision kernel, a
-  pure-array ``decide_block(state, iu, iv, t) -> direction`` evaluated on
-  whole candidate blocks.  Only the *candidates* (superset of the at most
+* **algorithm decisions are (mostly) pure** — each registered algorithm
+  has a :mod:`~repro.algorithms.kernels` decision kernel, whose pure-array
+  ``decide_block(state, iu, iv, t) -> direction`` is evaluated once per row
+  and block.  Only the decided *candidates* (a superset of the at most
   ``n - 1`` transmissions per trial) are walked scalar-side, in time order,
-  with an exact ownership re-check — which also guarantees that sequential
+  with an exact ownership re-check; a candidate the kernel left
+  ``PENDING`` is resolved there, only if it is still live — so stateful
   kernels (the RNG baselines) consume their random stream at exactly the
   reference engine's ``decide`` call sites.
+
+Each lockstep block of a row goes through the same four steps: slice the
+row (translated to the executor's node order), keep the raw draw order
+(sparse kernels) or the ownership-mask survivors in canonical order
+(the others), call ``decide_block`` once, and drop ``NO_TRANSMISSION``.
 
 The engine is **metric-identical** to the reference executor — same
 transmission log, same durations, same :class:`~repro.core.execution.
@@ -34,7 +40,7 @@ decision kernel, so under the standard sim-layer trial shapes no trial ever
 leaves the lockstep.  The few trials the kernels cannot reproduce exactly —
 an adaptive / non-committed interaction source, an oracle shape a kernel
 cannot mirror, ``enforce_oblivious`` runs, unorderable node identifiers, a
-sequential-kernel (RNG) algorithm instance shared across trials, an
+stateful-kernel (RNG) algorithm instance shared across trials, an
 instance of a subclass of the class registered under its name — fall back to
 the reference :class:`~repro.core.execution.Executor`, and the engine
 reports each downgrade through :attr:`VectorizedExecutor.last_fallbacks`
@@ -304,7 +310,7 @@ class VectorizedExecutor:
             trial.algorithm if trial.algorithm is not None else self.algorithm
             for trial in batch
         ]
-        # A *stateful* (sequential-kernel, i.e. RNG-consuming) algorithm
+        # A *stateful* (RNG-consuming) algorithm
         # instance shared by several trials must not enter the lockstep:
         # interleaving rows would consume the shared stream in a different
         # order than sequential per-trial execution.  All trials of such an
@@ -316,7 +322,7 @@ class VectorizedExecutor:
                 kernel = get_kernel(algorithm.name)
             except LookupError:
                 continue  # _prepare_trial reports the missing kernel
-            if not kernel.vectorized:
+            if kernel.stateful:
                 key = id(algorithm)
                 stateful_uses[key] = stateful_uses.get(key, 0) + 1
         kernel_trials: List[_KernelTrial] = []
@@ -333,7 +339,7 @@ class VectorizedExecutor:
             shared = stateful_uses.get(id(algorithm), 0)
             if shared > 1:
                 prepared: Union[_KernelTrial, str] = (
-                    f"sequential (RNG) kernel state shared across "
+                    f"stateful (RNG) kernel state shared across "
                     f"{shared} trials of the batch"
                 )
             else:
@@ -497,7 +503,6 @@ class VectorizedExecutor:
         n = len(self.nodes)
         nodes = self.nodes
         sink = self.sink_index
-        rank = self._rank
         fold = self.aggregation.fold
 
         owns = np.ones((batch_size, n), dtype=bool)
@@ -524,80 +529,25 @@ class VectorizedExecutor:
         window = min(INITIAL_BLOCK, self.block_size)
         while active:
             stops = [min(horizons[b], cursor + window) for b in active]
-            # Padding with 0 (a always-valid dense index) lets the ownership
-            # gather run without a sanitising pass; ``lengths`` masks the
-            # padding out of the candidate set.
             if tracing:
                 draw_started = _now()
             matrix_i, matrix_j, lengths = (
                 CommittedBlockAdversary.committed_index_matrix(
-                    [kernel_trials[b].fetcher for b in active],
-                    cursor,
-                    stops,
-                    pad=0,
+                    [kernel_trials[b].fetcher for b in active], cursor, stops
                 )
             )
             if tracing:
                 draw_seconds += _now() - draw_started
                 draw_blocks += 1
-            width = matrix_i.shape[1]
-            dense_rows = [
-                row
-                for row, b in enumerate(active)
-                if not kernel_trials[b].kernel.sparse
-            ]
-            if width:
-                for row, b in enumerate(active):
-                    trans = kernel_trials[b].translate
-                    count = int(lengths[row])
-                    if trans is not None and count:
-                        matrix_i[row, :count] = trans[matrix_i[row, :count]]
-                        matrix_j[row, :count] = trans[matrix_j[row, :count]]
-                if dense_rows:
-                    rows = np.array([active[row] for row in dense_rows])[:, None]
-                    sub_i = matrix_i[dense_rows]
-                    sub_j = matrix_j[dense_rows]
-                    # The whole-matrix work is this one ownership mask:
-                    # since ownership only ever decays, everything it
-                    # rejects stays rejected and never reaches Python.
-                    # Padded columns (index 0) need no masking here — the
-                    # per-row [:count] slice below never reads them.
-                    mask = owns[rows, sub_i] & owns[rows, sub_j]
-                    mask_row_of = {row: k for k, row in enumerate(dense_rows)}
             still_active = []
             for row, b in enumerate(active):
                 count = int(lengths[row])
                 if count:
                     trial = kernel_trials[b]
-                    directions: Optional[np.ndarray] = None
-                    if trial.kernel.sparse:
-                        # Sparse kernels (rare non-abstain set, cheap pure
-                        # decision — e.g. Waiting's sink-only rule) decide
-                        # the whole row first and skip the ownership
-                        # gathers; the walk's re-check supplies the
-                        # ownership guard.  Indices stay in raw draw order:
-                        # direction 0 names the ``iu`` side positionally.
-                        row_i = matrix_i[row, :count]
-                        row_j = matrix_j[row, :count]
-                        dirs = trial.kernel.decide_block(
-                            trial.state, row_i, row_j,
-                            cursor + np.arange(count),
-                        )
-                        candidates = np.nonzero(dirs != NO_TRANSMISSION)[0]
-                        first = row_i[candidates]
-                        second = row_j[candidates]
-                        directions = dirs[candidates]
-                    else:
-                        candidates = np.nonzero(mask[mask_row_of[row]][:count])[0]
-                        if candidates.size:
-                            # Canonical identifier order, applied only to
-                            # the candidates (the full matrix never needs
-                            # it).
-                            iu = matrix_i[row, candidates]
-                            iv = matrix_j[row, candidates]
-                            swap = rank[iu] > rank[iv]
-                            first = np.where(swap, iv, iu)
-                            second = np.where(swap, iu, iv)
+                    candidates, first, second, directions = self._decide_row(
+                        trial, owns[b], matrix_i[row, :count],
+                        matrix_j[row, :count], cursor,
+                    )
                     if candidates.size:
                         if tracing:
                             candidates_walked += int(candidates.size)
@@ -607,6 +557,7 @@ class VectorizedExecutor:
                             candidates,
                             first,
                             second,
+                            directions,
                             cursor,
                             owns,
                             owns_py[b],
@@ -615,7 +566,6 @@ class VectorizedExecutor:
                             remaining,
                             transmissions,
                             fold,
-                            directions,
                         )
                         if terminated_at is not None:
                             duration[b] = terminated_at
@@ -738,6 +688,47 @@ class VectorizedExecutor:
         return [opt_cost_from_end(float(end)) for end in ends]
 
     # ------------------------------------------------------------------ #
+    def _decide_row(
+        self,
+        trial: _KernelTrial,
+        owns_b: np.ndarray,
+        row_i: np.ndarray,
+        row_j: np.ndarray,
+        cursor: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One row's block, decided: ``(offsets, first, second, directions)``.
+
+        Sparse kernels (a rare non-abstain set and an ownership-free,
+        order-insensitive pure decision, e.g. Waiting's sink-only rule)
+        decide the whole row in raw draw order, where direction 0 names the
+        ``row_i`` side.  The others decide only the survivors of the
+        ownership mask, in canonical identifier order: since ownership only
+        decays, everything the mask (taken at block start) rejects stays
+        rejected and never reaches Python.  ``NO_TRANSMISSION`` candidates
+        are dropped; the walk re-checks ownership for the rest.
+        """
+        if trial.translate is not None:
+            row_i = trial.translate[row_i]
+            row_j = trial.translate[row_j]
+        if trial.kernel.sparse:
+            offsets = np.arange(row_i.shape[0])
+            first, second = row_i, row_j
+        else:
+            offsets = np.nonzero(owns_b[row_i] & owns_b[row_j])[0]
+            if not offsets.size:
+                return offsets, offsets, offsets, offsets
+            iu = row_i[offsets]
+            iv = row_j[offsets]
+            swap = self._rank[iu] > self._rank[iv]
+            first = np.where(swap, iv, iu)
+            second = np.where(swap, iu, iv)
+        directions = trial.kernel.decide_block(
+            trial.state, first, second, cursor + offsets
+        )
+        keep = np.nonzero(directions != NO_TRANSMISSION)[0]
+        return offsets[keep], first[keep], second[keep], directions[keep]
+
+    # ------------------------------------------------------------------ #
     def _consume_row(
         self,
         trial: _KernelTrial,
@@ -745,6 +736,7 @@ class VectorizedExecutor:
         candidates: np.ndarray,
         first: np.ndarray,
         second: np.ndarray,
+        directions: np.ndarray,
         cursor: int,
         owns: np.ndarray,
         owns_list: List[bool],
@@ -753,15 +745,14 @@ class VectorizedExecutor:
         remaining: List[int],
         transmissions: List[List[Transmission]],
         fold: Any,
-        precomputed: Optional[np.ndarray] = None,
     ) -> Optional[int]:
-        """Walk one row's candidates in time order; apply its transmissions.
+        """Walk one row's decided candidates in time order; apply them.
 
-        ``candidates`` holds block offsets whose endpoints (``first``/
-        ``second``, canonically ordered, aligned with ``candidates``) both
-        owned data at block start — a sound superset, since ownership is
-        monotone — so each candidate re-checks ownership scalar-side before
-        deciding/applying, exactly reproducing the reference engine's
+        ``candidates`` holds block offsets, aligned with their endpoints
+        (``first``/``second``) and their kernel ``directions``.  Their
+        endpoints owned data at block start, or the kernel is sparse, so
+        each candidate re-checks ownership scalar-side before it is
+        resolved or applied, exactly reproducing the reference engine's
         per-interaction guard.  Returns the trial's duration when the
         aggregation completed inside this block, else None.
         """
@@ -771,27 +762,12 @@ class VectorizedExecutor:
         sink = self.sink_index
         nodes = self.nodes
         algorithm_name = kernel.algorithm_name
-        if precomputed is not None:
-            directions = precomputed
-            direction_list = directions.tolist()
-        elif kernel.vectorized:
-            directions = kernel.decide_block(
-                state, first, second, cursor + candidates
-            )
-            keep = directions != NO_TRANSMISSION
-            if not keep.all():
-                candidates = candidates[keep]
-                first = first[keep]
-                second = second[keep]
-                directions = directions[keep]
-            direction_list = directions.tolist()
-        else:
-            direction_list = None
         # The numpy views stay alongside the scalar-walk lists so the
         # periodic re-filter compaction runs entirely in numpy.
         offsets = candidates.tolist()
         first_list = first.tolist()
         second_list = second.tolist()
+        direction_list = directions.tolist()
         position = 0
         stale = 0
         while position < len(offsets):
@@ -808,31 +784,24 @@ class VectorizedExecutor:
                     candidates = candidates[tail][alive]
                     first = rest_first[alive]
                     second = rest_second[alive]
+                    directions = directions[tail][alive]
                     offsets = candidates.tolist()
                     first_list = first.tolist()
                     second_list = second.tolist()
-                    if direction_list is not None:
-                        directions = directions[tail][alive]
-                        direction_list = directions.tolist()
+                    direction_list = directions.tolist()
                     position = 0
                     stale = 0
                     continue
                 position += 1
                 continue
             time = cursor + offsets[position]
-            if direction_list is not None:
-                direction = direction_list[position]
-                if direction == PENDING:
-                    # The kernel deferred this decision; it is resolved only
-                    # now that the candidate is known to be live (stale
-                    # PENDING candidates are never resolved — the reference
-                    # engine never queries the oracle for them either).
-                    direction = kernel.resolve_one(state, iu, iv, time)
-                    if direction == NO_TRANSMISSION:
-                        position += 1
-                        continue
-            else:
-                direction = kernel.decide_one(state, iu, iv, time)
+            direction = direction_list[position]
+            if direction == PENDING:
+                # The kernel deferred this decision; it is resolved only
+                # now that the candidate is known to be live (stale PENDING
+                # candidates are never resolved — the reference engine
+                # never queries the algorithm for them either).
+                direction = kernel.resolve_one(state, iu, iv, time)
                 if direction == NO_TRANSMISSION:
                     position += 1
                     continue

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..adversaries.mobility import TraceReplayAdversary
-from ..campaign.spec import algorithm_factory_for
+from ..campaign.spec import CampaignSpecError, algorithm_factory_for
 from ..core.data import NodeId
 from ..core.execution import BatchTrial
 from ..obs import current_collector
@@ -116,6 +116,10 @@ class SearchConfig:
             raise SearchError("initial_samples must be positive")
         if self.horizon is not None and self.horizon < 4:
             raise SearchError("horizon must be at least 4")
+        try:
+            algorithm_factory_for(self.algorithm)
+        except CampaignSpecError as error:
+            raise SearchError(str(error)) from None
         resolve_engine(self.engine)
 
     def resolved_horizon(self) -> int:

@@ -30,11 +30,7 @@ from ..adversaries.factory import resolve_adversary_family
 from ..core.algorithm import DODAAlgorithm
 from ..core.data import NodeId
 from ..core.execution import BatchTrial
-from ..core.vector_execution import (
-    EngineFallback,
-    EngineFallbackWarning,
-    VectorizedExecutor,
-)
+from ..core.vector_execution import EngineFallback, EngineFallbackWarning
 from ..obs import current_collector
 from .metrics import TrialMetrics
 from .runner import (
@@ -60,7 +56,6 @@ def run_sweep_cell(
     engine: str = "vectorized",
     adversary: str = "uniform",
     adversary_params: Optional[Dict[str, Any]] = None,
-    block_size: Optional[int] = None,
     capture_opt: bool = False,
     first_trial: int = 0,
 ) -> List[TrialMetrics]:
@@ -75,8 +70,6 @@ def run_sweep_cell(
     with ``extra["engine_fallback"]`` (the reason string).
     ``engine="reference"`` runs one reference executor per trial (the
     semantics oracle for differential tests of this very function).
-    ``block_size`` tunes the vectorized engine's committed window (None
-    keeps its default; the reference engine ignores it).
     ``capture_opt=True`` additionally evaluates the offline-optimum
     baseline per trial (the vectorized engine does so for the whole cell in
     one batched kernel call), filling the metrics' ``opt_cost`` /
@@ -104,7 +97,7 @@ def run_sweep_cell(
         metrics = _run_cell(
             algorithm_factory, n, trials, master_seed, experiment,
             horizon_fn, sink, adversary, adversary_params,
-            block_size, capture_opt, executor_cls, first_trial,
+            capture_opt, executor_cls, first_trial,
         )
         if collector.enabled:
             cell_span.set(
@@ -126,7 +119,6 @@ def _run_cell(
     sink: NodeId,
     adversary: str,
     adversary_params: Optional[Dict[str, Any]],
-    block_size: Optional[int],
     capture_opt: bool,
     executor_cls: Any,
     first_trial: int,
@@ -157,13 +149,9 @@ def _run_cell(
     # memory grows with ``trials`` — by design.
     meta: List[Tuple[str, int, int]] = []
     first = prepare(first_trial)
-    executor_kwargs: Dict[str, Any] = {
-        "knowledge": first[1],
-        "capture_opt": capture_opt,
-    }
-    if block_size is not None and executor_cls is VectorizedExecutor:
-        executor_kwargs["block_size"] = block_size
-    cell_executor = executor_cls(nodes, sink, first[0], **executor_kwargs)
+    cell_executor = executor_cls(
+        nodes, sink, first[0], knowledge=first[1], capture_opt=capture_opt
+    )
 
     def batch_trials():
         for trial in range(first_trial, first_trial + trials):

@@ -189,7 +189,6 @@ def sweep_random_adversary(
     workers: int = 1,
     adversary: str = "uniform",
     adversary_params: Optional[dict] = None,
-    block_size: Optional[int] = None,
     capture_opt: bool = False,
 ) -> SweepResult:
     """Run ``trials`` independent trials per ``n`` against a committed adversary.
@@ -219,7 +218,6 @@ def sweep_random_adversary(
             community); the default is the paper's uniform randomized
             adversary.
         adversary_params: family-specific parameter overrides.
-        block_size: the vectorized engine's committed window.
         capture_opt: also evaluate the offline-optimum baseline per trial.
 
     Raises:
@@ -246,7 +244,6 @@ def sweep_random_adversary(
             "engine": engine,
             "adversary": adversary,
             "adversary_params": adversary_params,
-            "block_size": block_size,
             "capture_opt": capture_opt,
         }
         for n in ns

@@ -126,3 +126,14 @@ class TestRandomReceiver:
             RandomReceiver(seed=1), sequence, [0, 1, 2], sink=0
         )
         assert result.terminated
+
+
+@pytest.mark.parametrize("name", ("coin_flip_gathering", "random_receiver"))
+def test_default_seed_makes_random_trials_reproducible(name):
+    """Built by name, without a seed, a baseline replays one decision stream."""
+    from repro.core.algorithm import registry
+    from repro.sim.runner import run_random_trial
+
+    first = run_random_trial(registry.create(name), 12, 1)
+    second = run_random_trial(registry.create(name), 12, 1)
+    assert first == second

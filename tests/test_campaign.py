@@ -51,8 +51,6 @@ class TestCampaignSpec:
             small_spec(trials=0)
         with pytest.raises(CampaignSpecError, match="at least one algorithm"):
             small_spec(algorithms=())
-        with pytest.raises(CampaignSpecError, match="block_size"):
-            small_spec(block_size=0)
         with pytest.raises(CampaignSpecError, match="unknown family"):
             small_spec(adversary_params={"rush_hour": {}})
 
@@ -60,7 +58,9 @@ class TestCampaignSpec:
         base = small_spec()
         assert base.spec_hash() == small_spec(engine="reference").spec_hash()
         assert base.spec_hash() == small_spec(description="notes").spec_hash()
-        assert base.spec_hash() == small_spec(block_size=64).spec_hash()
+        assert base.spec_hash() == spec_from_dict(
+            {**base.to_dict(), "block_size": 64}
+        ).spec_hash()
         assert base.spec_hash() != small_spec(ns=(8, 10)).spec_hash()
         assert base.spec_hash() != small_spec(trials=3).spec_hash()
         assert base.spec_hash() != small_spec(master_seed=1).spec_hash()

@@ -278,6 +278,25 @@ class TestEngineInvariance:
         run_campaign(s, resumed, engine="vectorized")
         assert shard_bytes(fresh, s) == shard_bytes(resumed, s)
 
+    def test_randomized_baselines_write_identical_shards_on_both_engines(
+        self, tmp_path
+    ):
+        """Specs name algorithms, not seeds: two fresh campaigns of the
+        randomized baselines, one per engine, must write the same bytes."""
+        s = spec(
+            algorithms=("coin_flip_gathering", "random_receiver"),
+            ns=(10,),
+            trials=3,
+        )
+        digests = []
+        for engine in ("reference", "vectorized"):
+            store_dir = tmp_path / engine
+            assert run_campaign(s, store_dir, engine=engine).complete
+            cells = CampaignStore(store_dir).read_manifest()["cells"]
+            digests.append({key: entry["digest"] for key, entry in cells.items()})
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
+
     def test_manifest_tracks_per_cell_engine(self, tmp_path):
         s = spec(ns=(8,), trials=2)
         store_dir = tmp_path / "store"
@@ -312,6 +331,29 @@ class TestEngineInvariance:
         assert summary.complete
         assert summary.skipped == 4 and summary.executed == 0
         assert shard_bytes(store_dir, s) == before
+
+    def test_store_echoing_retired_block_size_still_resumes(self, tmp_path, capsys):
+        """Stores from before the window option's retirement echo
+        ``block_size`` in their spec; the key is read and ignored."""
+        s = spec()
+        fresh = tmp_path / "fresh"
+        run_campaign(s, fresh)
+        store_dir = tmp_path / "store"
+        run_campaign(s, store_dir, max_cells=2)
+        store = CampaignStore(store_dir)
+        manifest = store.read_manifest()
+        manifest["repro_version"] = "3.0.0"
+        manifest["spec"]["block_size"] = 64
+        store._write_manifest(manifest)
+
+        assert main(["campaign", "status", str(store_dir)]) == 0
+        assert "complete=2 pending=2 corrupt=0" in capsys.readouterr().out
+        legacy = spec_from_dict(store.read_manifest()["spec"])
+        assert legacy == s
+        summary = run_campaign(legacy, store_dir)
+        assert summary.complete
+        assert summary.skipped == 2 and summary.executed == 2
+        assert shard_bytes(store_dir, s) == shard_bytes(fresh, s)
 
 
 class TestExperimentE24:

@@ -12,7 +12,7 @@ from repro.cli import build_parser, main
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -77,6 +77,28 @@ class TestCLI:
         with pytest.raises(KeyError):
             main(["run", "E99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["trial", "nosuch", "--n", "10"],
+            ["trial", "gathering", "--n", "1"],
+            ["search", "nosuch", "--n", "8", "--budget", "2"],
+        ),
+    )
+    def test_bad_input_is_a_usage_error(self, argv):
+        """One ``error:`` line and exit 2, as ``sweep`` does — no traceback."""
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            timeout=120,
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, result.stderr
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
@@ -135,17 +157,21 @@ class TestSweepCLI:
             main(["sweep", "gathering", "--ns", "8",
                   "--adversary", "rush_hour"])
 
-    @pytest.mark.parametrize("engine", ("reference", "vectorized"))
-    @pytest.mark.parametrize("block_size", ("0", "-3"))
-    def test_sweep_rejects_bad_block_size(self, engine, block_size, capsys):
-        """A usage error on either engine, before any worker starts."""
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["sweep", "gathering", "--ns", "8,10", "--trials", "2",
+             "--engine", "vectorized", "--workers", "2"],
+            ["campaign", "run", "examples/campaign_smoke.toml"],
+        ),
+    )
+    def test_retired_block_size_flag_is_a_usage_error(self, argv, capsys):
+        """The window schedule is the engine's own: no command takes it."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "gathering", "--ns", "8,10", "--trials", "2",
-                  "--engine", engine, "--workers", "2",
-                  "--block-size", block_size])
+            main(argv + ["--block-size", "64"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"--block-size must be >= 1, got {block_size}" in err
+        assert "unrecognized arguments: --block-size 64" in err
         assert "Traceback" not in err
 
     def test_trial_engine_flag(self, capsys):
@@ -180,25 +206,22 @@ class TestVectorizedEngineCLI:
         )
         assert capsys.readouterr().out == reference
 
-    def test_sweep_vectorized_block_size(self, capsys):
-        assert main(["sweep", "waiting", "--ns", "9", "--trials", "2"]) == 0
-        reference = capsys.readouterr().out
-        assert (
-            main(["sweep", "waiting", "--ns", "9", "--trials", "2",
-                  "--engine", "vectorized", "--block-size", "64"]) == 0
-        )
-        assert capsys.readouterr().out == reference
+    def test_sweep_vectorized_workers_and_block_size_compose(
+        self, capsys, monkeypatch
+    ):
+        """--workers fans out over trial ranges, and each lockstep crosses
+        many block boundaries; together they still print the reference
+        table."""
+        from repro.core import vector_execution
 
-    def test_sweep_vectorized_workers_and_block_size_compose(self, capsys):
-        """--workers fans out over trial ranges and --block-size tunes each
-        lockstep; together they still print the reference table."""
         args = ["sweep", "waiting_greedy", "--ns", "8,10,12", "--trials", "3",
                 "--ratio"]
         assert main(args + ["--engine", "reference"]) == 0
         reference = capsys.readouterr().out
+        # Forked workers inherit the patched window cap.
+        monkeypatch.setattr(vector_execution, "DEFAULT_BLOCK_SIZE", 16)
         assert (
-            main(args + ["--engine", "vectorized", "--workers", "2",
-                         "--block-size", "16"]) == 0
+            main(args + ["--engine", "vectorized", "--workers", "2"]) == 0
         )
         assert capsys.readouterr().out == reference
 

@@ -21,6 +21,7 @@ from repro.adversaries import (
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import optimal_tau
+from repro.core import vector_execution
 from repro.core.algorithm import registry
 from repro.core.execution import Executor
 from repro.core.vector_execution import VectorizedExecutor
@@ -260,7 +261,12 @@ class TestSweepPathEquivalence:
     @pytest.mark.slow
     @pytest.mark.parametrize("engine", sorted(CANDIDATES))
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_sweep_reproduces_serial(self, family, engine):
+    def test_sweep_reproduces_serial(self, family, engine, monkeypatch):
+        if CANDIDATES[engine] is not None:
+            # The sweep takes no window option: shrink the engine's default.
+            monkeypatch.setattr(
+                vector_execution, "DEFAULT_BLOCK_SIZE", CANDIDATES[engine]
+            )
         factory = lambda n: Gathering()
         serial = sweep_random_adversary(
             factory, ns=[8, 12], trials=4, master_seed=9,
@@ -269,7 +275,6 @@ class TestSweepPathEquivalence:
         candidate = sweep_random_adversary(
             factory, ns=[8, 12], trials=4, master_seed=9,
             engine="vectorized", adversary=family,
-            block_size=CANDIDATES[engine],
         )
         assert candidate.algorithm == serial.algorithm
         assert candidate.ns == serial.ns

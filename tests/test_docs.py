@@ -123,7 +123,7 @@ class TestCLIHelp:
             main(["sweep", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert "batched" not in help_text  # the flag is retired
-        assert "--block-size" in help_text
+        assert "--block-size" not in help_text  # retired too
         assert "--workers" in help_text
         assert "each sweep cell" in help_text  # composition rule wording
         assert "{reference,vectorized}" in help_text

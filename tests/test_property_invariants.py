@@ -196,7 +196,8 @@ def test_cost_at_least_one_and_one_iff_optimal(data):
 # ---------------------------------------------------------------------- #
 
 
-#: Engine legs of the ratio invariants, as ``(engine, block_size)``.  The
+#: Engine legs of the ratio invariants, as ``(engine, block_size)``, where
+#: a block size replaces the vectorized engine's default window cap.  The
 #: small-block leg captures the offline optimum over committed windows the
 #: lockstep consumed across many blocks.
 RATIO_LEGS = {
@@ -208,13 +209,18 @@ RATIO_LEGS = {
 
 def ratio_cell(leg, factory, adversary, trials):
     """One ratio-capturing sweep cell at ``n = 12`` on an engine leg."""
+    from unittest import mock
+
+    from repro.core import vector_execution
     from repro.sim.batch import run_sweep_cell
 
     engine, block_size = RATIO_LEGS[leg]
-    return run_sweep_cell(
-        factory, 12, trials, master_seed=0, engine=engine,
-        adversary=adversary, capture_opt=True, block_size=block_size,
-    )
+    window = block_size or vector_execution.DEFAULT_BLOCK_SIZE
+    with mock.patch.object(vector_execution, "DEFAULT_BLOCK_SIZE", window):
+        return run_sweep_cell(
+            factory, 12, trials, master_seed=0, engine=engine,
+            adversary=adversary, capture_opt=True,
+        )
 
 
 @pytest.mark.parametrize("engine", sorted(RATIO_LEGS))

@@ -261,6 +261,50 @@ class TestBatchDifferential:
         assert vectorized == reference
         assert executor.last_fallback_count == 0
 
+    @pytest.mark.parametrize("block_size", (None, 16))
+    @pytest.mark.parametrize("family", ("uniform", "zipf", "waypoint"))
+    @pytest.mark.parametrize("name", ("coin_flip_gathering", "random_receiver"))
+    def test_stateful_kernels_draw_where_the_reference_decides(
+        self, name, family, block_size
+    ):
+        """Each instance's stream is drawn exactly as often as the reference
+        engine's ``decide`` draws it, trial by trial — not just to the same
+        results."""
+        n, sink = 12, 0
+        nodes = list(range(n))
+        seeds = (3, 4, 5, 6)
+
+        def run(engine_cls, **kwargs):
+            algorithms = [registry.create(name, seed=seed) for seed in seeds]
+            draws = [0] * len(algorithms)
+            for position, algorithm in enumerate(algorithms):
+                def counted(draw=algorithm._rng.random, position=position):
+                    draws[position] += 1
+                    return draw()
+
+                algorithm._rng.random = counted
+            horizon = default_horizon(algorithms[0], n)
+            trials = [
+                BatchTrial(
+                    source=build_trial_adversary(
+                        family, nodes, seed, horizon, sink, None
+                    ),
+                    max_interactions=horizon,
+                    algorithm=algorithm,
+                )
+                for seed, algorithm in zip(seeds, algorithms)
+            ]
+            executor = engine_cls(nodes, sink, algorithms[0], **kwargs)
+            return executor, executor.run_many(trials), draws
+
+        _, reference, reference_draws = run(Executor)
+        kwargs = {} if block_size is None else {"block_size": block_size}
+        executor, vectorized, vectorized_draws = run(VectorizedExecutor, **kwargs)
+        assert executor.last_fallback_count == 0
+        assert min(reference_draws) > 0
+        assert vectorized_draws == reference_draws
+        assert vectorized == reference
+
 
 class _UnregisteredGathering(Gathering):
     """A behavioural clone of Gathering whose name owns no kernel."""
@@ -712,16 +756,6 @@ class TestSweepPaths:
             engine="reference", adversary=family,
         )
         assert cell == serial.points[0].trials
-
-    def test_block_size_threads_through_cell(self):
-        factory = lambda n: Gathering()
-        default = run_sweep_cell(
-            factory, 10, 3, master_seed=1, engine="vectorized"
-        )
-        tuned = run_sweep_cell(
-            factory, 10, 3, master_seed=1, engine="vectorized", block_size=128
-        )
-        assert tuned == default
 
 
 class TestConsumedPast:
