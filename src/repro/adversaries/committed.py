@@ -22,18 +22,23 @@ Q3), and the mobility families in :mod:`repro.adversaries.mobility`:
   :meth:`CommittedBlockAdversary.committed_index_matrix`), which is what
   lets :class:`~repro.core.vector_execution.VectorizedExecutor` consume
   *any* committed adversary without per-interaction allocations;
-* lazily built per-pair meeting indices backing ``next_meeting``.
+* lazily built per-pair meeting indices backing ``next_meeting``;
+* lookahead copies (:meth:`CommittedBlockAdversary.lookahead`), which draw
+  the future past the committed frontier for a reader that scans far ahead
+  of the consumer, without committing it to the adversary's buffers.
 
 Subclasses implement a single hook, :meth:`_sample_block`, which draws the
-next ``k`` pairs of dense node indices.  Adversaries with a *finite*
-committed future (trace replay) may return fewer than requested; the base
-class then treats the future as exhausted.
+next ``k`` pairs of dense node indices, and name the attributes it advances
+in ``_sampler_fields``.  Adversaries with a *finite* committed future (trace
+replay) may return fewer than requested; the base class then treats the
+future as exhausted.
 """
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -48,10 +53,14 @@ from .base import Adversary
 #: pattern (chunk boundaries never depend on *which* query forced growth).
 #: The chunk is sized by the engine micro-benchmarks: large enough to
 #: amortise per-chunk sampling overhead on long horizons (the n >= 100
-#: sweeps draw hundreds of thousands of pairs), small enough that
-#: oracle-driven scans (Waiting Greedy's meet tables) do not over-draw;
-#: ``max_horizon`` still caps the waste on short runs.
+#: sweeps draw hundreds of thousands of pairs), small enough that a
+#: trial's committed prefix does not run far past its consumer;
+#: ``max_horizon`` still caps the waste on short runs.  Scans that run far
+#: ahead (Waiting Greedy's meet tables) read a lookahead copy one chunk at
+#: a time, so they hold about one chunk of that scan, not all of it.
 COMMIT_CHUNK = 8192
+
+_Self = TypeVar("_Self", bound="CommittedBlockAdversary")
 
 
 class CommittedBlockAdversary(Adversary):
@@ -106,6 +115,11 @@ class CommittedBlockAdversary(Adversary):
     # ------------------------------------------------------------------ #
     # Subclass hooks
     # ------------------------------------------------------------------ #
+    #: The attributes :meth:`_sample_block` advances.  A :meth:`lookahead`
+    #: copy gets its own deep copies of them and shares every other
+    #: attribute, which the sampler only reads.
+    _sampler_fields: Tuple[str, ...] = ()
+
     def _sample_block(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Draw the next ``k`` pairs, as dense node-index arrays.
 
@@ -220,6 +234,31 @@ class CommittedBlockAdversary(Adversary):
         offline optimum.
         """
         self._floor = max(self._floor, min(int(time), self._size))
+
+    def lookahead(self: _Self) -> _Self:
+        """A copy that draws this adversary's future without committing it here.
+
+        The copy starts at the committed frontier with empty buffers and
+        keeps absolute times: its time ``t`` is this adversary's time ``t``,
+        and since both grow through the chunk-aligned
+        :meth:`ensure_committed`, reading it draws exactly the chunks this
+        adversary would commit next.  Reads below the frontier raise, as
+        released times do.  Nothing the copy draws reaches this adversary,
+        so a lookahead can never change the committed future.  The copy
+        deep-copies only the sampler state (``_sampler_fields``) and shares
+        the node list, the index map and every read-only table; release
+        what it has read with :meth:`release_before`.
+        """
+        fork = copy.copy(self)
+        for name in self._sampler_fields:
+            setattr(fork, name, copy.deepcopy(getattr(self, name)))
+        fork._base = fork._floor = self._size
+        fork._pi = fork._pj = np.empty(0, dtype=np.int32)
+        fork._codes = np.empty(0, dtype=np.int64)
+        fork._codes_size = self._size
+        fork._meeting_index = {}
+        fork._meeting_watermark = {}
+        return fork
 
     def ensure_committed(self, length: int) -> None:
         """Extend the committed sequence to at least ``length`` interactions.

@@ -81,6 +81,7 @@ class RandomWaypointAdversary(CommittedBlockAdversary):
     """
 
     family = "mobility"
+    _sampler_fields = ("_rng", "_positions", "_destinations", "_speeds")
 
     def __init__(
         self,
@@ -124,6 +125,16 @@ class RandomWaypointAdversary(CommittedBlockAdversary):
         self._buffer_i: List[int] = []
         self._buffer_j: List[int] = []
         self._buffer_head = 0
+
+    def lookahead(self) -> "RandomWaypointAdversary":
+        fork = super().lookahead()
+        # Of the contact FIFO, only the contacts not yet served are sampler
+        # state; the served prefix can hold up to a million entries.
+        head = self._buffer_head
+        fork._buffer_i = self._buffer_i[head:]
+        fork._buffer_j = self._buffer_j[head:]
+        fork._buffer_head = 0
+        return fork
 
     # ------------------------------------------------------------------ #
     def _advance(self) -> None:
@@ -210,6 +221,7 @@ class CommunityAdversary(CommittedBlockAdversary):
     """
 
     family = "mobility"
+    _sampler_fields = ("_rng",)
 
     def __init__(
         self,
@@ -402,6 +414,8 @@ class TraceReplayAdversary(CommittedBlockAdversary):
         return int(self._trace_i.shape[0])
 
     def _sample_block(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        # The replay cursor is the committed length, so the sampler has no
+        # state of its own for a lookahead to copy.
         start = self._size
         stop = min(start + k, self.trace_length)
         return self._trace_i[start:stop], self._trace_j[start:stop]

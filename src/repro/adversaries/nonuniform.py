@@ -85,6 +85,7 @@ class NonUniformRandomizedAdversary(CommittedBlockAdversary):
     """Randomized adversary with pair probability proportional to weight products."""
 
     family = "randomized"
+    _sampler_fields = ("_rng",)
 
     def __init__(
         self,

@@ -44,6 +44,7 @@ class RandomizedAdversary(CommittedBlockAdversary):
     """
 
     family = "randomized"
+    _sampler_fields = ("_rng",)
 
     def __init__(
         self,

@@ -43,7 +43,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..adversaries.committed import COMMIT_CHUNK
 from ..core.algorithm import DODAAlgorithm, KNOWLEDGE_MEET_TIME
+from ..obs import current_collector
 
 __all__ = [
     "NO_TRANSMISSION",
@@ -147,17 +149,6 @@ class DecisionKernel:
         """
         raise NotImplementedError
 
-    def release_floor(self, state: Any, cursor: int) -> int:
-        """The earliest committed time this row may still read.
-
-        ``cursor`` is where the row's next lockstep block starts.  When the
-        engine does not capture the offline optimum, it releases each
-        committed source's past up to the minimum floor over the rows that
-        read it; a kernel whose state reads the source lazily reports how
-        far back that read can reach.
-        """
-        return cursor
-
 
 #: algorithm name -> kernel instance.
 KERNELS: Dict[str, DecisionKernel] = {}
@@ -256,9 +247,21 @@ class SinkMeetTable:
     meeting time with the sink strictly greater than ``t``, or
     ``horizon + 1`` when there is none at or below ``horizon`` (the
     oracle's "never within the horizon" sentinel).  The committed future is
-    scanned in growing prefixes — the scan extends (chunk-aligned, so the
-    committed draws are untouched by the access pattern) only as far as the
-    decisions actually require.
+    scanned in growing rounds of at least one ``gap``, then ×1.5, only as
+    far as the decisions actually require.
+
+    The table reads the trial's adversary once, in the first round at
+    construction: the committed prefix of at least ``prefix`` interactions,
+    rounded up to the adversary's chunk-aligned frontier, which the
+    lockstep consumes anyway.  Everything past the frontier comes from the
+    adversary's :meth:`~repro.adversaries.committed.CommittedBlockAdversary.
+    lookahead` copy, one :data:`~repro.adversaries.committed.COMMIT_CHUNK`
+    piece at a time, released once scanned.  The lookahead draws the
+    committed future itself, so the table answers as if it had read the
+    adversary; but the scan-ahead is never stored, and the lockstep may
+    release the adversary's past at its own cursor.  When tracing, each
+    round emits the interactions it scanned as the
+    ``kernels.meet_table_scanned`` counter.
 
     All indices are in the *executor's* dense node order; ``translate`` maps
     the adversary's dense indices onto it when the orders differ.
@@ -271,8 +274,8 @@ class SinkMeetTable:
         horizon: int,
         translate: Optional[np.ndarray] = None,
         gap: int = 4096,
+        prefix: int = 0,
     ) -> None:
-        self._adversary = adversary
         self._sink = sink_index
         self._horizon = horizon
         self._translate = translate
@@ -295,15 +298,55 @@ class SinkMeetTable:
         # numpy searchsorted by an order of magnitude on single keys).
         self._keys_list: List[int] = []
         self._flat_times_list: List[int] = []
+        adversary.ensure_committed(min(prefix, horizon + 1))
+        self._lookahead = adversary.lookahead()
+        self._extend(max(self._gap, prefix), head=adversary)
 
     # ------------------------------------------------------------------ #
-    def _extend(self, target: int) -> None:
-        """Scan the committed future up to ``target`` interactions."""
-        target = min(target, self._horizon + 1)
+    def _extend(self, target: int, head: Any = None) -> None:
+        """Scan the committed future up to ``target`` interactions.
+
+        ``head`` is the trial's adversary, passed by the first round only:
+        its whole committed prefix, where the lookahead starts, is scanned
+        before the lookahead takes over.
+        """
+        bound = self._horizon + 1
+        target = min(target, bound)
         if self._complete or target <= self._covered:
             return
-        requested = target - self._covered
-        i, j = self._adversary.committed_index_block(self._covered, target)
+        start, recorded = self._covered, len(self._times)
+        if head is not None:
+            self._scan(*head.committed_index_block(
+                0, min(head.committed_length, bound)
+            ))
+        lookahead = self._lookahead
+        while self._covered < target:
+            stop = min(self._covered + COMMIT_CHUNK, target)
+            self._scan(*lookahead.committed_index_block(self._covered, stop))
+            lookahead.release_before(self._covered)
+            if self._covered < stop:
+                # Short piece: the committed future is exhausted (finite
+                # trace or max_horizon cap).
+                self._complete = True
+                break
+        if self._covered >= bound:
+            # The scan reached the sentinel bound.
+            self._complete = True
+        if len(self._times) > recorded:
+            partners = np.concatenate(self._partners)
+            times = np.concatenate(self._times)
+            order = np.argsort(partners, kind="stable")
+            self._flat_nodes = partners[order]
+            self._flat_times = times[order]
+            self._keys = self._flat_nodes * self._stride + self._flat_times
+            self._keys_list = self._keys.tolist()
+            self._flat_times_list = self._flat_times.tolist()
+        collector = current_collector()
+        if collector.enabled:
+            collector.counter("kernels.meet_table_scanned", self._covered - start)
+
+    def _scan(self, i: np.ndarray, j: np.ndarray) -> None:
+        """Record the sink meetings of the next ``len(i)`` committed pairs."""
         count = i.shape[0]
         if self._translate is not None and count:
             i = self._translate[i]
@@ -316,31 +359,7 @@ class SinkMeetTable:
             partners = i[offsets].astype(np.int64) + j[offsets]
             self._partners.append(partners - self._sink)
             self._times.append(offsets + self._covered)
-            partners = np.concatenate(self._partners)
-            times = np.concatenate(self._times)
-            order = np.argsort(partners, kind="stable")
-            self._flat_nodes = partners[order]
-            self._flat_times = times[order]
-            self._keys = self._flat_nodes * self._stride + self._flat_times
-            self._keys_list = self._keys.tolist()
-            self._flat_times_list = self._flat_times.tolist()
         self._covered += count
-        if count < requested or self._covered >= self._horizon + 1:
-            # Short block: the committed future is exhausted (finite trace
-            # or max_horizon cap) — or the scan reached the sentinel bound.
-            self._complete = True
-
-    # ------------------------------------------------------------------ #
-    def ensure_scanned(self, length: int) -> None:
-        """Guarantee the scan covers at least ``length`` interactions."""
-        while self._covered < min(length, self._horizon + 1) and not self._complete:
-            self._extend(
-                max(
-                    self._covered + self._gap,
-                    self._covered * 3 // 2,
-                    length,
-                )
-            )
 
     def extend_round(self) -> bool:
         """One more scan round (at least one expected inter-meeting gap).
@@ -436,24 +455,27 @@ class WaitingGreedyKernel(DecisionKernel):
             # An oracle answering about a *different* sink cannot be
             # mirrored by the executor-sink meeting tables.
             raise KernelUnsupported("meetTime oracle queries a different sink")
-        if not hasattr(source, "committed_index_block"):
+        if not hasattr(source, "lookahead"):
             raise KernelUnsupported("source is not a committed-block adversary")
+        tau = int(algorithm.tau)
+        # Meetings at or below tau must be exact for the abstain decision,
+        # so the table's first round scans out to tau + 1.
         table = SinkMeetTable(
             source,
             sink_index,
             oracle.horizon,
             translate=translate,
             gap=n * (n - 1) // 2,
+            prefix=tau + 1,
         )
-        return _WaitingGreedyState(int(algorithm.tau), table)
+        return _WaitingGreedyState(tau, table)
 
     def decide_block(self, state, iu, iv, t):
         table = state.table
         tau = state.tau
-        # Meetings at or below tau must be exact for the abstain decision,
-        # so the scan runs out to tau + 1 once; afterwards every *unknown*
-        # meet time is > covered >= tau + 1, i.e. automatically both beyond
-        # tau and beyond any known (in-prefix) partner value: with one side
+        # The table covers tau + 1 since prepare, so every *unknown* meet
+        # time is > covered >= tau + 1, i.e. automatically both beyond tau
+        # and beyond any known (in-prefix) partner value: with one side
         # known the comparison and the tau threshold are both decided.
         # Pairs whose meet times are BOTH unknown are returned as PENDING
         # and resolved lazily (:meth:`resolve_one`) only if they are still
@@ -461,7 +483,6 @@ class WaitingGreedyKernel(DecisionKernel):
         # depth bounded by the meetings the *realized* run actually
         # compares, never by stale candidates the reference engine would
         # not have queried either.
-        table.ensure_scanned(tau + 1)
         m1, k1 = table.lookup(iu, t)
         m2, k2 = table.lookup(iv, t)
         dirs = np.full(iu.shape[0], PENDING, dtype=np.int8)
@@ -475,11 +496,6 @@ class WaitingGreedyKernel(DecisionKernel):
         dirs[k1 & ~k2] = FIRST_RECEIVES
         dirs[~k1 & k2] = SECOND_RECEIVES
         return dirs
-
-    def release_floor(self, state, cursor):
-        # The meet table scans forward from its covered prefix, which can
-        # trail the lockstep's cursor.
-        return min(cursor, state.table.covered)
 
     def resolve_one(self, state, iu, iv, t):
         table = state.table

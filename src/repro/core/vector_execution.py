@@ -633,26 +633,19 @@ class VectorizedExecutor:
     def _release_consumed(
         kernel_trials: List[_KernelTrial], active: List[int], used: List[int]
     ) -> None:
-        """Release each committed source's past that no active row reads again.
+        """Release each active row's committed past before its next cursor.
 
-        A row's floor is its kernel's :meth:`~repro.algorithms.kernels.
-        DecisionKernel.release_floor` at the next cursor (``used``); a
-        source shared by several rows keeps everything from their minimum
-        floor on.  Sources without ``release_before`` (finite sequences and
-        knowledge prefixes) are left alone.
+        No kernel reads a row's source after ``prepare`` (Waiting Greedy's
+        meet table scans ahead on a lookahead copy), so only the lockstep
+        reads it, and active rows share the cursor: a source shared by
+        several rows is released to the same time by each.  Sources without
+        ``release_before`` (finite sequences and knowledge prefixes) are
+        left alone.
         """
-        floors: Dict[int, Tuple[Any, int]] = {}
         for b in active:
-            trial = kernel_trials[b]
-            fetcher = trial.fetcher
-            if not hasattr(fetcher, "release_before"):
-                continue
-            floor = trial.kernel.release_floor(trial.state, used[b])
-            held = floors.get(id(fetcher))
-            if held is None or floor < held[1]:
-                floors[id(fetcher)] = (fetcher, floor)
-        for fetcher, floor in floors.values():
-            fetcher.release_before(floor)
+            fetcher = kernel_trials[b].fetcher
+            if hasattr(fetcher, "release_before"):
+                fetcher.release_before(used[b])
 
     # ------------------------------------------------------------------ #
     def _captured_opt_costs(

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.algorithms import kernels
 from repro.core.interaction import InteractionSequence
 from repro.graph.generators import uniform_random_sequence
 
@@ -38,3 +39,17 @@ def small_random_sequence():
 def rng():
     """A seeded random.Random instance."""
     return random.Random(1234)
+
+
+@pytest.fixture
+def meet_tables(monkeypatch):
+    """The Waiting Greedy meet tables the test builds, in build order."""
+    tables = []
+
+    class Recorded(kernels.SinkMeetTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(kernels, "SinkMeetTable", Recorded)
+    return tables

@@ -179,10 +179,10 @@ class TestAdversaryBatching:
             assert replay[t].pair == frozenset((0, 1))
 
 
-def _released_reads(adversary, stop, step):
-    """Read ``[0, stop)`` block by block, releasing each block once read."""
+def _released_reads(adversary, stop, step, first=0):
+    """Read ``[first, stop)`` block by block, releasing each block once read."""
     blocks_i, blocks_j = [], []
-    for start in range(0, stop, step):
+    for start in range(first, stop, step):
         i, j = adversary.committed_index_block(start, min(start + step, stop))
         blocks_i.append(i.copy())
         blocks_j.append(j.copy())
@@ -287,6 +287,71 @@ class TestRelease:
 
 
 
+LOOKAHEAD_FAMILIES = {
+    family: (lambda nodes, family=family: make_adversary(
+        family, nodes, seed=11, sink=0
+    ))
+    for family in ("uniform", "zipf", "hub", "waypoint", "community")
+}
+LOOKAHEAD_FAMILIES["trace_replay"] = lambda nodes: _trace_replay(nodes, seed=11)
+
+
+class TestLookahead:
+    """``lookahead()``: the next committed chunks, drawn without committing."""
+
+    @staticmethod
+    def committed(family):
+        """An adversary that committed a prefix, and its untouched twin."""
+        nodes = list(range(20))
+        adversary = LOOKAHEAD_FAMILIES[family](nodes)
+        adversary.committed_index_block(0, 1000)
+        return adversary, LOOKAHEAD_FAMILIES[family](nodes)
+
+    @pytest.mark.parametrize("piece", (1, 7, COMMIT_CHUNK + 3))
+    @pytest.mark.parametrize("family", sorted(LOOKAHEAD_FAMILIES))
+    def test_pieces_match_a_twin_and_leave_the_source_alone(
+        self, family, piece
+    ):
+        adversary, twin = self.committed(family)
+        frontier = adversary.committed_length
+        # Past the end of the trace replay's 5 * COMMIT_CHUNK + 123 pairs.
+        stop = frontier + 4 * COMMIT_CHUNK + 200
+        i, j = _released_reads(adversary.lookahead(), stop, piece, first=frontier)
+        twin_i, twin_j = twin.committed_index_block(frontier, stop)
+        assert i.shape == twin_i.shape and i.shape[0] > 3 * COMMIT_CHUNK
+        assert (i == twin_i).all() and (j == twin_j).all()
+        # The source committed nothing, and its future is the twin's, also
+        # past what the copy drew.
+        assert adversary.committed_length == frontier
+        beyond = stop + 2 * COMMIT_CHUNK
+        source_i, source_j = adversary.committed_index_block(0, beyond)
+        twin_i, twin_j = twin.committed_index_block(0, beyond)
+        assert (source_i == twin_i).all() and (source_j == twin_j).all()
+
+    @pytest.mark.parametrize("family", sorted(LOOKAHEAD_FAMILIES))
+    def test_shares_read_only_tables_and_none_of_the_buffer(self, family):
+        adversary, _ = self.committed(family)
+        fork = adversary.lookahead()
+        assert fork._nodes is adversary._nodes
+        assert fork._index_of is adversary._index_of
+        shared = {
+            "zipf": ("_first", "_second", "_cdf", "_guide"),
+            "hub": ("_first", "_second", "_cdf", "_guide"),
+            "trace_replay": ("_trace_i", "_trace_j"),
+        }.get(family, ())
+        for name in shared:
+            assert getattr(fork, name) is getattr(adversary, name), name
+        for name in adversary._sampler_fields:
+            assert getattr(fork, name) is not getattr(adversary, name), name
+        assert fork._pi.size == fork._pj.size == 0
+        fork.committed_index_block(adversary.committed_length, 3 * COMMIT_CHUNK)
+        for mine in (fork._pi, fork._pj):
+            for theirs in (adversary._pi, adversary._pj):
+                assert not np.shares_memory(mine, theirs)
+        with pytest.raises(ConfigurationError, match="was released"):
+            fork.committed_pair(adversary.committed_length - 1)
+
+
 class TestIndexDtypes:
     """Committed draws are int32; every key formed from them is int64."""
 
@@ -323,8 +388,9 @@ class TestIndexDtypes:
     def test_sink_meet_table_keys_stay_int64_past_2_31(self):
         n, sink, horizon = 1000, 0, 5_000_000
         adversary = RandomizedAdversary(list(range(n)), seed=3)
-        table = SinkMeetTable(adversary, sink, horizon, gap=n * (n - 1) // 2)
-        table.ensure_scanned(600_000)
+        table = SinkMeetTable(
+            adversary, sink, horizon, gap=n * (n - 1) // 2, prefix=600_000
+        )
         i, j = adversary.committed_index_block(0, table.covered)
         times = np.flatnonzero((i == sink) | (j == sink))
         partners = (i[times] + j[times] - sink).astype(np.int64)

@@ -12,7 +12,7 @@ from repro.cli import build_parser, main
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

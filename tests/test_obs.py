@@ -387,6 +387,27 @@ class TestCampaignTelemetryIsolation:
         records = read_telemetry(telemetry_path_for_store(traced))
         assert {r["type"] for r in records} == {"cell", "run"}
 
+    def test_meet_table_scans_are_counted_and_change_no_shard(
+        self, tmp_path, meet_tables
+    ):
+        # The draws a Waiting Greedy meet table makes ahead of the lockstep
+        # never reach engine.committed_draws; they are counted here.
+        spec = campaign_spec(algorithms=("waiting_greedy",), ns=(200,), trials=4)
+        run_campaign(spec, tmp_path / "plain")
+        del meet_tables[:]
+        collector = RecordingCollector()
+        with use_collector(collector):
+            run_campaign(spec, tmp_path / "traced")
+        scanned = [
+            c.value for c in collector.counters
+            if c.name == "kernels.meet_table_scanned"
+        ]
+        assert len(meet_tables) == 4 and len(scanned) > 4
+        assert sum(scanned) == sum(table.covered for table in meet_tables)
+        assert shard_bytes(tmp_path / "plain", spec) == shard_bytes(
+            tmp_path / "traced", spec
+        )
+
     def test_interrupted_resume_with_telemetry_matches_fresh(self, tmp_path):
         spec = campaign_spec()
         fresh = tmp_path / "fresh"

@@ -25,7 +25,7 @@ import repro
 
 from repro.adversaries import TraceReplayAdversary, make_adversary
 from repro.adversaries.base import EventuallyPeriodicAdversary
-from repro.adversaries.committed import CommittedBlockAdversary
+from repro.adversaries.committed import COMMIT_CHUNK, CommittedBlockAdversary
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.kernels import KERNELS, get_kernel
 from repro.algorithms.spanning_tree import SpanningTreeAggregation
@@ -36,7 +36,12 @@ from repro.core.data import MAX, MIN
 from repro.core.execution import BatchTrial, Executor
 from repro.core.exceptions import ConfigurationError, ModelViolationError
 from repro.core.interaction import InteractionSequence
-from repro.core.vector_execution import EngineFallbackWarning, VectorizedExecutor
+from repro.core.vector_execution import (
+    DEFAULT_BLOCK_SIZE,
+    INITIAL_BLOCK,
+    EngineFallbackWarning,
+    VectorizedExecutor,
+)
 from repro.graph.traces import VehicularGridTrace
 from repro.sim.batch import run_sweep_cell
 from repro.sim.parallel import sweep_random_adversary
@@ -845,18 +850,54 @@ class TestConsumedPast:
         assert vectorized.duration == 5002
         assert vectorized == run(Executor)
 
+    def test_waiting_greedy_rows_store_no_scan_ahead(self, meet_tables):
+        # The meet tables scan past the lockstep by at least one pair gap
+        # (19,900 at n = 200).  The scan reads lookahead copies, so each
+        # trial's adversary commits only the tau + 1 prefix the table reads
+        # at prepare and the blocks the lockstep reads, chunk-aligned.
+        n = 200
+        nodes = list(range(n))
+        greedy = WaitingGreedy(tau=optimal_tau(n))
+        horizon = default_horizon(greedy, n)
+        adversaries = [
+            build_trial_adversary("uniform", nodes, seed, horizon, 0, None)
+            for seed in range(4)
+        ]
+        batch = []
+        for adversary in adversaries:
+            knowledge, _ = build_knowledge_for_random_run(
+                greedy, adversary, nodes, 0, horizon
+            )
+            batch.append(BatchTrial(
+                source=adversary, max_interactions=horizon,
+                algorithm=greedy, knowledge=knowledge,
+            ))
+        results = VectorizedExecutor(nodes, 0, Gathering()).run_many(batch)
+        for adversary, table, result in zip(adversaries, meet_tables, results):
+            assert result.terminated
+            cursor, window = 0, INITIAL_BLOCK
+            while cursor + window < result.interactions_used:
+                cursor += window
+                window = min(2 * window, DEFAULT_BLOCK_SIZE)
+            stored = max(greedy.tau + 1, cursor + window)
+            chunks = -(-stored // COMMIT_CHUNK)
+            assert adversary.committed_length <= chunks * COMMIT_CHUNK
+            assert table.covered >= n * (n - 1) // 2 > chunks * COMMIT_CHUNK
+
 
 BOUNDED_MEMORY_SCRIPT = """
 import resource
+import sys
 
 limit = 512 * 1024 * 1024
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-from repro.algorithms.waiting import Waiting
+from repro.campaign.spec import algorithm_factory_for
 from repro.sim.batch import run_sweep_cell
 
 metrics = run_sweep_cell(
-    lambda n: Waiting(), 1000, 64, master_seed=0, engine="vectorized"
+    algorithm_factory_for(sys.argv[1]), 1000, 64, master_seed=0,
+    engine="vectorized",
 )
 assert len(metrics) == 64
 assert all(trial.terminated for trial in metrics)
@@ -868,11 +909,13 @@ assert all(trial.terminated for trial in metrics)
     resource is None or not hasattr(resource, "RLIMIT_AS"),
     reason="needs resource.RLIMIT_AS",
 )
-def test_waiting_cell_at_n_1000_fits_in_512_mb_of_address_space():
-    # Each row keeps only the committed window it has yet to consume: the
-    # whole cell's committed history would be several gigabytes.
+@pytest.mark.parametrize("algorithm", ("waiting", "waiting_greedy"))
+def test_waiting_cell_at_n_1000_fits_in_512_mb_of_address_space(algorithm):
+    # Each row keeps only the committed window it has yet to consume, and
+    # Waiting Greedy's meet tables keep none of their scan-ahead: the whole
+    # cell's committed history would be several gigabytes.
     result = subprocess.run(
-        [sys.executable, "-c", BOUNDED_MEMORY_SCRIPT],
+        [sys.executable, "-c", BOUNDED_MEMORY_SCRIPT, algorithm],
         capture_output=True,
         text=True,
         timeout=300,
