@@ -230,8 +230,7 @@ class CommittedBlockAdversary(Adversary):
         time.  The floor only rises, and never past the committed length;
         the committed future itself is unchanged.  Memory is reclaimed
         lazily, by the next buffer growth.  The vectorized engine calls
-        this after every lockstep block when it does not capture the
-        offline optimum.
+        this after every lockstep block.
         """
         self._floor = max(self._floor, min(int(time), self._size))
 

@@ -47,6 +47,10 @@ reports each downgrade through :attr:`VectorizedExecutor.last_fallbacks`
 (per-trial :class:`EngineFallback` records with human-readable reasons);
 the sim layer surfaces nonzero counts as :class:`EngineFallbackWarning`.
 
+With ``capture_opt`` each kernel trial's offline optimum is read at
+``prepare``, from doubling prefixes of its committed future
+(``docs/metrics.md``), so capturing it keeps no consumed past.
+
 Engine selection guidance lives in ``src/repro/README.md``; the speedup
 trajectory (~32x over the reference engine on the standard n = 120
 Waiting / Gathering / Waiting-Greedy sweep) is recorded in
@@ -56,6 +60,7 @@ Waiting / Gathering / Waiting-Greedy sweep) is recorded in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
@@ -64,6 +69,8 @@ import numpy as np
 from ..adversaries.committed import CommittedBlockAdversary
 from ..obs import current_collector
 from ..obs import now as _now
+from ..ratio import kernels as ratio_kernels
+from ..ratio.semantics import opt_cost_from_end
 from ..algorithms.kernels import (
     FIRST_RECEIVES,
     KernelUnsupported,
@@ -188,6 +195,7 @@ class _KernelTrial:
     translate: Optional[np.ndarray]
     horizon: int
     payloads: List[float]
+    opt_cost: Optional[float]  # captured at prepare, or None
 
 
 class VectorizedExecutor:
@@ -209,10 +217,11 @@ class VectorizedExecutor:
             enforce on the kernel path).
         block_size: maximum lockstep window length (default
             :data:`DEFAULT_BLOCK_SIZE`).
-        capture_opt: evaluate each row's offline optimum after the
-            lockstep.  When False, a run consumes its committed adversaries:
-            their past is released block by block, and reading it back
-            afterwards raises (``docs/engines.md``, "Memory").
+        capture_opt: evaluate each trial's offline optimum at ``prepare``,
+            from its committed future.  Either way a run consumes its
+            committed adversaries: their past is released block by block,
+            and reading it back afterwards raises (``docs/engines.md``,
+            "Memory").
     """
 
     def __init__(
@@ -232,13 +241,11 @@ class VectorizedExecutor:
         self.aggregation = aggregation
         self.knowledge = knowledge
         self.enforce_oblivious = enforce_oblivious
-        # Offline-optimum capture (see Executor): after the lockstep, the
-        # whole cell's baselines are evaluated in one batched kernel call
-        # over the exact committed windows the rows consumed.  Without it,
-        # the lockstep releases each committed adversary's consumed past
-        # (CommittedBlockAdversary.release_before) as it goes, so the run
-        # consumes its adversaries: a later read below the consumed
-        # cursor raises.
+        # Offline-optimum capture (see Executor): each kernel trial's
+        # baseline is read at prepare from its committed future.  The
+        # lockstep releases each committed adversary's consumed past
+        # (CommittedBlockAdversary.release_before) as it goes, so a later
+        # read below the consumed cursor raises.
         self.capture_opt = capture_opt
         if block_size is not None and block_size < 1:
             raise ConfigurationError("block_size must be a positive integer")
@@ -488,7 +495,40 @@ class VectorizedExecutor:
             translate=translate,
             horizon=int(horizon),
             payloads=[float(payloads.get(node, 1.0)) for node in self.nodes],
+            opt_cost=(
+                self._committed_opt_cost(fetcher, translate, int(horizon))
+                if self.capture_opt
+                else None
+            ),
         )
+
+    def _committed_opt_cost(
+        self, fetcher: Any, translate: Optional[np.ndarray], horizon: int
+    ) -> float:
+        """The trial's offline-optimum duration, read from its committed future.
+
+        ``opt(0)`` of the first doubling prefix ``[0, 4n)``, ``[0, 8n)``, …
+        that settles it, comes back short or reaches the horizon.  It equals
+        ``opt(0)`` of the window the run will consume: a finite ``opt(0)``
+        is the same on every window holding ``[0, opt(0) + 1)``, as a
+        terminated run's window does, and any other run consumes the whole
+        capped future.
+        """
+        n = len(self.nodes)
+        horizon = max(horizon, 0)  # a sequence's negative stop would wrap
+        width = 4 * n
+        while True:
+            stop = min(width, horizon)
+            first, second = fetcher.committed_index_block(0, stop)
+            if translate is not None:
+                first, second = translate[first], translate[second]
+            length = first.shape[0]
+            end = ratio_kernels.opt_end_matrix(
+                first[None], second[None], [length], n, self.sink_index
+            )[0]
+            if not math.isinf(end) or length < stop or stop == horizon:
+                return opt_cost_from_end(float(end))
+            width *= 2
 
     # ------------------------------------------------------------------ #
     def _run_lockstep(self, kernel_trials: List[_KernelTrial]):
@@ -522,9 +562,6 @@ class VectorizedExecutor:
         horizons = [trial.horizon for trial in kernel_trials]
 
         active = [b for b in range(batch_size) if horizons[b] > 0]
-        # Opt capture re-reads every row's window [0, used) after the
-        # lockstep, so only runs without it may drop the consumed past.
-        release = not self.capture_opt
         cursor = 0
         window = min(INITIAL_BLOCK, self.block_size)
         while active:
@@ -577,8 +614,7 @@ class VectorizedExecutor:
                 if used[b] < horizons[b]:
                     still_active.append(b)
             active = still_active
-            if release:
-                self._release_consumed(kernel_trials, active, used)
+            self._release_consumed(kernel_trials, active, used)
             cursor += window
             window = min(window * 2, self.block_size)
 
@@ -602,10 +638,6 @@ class VectorizedExecutor:
             )
             collector.counter("engine.candidates_walked", candidates_walked)
 
-        opt_costs: List[Optional[float]] = [None] * batch_size
-        if self.capture_opt and batch_size:
-            opt_costs = self._captured_opt_costs(kernel_trials, used)
-
         for b, trial in enumerate(kernel_trials):
             yield trial.index, ExecutionResult(
                 terminated=duration[b] is not None,
@@ -625,7 +657,7 @@ class VectorizedExecutor:
                     )
                 ),
                 sink_payload=float(payload[b][sink]),
-                opt_cost=opt_costs[b],
+                opt_cost=trial.opt_cost,
             )
 
     # ------------------------------------------------------------------ #
@@ -646,39 +678,6 @@ class VectorizedExecutor:
             fetcher = kernel_trials[b].fetcher
             if hasattr(fetcher, "release_before"):
                 fetcher.release_before(used[b])
-
-    # ------------------------------------------------------------------ #
-    def _captured_opt_costs(
-        self, kernel_trials: List[_KernelTrial], used: List[int]
-    ) -> List[float]:
-        """Offline-optimum durations for every row, in one ``opt_end_matrix`` call.
-
-        Re-reads the exact committed windows the lockstep consumed (all
-        already committed — zero extra adversary draws) as one ``(B, L)``
-        index matrix, applies each row's node translation, and evaluates
-        ``opt(0)`` per row with :func:`repro.ratio.kernels.opt_end_matrix`,
-        whose dense sweep also builds the full-knowledge plans.
-        """
-        from ..ratio.kernels import opt_end_matrix
-        from ..ratio.semantics import opt_cost_from_end
-
-        matrix_i, matrix_j, lengths = (
-            CommittedBlockAdversary.committed_index_matrix(
-                [trial.fetcher for trial in kernel_trials],
-                0,
-                [int(stop) for stop in used],
-                pad=0,
-            )
-        )
-        for row, trial in enumerate(kernel_trials):
-            count = int(lengths[row])
-            if trial.translate is not None and count:
-                matrix_i[row, :count] = trial.translate[matrix_i[row, :count]]
-                matrix_j[row, :count] = trial.translate[matrix_j[row, :count]]
-        ends = opt_end_matrix(
-            matrix_i, matrix_j, lengths, len(self.nodes), self.sink_index
-        )
-        return [opt_cost_from_end(float(end)) for end in ends]
 
     # ------------------------------------------------------------------ #
     def _decide_row(

@@ -9,10 +9,9 @@ that baseline cheap enough to attach to every Monte-Carlo trial:
 * :mod:`repro.ratio.kernels` — the dense offline optimum: one backward
   foremost-arrival sweep over int lists (:func:`~repro.ratio.kernels.
   foremost_arrivals`, shared with the full-knowledge plan builder) and
-  ``opt(t)`` for a whole ``(B, L)`` cell of committed futures, one row at a
-  time, read from the same dense index matrices the trial-vectorized engine
-  consumes (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
-  committed_index_matrix`);
+  ``opt(t)`` for ``(B, L)`` dense index matrices, one row at a time; the
+  trial-vectorized engine hands it doubling prefixes of each trial's
+  committed future;
 * :mod:`repro.ratio.semantics` — the scalar vocabulary: ``opt_cost``
   (offline-optimal duration in interactions), ``competitive_ratio`` and
   the documented sentinel values (:data:`~repro.ratio.semantics.
@@ -29,9 +28,9 @@ Invariants:
 * **Ratio lower bound** — a terminated online run can never beat the
   offline optimum, so ``competitive_ratio >= 1`` exactly whenever it is
   finite (``tests/test_property_invariants.py``).
-* **Zero extra adversary draws** — kernels only ever read the committed
-  prefix a trial already consumed; capturing the baseline never extends a
-  committed future.
+* **Read-pattern independence** — capture reads only the committed
+  future, which no read pattern can change, and every engine gets
+  ``opt(0)`` of the window the run consumed (``tests/test_property_invariants.py``).
 """
 
 from .kernels import opt_end_matrix

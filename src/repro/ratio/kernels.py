@@ -6,16 +6,17 @@ arrival times with one backward sweep over an interaction sequence.
 plain int lists, and the program's only dense copy of it: the full-knowledge
 plan builder (:func:`repro.algorithms.full_knowledge.convergecast_plan`)
 runs it on one trial's sequence, and :func:`opt_end_matrix` runs it row by
-row over the dense ``(B, L)`` committed index matrices the trial-vectorized
-engine consumes (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
-committed_index_matrix`).
+row over dense ``(B, L)`` index matrices.  The trial-vectorized engine
+captures a trial's optimum with one-row calls, one per doubling prefix of
+its committed future (:meth:`~repro.adversaries.committed.
+CommittedBlockAdversary.committed_index_block`), at ``prepare``.
 
 Both functions are differential-equal to the oracle sequence for sequence
 (``tests/test_ratio_kernels.py``), and :func:`opt_end_matrix` returns
 float64 — exact for any realistic horizon (``< 2**53``) — so downstream
 metrics are byte-identical no matter which implementation produced them.
 
-Row conventions (shared with ``committed_index_matrix``):
+Row conventions:
 
 * ``I[b, t]`` / ``J[b, t]`` are dense node indices of row ``b``'s committed
   interaction at time ``t``; entries at ``t >= lengths[b]`` are padding and

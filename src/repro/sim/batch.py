@@ -71,8 +71,8 @@ def run_sweep_cell(
     ``engine="reference"`` runs one reference executor per trial (the
     semantics oracle for differential tests of this very function).
     ``capture_opt=True`` additionally evaluates the offline-optimum
-    baseline per trial (the vectorized engine does so for the whole cell in
-    one batched kernel call), filling the metrics' ``opt_cost`` /
+    baseline per trial (the vectorized engine from each trial's committed
+    future, before the lockstep), filling the metrics' ``opt_cost`` /
     ``competitive_ratio`` fields identically on both engines.
     ``first_trial`` offsets the trial numbers, so the call runs trials
     ``first_trial .. first_trial + trials - 1`` of the cell: consecutive

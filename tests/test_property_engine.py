@@ -84,8 +84,8 @@ def run_case(case_seed: int, engine_cls=VectorizedExecutor):
     result = engine_cls(nodes, sink, algorithm, knowledge=knowledge).run(
         source, max_interactions=horizon
     )
-    # The run consumed its adversary (a vectorized run without opt capture
-    # releases the committed past), so the checks below read a twin
+    # The run consumed its adversary (a vectorized run releases the
+    # committed past), so the checks below read a twin
     # re-derived from the same (family, seed, max_horizon, sink): it
     # commits the same future.
     return family, name, n, sink, seed, derive_adversary(), result, horizon

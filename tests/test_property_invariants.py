@@ -10,8 +10,10 @@ The invariants exercised here are the ones every other result builds on:
 * cost invariants — cost is at least 1, and equals 1 exactly when the
   duration is within the first convergecast;
 * competitive-ratio invariants — a captured ratio is ``>= 1`` exactly
-  whenever finite, for every engine × adversary family combination, and
-  the vectorized ratio kernels agree with the pure-Python oracle;
+  whenever finite, for every engine × adversary family combination, every
+  engine captures the oracle's optimum of the committed future up to the
+  horizon, and the vectorized ratio kernels agree with the pure-Python
+  oracle;
 * data-token algebra — aggregation never loses or duplicates origins.
 """
 
@@ -24,8 +26,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from strategies import common_settings, interaction_sequences
 
+from repro.adversaries.factory import ADVERSARY_FAMILIES
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting import Waiting
+from repro.core.algorithm import registry
 from repro.core.cost import cost_of_result
 from repro.core.data import DataToken
 from repro.core.execution import run_algorithm
@@ -198,8 +202,8 @@ def test_cost_at_least_one_and_one_iff_optimal(data):
 
 #: Engine legs of the ratio invariants, as ``(engine, block_size)``, where
 #: a block size replaces the vectorized engine's default window cap.  The
-#: small-block leg captures the offline optimum over committed windows the
-#: lockstep consumed across many blocks.
+#: small-block leg runs the lockstep, and its release of each row's
+#: consumed past, across many blocks.
 RATIO_LEGS = {
     "reference": ("reference", None),
     "vectorized": ("vectorized", None),
@@ -207,7 +211,7 @@ RATIO_LEGS = {
 }
 
 
-def ratio_cell(leg, factory, adversary, trials):
+def ratio_cell(leg, factory, adversary, trials, horizon_fn=None):
     """One ratio-capturing sweep cell at ``n = 12`` on an engine leg."""
     from unittest import mock
 
@@ -219,7 +223,7 @@ def ratio_cell(leg, factory, adversary, trials):
     with mock.patch.object(vector_execution, "DEFAULT_BLOCK_SIZE", window):
         return run_sweep_cell(
             factory, 12, trials, master_seed=0, engine=engine,
-            adversary=adversary, capture_opt=True,
+            adversary=adversary, capture_opt=True, horizon_fn=horizon_fn,
         )
 
 
@@ -299,6 +303,46 @@ def test_full_knowledge_ratio_is_exactly_one(engine, adversary):
     for metrics in terminated:
         assert metrics.duration == metrics.opt_cost
         assert metrics.competitive_ratio == 1.0
+
+
+def short_horizon(algorithm, n):
+    """A horizon of ``2n``: at n = 12 some optima of every family end past it."""
+    return 2 * n
+
+
+@pytest.mark.parametrize("engine", sorted(RATIO_LEGS))
+@pytest.mark.parametrize("algorithm", sorted(registry.names()))
+@pytest.mark.parametrize("adversary", sorted(ADVERSARY_FAMILIES))
+def test_captured_opt_is_the_committed_future_opt(engine, algorithm, adversary):
+    """Every engine captures the optimum of the committed future up to the horizon.
+
+    A terminated run is itself a convergecast inside the window it consumed,
+    so the foremost arrivals lie inside that window, and a run that does
+    not terminate consumes the whole future up to the horizon.  Either way
+    ``opt(0)`` on the consumed window equals ``opt(0)`` on a fresh twin
+    adversary's ``committed_prefix(horizon)``, which is what the vectorized
+    engine reads at prepare.  The short horizon leaves some optima
+    UNREACHABLE.
+    """
+    from repro.campaign.spec import algorithm_factory_for
+    from repro.ratio.semantics import UNREACHABLE, opt_cost_from_end
+    from repro.sim.runner import build_trial_adversary, derive_sweep_trial
+
+    factory = algorithm_factory_for(algorithm)
+    nodes = list(range(12))
+    for horizon_fn in (None, short_horizon):
+        cell = ratio_cell(engine, factory, adversary, 4, horizon_fn=horizon_fn)
+        for trial, metrics in enumerate(cell):
+            _, seed, horizon = derive_sweep_trial(
+                factory, 12, trial, horizon_fn=horizon_fn
+            )
+            assert (metrics.seed, metrics.horizon) == (seed, horizon)
+            twin = build_trial_adversary(adversary, nodes, seed, horizon, 0)
+            assert metrics.opt_cost == opt_cost_from_end(
+                opt(twin.committed_prefix(horizon), nodes, 0)
+            )
+        if horizon_fn is short_horizon:
+            assert any(metrics.opt_cost == UNREACHABLE for metrics in cell)
 
 
 @common_settings

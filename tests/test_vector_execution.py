@@ -43,6 +43,9 @@ from repro.core.vector_execution import (
     VectorizedExecutor,
 )
 from repro.graph.traces import VehicularGridTrace
+from repro.offline.convergecast import opt
+from repro.ratio import kernels as ratio_kernels
+from repro.ratio.semantics import UNREACHABLE, opt_cost_from_end
 from repro.sim.batch import run_sweep_cell
 from repro.sim.parallel import sweep_random_adversary
 from repro.sim.runner import (
@@ -764,7 +767,7 @@ class TestSweepPaths:
 
 
 class TestConsumedPast:
-    """Without opt capture a run releases its adversaries' consumed past."""
+    """A run releases its adversaries' consumed past, with or without opt capture."""
 
     @staticmethod
     def adversary(n=12, seed=3):
@@ -779,14 +782,20 @@ class TestConsumedPast:
         with pytest.raises(ConfigurationError, match="was released"):
             adversary.committed_prefix(result.interactions_used)
 
-    def test_capture_opt_run_releases_nothing(self):
+    def test_capture_opt_run_releases_the_consumed_past(self):
+        # The optimum is read from the committed future at prepare, so the
+        # capturing run consumes its adversary like any other run.
         adversary, twin = self.adversary(), self.adversary()
         result = VectorizedExecutor(
             list(range(12)), 0, Gathering(), block_size=64, capture_opt=True
         ).run(adversary, max_interactions=10_000)
         used = result.interactions_used
-        assert used > 64
-        assert adversary.committed_prefix(used) == twin.committed_prefix(used)
+        assert result.terminated and used > 64
+        with pytest.raises(ConfigurationError, match="was released"):
+            adversary.committed_prefix(used)
+        assert result.opt_cost == opt_cost_from_end(
+            opt(twin.committed_prefix(used), list(range(12)), 0)
+        )
 
     @pytest.mark.parametrize("seed", (1, 5, 9))
     def test_shared_adversary_rows_match_reference(self, seed):
@@ -885,6 +894,62 @@ class TestConsumedPast:
             assert table.covered >= n * (n - 1) // 2 > chunks * COMMIT_CHUNK
 
 
+class TestOptCapture:
+    """Capture reads doubling prefixes of the committed future at prepare."""
+
+    @pytest.mark.parametrize("finite_trace", (True, False))
+    def test_capture_opt_stops_at_a_short_read(self, finite_trace, monkeypatch):
+        # Node 6 never interacts, so no prefix settles the optimum: capture
+        # reads doubling prefixes from 4n = 28 until one comes back short,
+        # at a 40-interaction trace's end or at max_horizon = 70, far below
+        # the horizon.
+        nodes = list(range(7))
+        rng = np.random.default_rng(4)
+        i = rng.integers(0, 6, 40)
+        j = (i + rng.integers(1, 6, 40)) % 6
+        if finite_trace:
+            source = lambda: TraceReplayAdversary.from_dense_indices(
+                i, j, nodes[:6]
+            )
+            reads = [28, 40]
+        else:
+            source = lambda: make_adversary(
+                "uniform", nodes[:6], seed=2, max_horizon=70, sink=0
+            )
+            reads = [28, 56, 70]
+        lengths = []
+        opt_end_matrix = ratio_kernels.opt_end_matrix
+
+        def recording(i_nodes, j_nodes, row_lengths, n, sink):
+            lengths.extend(row_lengths)
+            return opt_end_matrix(i_nodes, j_nodes, row_lengths, n, sink)
+
+        monkeypatch.setattr(ratio_kernels, "opt_end_matrix", recording)
+        vectorized = VectorizedExecutor(
+            nodes, 0, Gathering(), capture_opt=True
+        ).run(source(), max_interactions=10_000)
+        assert lengths == reads
+        assert vectorized.opt_cost == UNREACHABLE
+        assert vectorized == Executor(
+            nodes, 0, Gathering(), capture_opt=True
+        ).run(source(), max_interactions=10_000)
+
+    @pytest.mark.parametrize("horizon", (-3, 0, 2, 100))
+    def test_capture_opt_on_a_sequence_reads_up_to_the_horizon(self, horizon):
+        # A finite sequence is read by slicing, where a negative stop would
+        # wrap: a negative horizon must read nothing, as the reference
+        # engine's empty window does.
+        nodes = [0, 1, 2]
+        sequence = InteractionSequence.from_pairs([(0, 1), (0, 2), (1, 2)] * 5)
+        vectorized, reference = (
+            engine(nodes, 0, Gathering(), capture_opt=True).run(
+                sequence, max_interactions=horizon
+            )
+            for engine in (VectorizedExecutor, Executor)
+        )
+        assert vectorized == reference
+
+
 BOUNDED_MEMORY_SCRIPT = """
 import resource
 import sys
@@ -895,12 +960,15 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from repro.campaign.spec import algorithm_factory_for
 from repro.sim.batch import run_sweep_cell
 
+capture_opt = sys.argv[2] == "ratio-on"
 metrics = run_sweep_cell(
     algorithm_factory_for(sys.argv[1]), 1000, 64, master_seed=0,
-    engine="vectorized",
+    engine="vectorized", capture_opt=capture_opt,
 )
 assert len(metrics) == 64
 assert all(trial.terminated for trial in metrics)
+if capture_opt:
+    assert all(trial.competitive_ratio >= 1 for trial in metrics)
 """
 
 
@@ -909,13 +977,18 @@ assert all(trial.terminated for trial in metrics)
     resource is None or not hasattr(resource, "RLIMIT_AS"),
     reason="needs resource.RLIMIT_AS",
 )
+@pytest.mark.parametrize("capture", ("ratio-off", "ratio-on"))
 @pytest.mark.parametrize("algorithm", ("waiting", "waiting_greedy"))
-def test_waiting_cell_at_n_1000_fits_in_512_mb_of_address_space(algorithm):
+def test_waiting_cell_at_n_1000_fits_in_512_mb_of_address_space(
+    algorithm, capture
+):
     # Each row keeps only the committed window it has yet to consume, and
     # Waiting Greedy's meet tables keep none of their scan-ahead: the whole
-    # cell's committed history would be several gigabytes.
+    # cell's committed history would be several gigabytes.  Ratio capture
+    # reads each optimum from a short prefix of the committed future at
+    # prepare, so it keeps no past either.
     result = subprocess.run(
-        [sys.executable, "-c", BOUNDED_MEMORY_SCRIPT, algorithm],
+        [sys.executable, "-c", BOUNDED_MEMORY_SCRIPT, algorithm, capture],
         capture_output=True,
         text=True,
         timeout=300,
