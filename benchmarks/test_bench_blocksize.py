@@ -9,7 +9,7 @@ Two things are asserted:
   reference metrics trial for trial (the block boundaries are pure
   consumption windows, never semantics);
 * the engine's **default** (:data:`repro.core.vector_execution.
-  DEFAULT_BLOCK_SIZE`, the cap of the lockstep's doubling window schedule)
+  DEFAULT_BLOCK_SIZE`, the cap of each trial's doubling window schedule)
   is not badly mistuned: it must reach at least half the throughput of the
   best size measured in this run.
 

@@ -106,7 +106,7 @@ from .sim import (
     sweep_random_adversary,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 from .campaign import (  # noqa: E402  (needs __version__ for store manifests)
     CampaignReport,

@@ -230,7 +230,8 @@ class CommittedBlockAdversary(Adversary):
         time.  The floor only rises, and never past the committed length;
         the committed future itself is unchanged.  Memory is reclaimed
         lazily, by the next buffer growth.  The vectorized engine calls
-        this after every lockstep block.
+        this before each next block of a trial, unless a later trial of the
+        same batch reads this adversary too.
         """
         self._floor = max(self._floor, min(int(time), self._size))
 
@@ -346,10 +347,10 @@ class CommittedBlockAdversary(Adversary):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stack one committed block per adversary into ``(B, L)`` matrices.
 
-        The trial-vectorized engine consumes a whole sweep cell of ``B``
-        committed futures at once; this assembles, for the shared window
-        starting at ``start``, the dense node-index matrices ``I`` and ``J``
-        (one row per adversary) plus the per-row committed lengths.
+        This assembles, for the shared window starting at ``start``, the
+        dense node-index matrices ``I`` and ``J`` (one row per adversary)
+        plus the per-row committed lengths.  The trial-vectorized engine
+        reads each block of a trial through it as a one-row matrix.
 
         Args:
             adversaries: the cell's committed adversaries (or any objects

@@ -91,10 +91,6 @@ class DecisionKernel:
     """
 
     algorithm_name: str = "abstract"
-    #: Stateful kernels read running state from the algorithm instance (the
-    #: randomized baselines' ``random.Random`` stream), so an instance
-    #: shared by several trials of a batch cannot enter the lockstep.
-    stateful: bool = False
     #: Sparse kernels have a rare non-abstain set and an ownership-free,
     #: order-insensitive pure decision (e.g. Waiting's sink-only rule).
     #: The engine then runs ``decide_block`` on the raw draw order over the
@@ -252,14 +248,14 @@ class SinkMeetTable:
 
     The table reads the trial's adversary once, in the first round at
     construction: the committed prefix of at least ``prefix`` interactions,
-    rounded up to the adversary's chunk-aligned frontier, which the
-    lockstep consumes anyway.  Everything past the frontier comes from the
+    rounded up to the adversary's chunk-aligned frontier, which the run
+    consumes anyway.  Everything past the frontier comes from the
     adversary's :meth:`~repro.adversaries.committed.CommittedBlockAdversary.
     lookahead` copy, one :data:`~repro.adversaries.committed.COMMIT_CHUNK`
     piece at a time, released once scanned.  The lookahead draws the
     committed future itself, so the table answers as if it had read the
-    adversary; but the scan-ahead is never stored, and the lockstep may
-    release the adversary's past at its own cursor.  When tracing, each
+    adversary; but the scan-ahead is never stored, and the run may release
+    the adversary's past at its own cursor.  When tracing, each
     round emits the interactions it scanned as the
     ``kernels.meet_table_scanned`` counter.
 
@@ -534,8 +530,6 @@ class _RngKernel(DecisionKernel):
     ``decide`` call sites (both endpoints owning data, time order) and the
     run is identical to the object form's, seed for seed.
     """
-
-    stateful = True
 
     def decide_block(self, state, iu, iv, t):
         return np.full(iu.shape[0], PENDING, dtype=np.int8)

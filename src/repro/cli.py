@@ -76,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(ENGINES),
             default="reference",
             help="execution engine: 'reference' is the semantics oracle, "
-            "'vectorized' runs whole sweep cells as numpy arrays (trials "
-            "its kernels cannot mirror fall back to the reference engine) "
+            "'vectorized' runs each trial over numpy blocks of its "
+            "committed future (trials its kernels cannot mirror fall back "
+            "to the reference engine) "
             "— both produce identical results seed for seed "
             "(default: reference)",
         )

@@ -1,14 +1,15 @@
-"""Trial-vectorized execution: a whole sweep cell as struct-of-arrays.
+"""Trial-vectorized execution: each trial's committed future in numpy blocks.
 
 :class:`VectorizedExecutor` is the optimised execution engine, the twin of
 the reference :class:`~repro.core.execution.Executor` (the semantics
-oracle).  It executes a *batch* of B trials simultaneously in
-struct-of-arrays form — ``owns_data[B, n]`` and ``origin_counts[B, n]``
-(payloads fold scalar-side in event order, in per-row lists, to reproduce
-the reference engine's float semantics exactly) — consuming the committed
-futures of all B adversaries as ``(B, block)`` dense index matrices
+oracle).  It runs a *batch* of trials (a sweep cell) one trial at a time,
+in batch order, as the reference engine does.  Each trial runs to
+completion over dense node-index blocks of its committed future
 (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
-committed_index_matrix`).
+committed_index_matrix`, one row per block), holding only its own
+ownership vector, origin counts, payloads (folded scalar-side in event
+order, to reproduce the reference engine's float semantics exactly) and
+transmission log.
 
 Per-interaction Python work is eliminated through two observations:
 
@@ -18,16 +19,16 @@ Per-interaction Python work is eliminated through two observations:
   outside the mask is discarded with numpy, never touching Python;
 * **algorithm decisions are (mostly) pure** — each registered algorithm
   has a :mod:`~repro.algorithms.kernels` decision kernel, whose pure-array
-  ``decide_block(state, iu, iv, t) -> direction`` is evaluated once per row
-  and block.  Only the decided *candidates* (a superset of the at most
+  ``decide_block(state, iu, iv, t) -> direction`` is evaluated once per
+  block.  Only the decided *candidates* (a superset of the at most
   ``n - 1`` transmissions per trial) are walked scalar-side, in time order,
   with an exact ownership re-check; a candidate the kernel left
-  ``PENDING`` is resolved there, only if it is still live — so stateful
-  kernels (the RNG baselines) consume their random stream at exactly the
-  reference engine's ``decide`` call sites.
+  ``PENDING`` is resolved there, only if it is still live — so the RNG
+  baselines' kernels consume their random stream at exactly the reference
+  engine's ``decide`` call sites.
 
-Each lockstep block of a row goes through the same four steps: slice the
-row (translated to the executor's node order), keep the raw draw order
+Each block of a trial goes through the same four steps: read the block
+(translated to the executor's node order), keep the raw draw order
 (sparse kernels) or the ownership-mask survivors in canonical order
 (the others), call ``decide_block`` once, and drop ``NO_TRANSMISSION``.
 
@@ -37,19 +38,22 @@ ExecutionResult` fields, seed for seed — enforced by the differential suite
 in ``tests/test_vector_execution.py`` and the invariant harness in
 ``tests/test_property_engine.py``.  Every registered algorithm has a
 decision kernel, so under the standard sim-layer trial shapes no trial ever
-leaves the lockstep.  The few trials the kernels cannot reproduce exactly —
-an adaptive / non-committed interaction source, an oracle shape a kernel
-cannot mirror, ``enforce_oblivious`` runs, unorderable node identifiers, a
-stateful-kernel (RNG) algorithm instance shared across trials, an
-instance of a subclass of the class registered under its name — fall back to
-the reference :class:`~repro.core.execution.Executor`, and the engine
-reports each downgrade through :attr:`VectorizedExecutor.last_fallbacks`
-(per-trial :class:`EngineFallback` records with human-readable reasons);
-the sim layer surfaces nonzero counts as :class:`EngineFallbackWarning`.
+falls back.  The few trials the kernels cannot reproduce exactly — an
+adaptive / non-committed interaction source, an oracle shape a kernel
+cannot mirror, ``enforce_oblivious`` runs, unorderable node identifiers,
+an instance of a subclass of the class registered under its name — run on
+the reference :class:`~repro.core.execution.Executor` in their turn, and
+the engine reports each downgrade through
+:attr:`VectorizedExecutor.last_fallbacks` (per-trial
+:class:`EngineFallback` records with human-readable reasons); the sim
+layer surfaces nonzero counts as :class:`EngineFallbackWarning`.
 
-With ``capture_opt`` each kernel trial's offline optimum is read at
-``prepare``, from doubling prefixes of its committed future
-(``docs/metrics.md``), so capturing it keeps no consumed past.
+A run releases its committed adversary's past block by block, unless a
+later trial of the batch reads the same source; once a trial's result is
+stored the engine drops the trial, so a batch's memory does not grow with
+what its runs consume.  With ``capture_opt`` each kernel trial's offline
+optimum is read at ``prepare``, from doubling prefixes of its committed
+future (``docs/metrics.md``), so capturing it keeps no consumed past.
 
 Engine selection guidance lives in ``src/repro/README.md``; the speedup
 trajectory (~32x over the reference engine on the standard n = 120
@@ -62,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -98,7 +102,7 @@ __all__ = [
     "INITIAL_BLOCK",
 ]
 
-#: Default number of committed interactions consumed per lockstep step.
+#: Default cap on the number of committed interactions read per block.
 #: Large enough to amortise the numpy slicing, small enough that an early
 #: termination does not force drawing far beyond the duration.  The engine
 #: takes a per-instance ``block_size`` option; the default is pinned by the
@@ -159,7 +163,7 @@ class EngineFallback:
     position: int
     reason: str
 
-#: First block length of a batch.  Starting small keeps the scalar
+#: First block length of a trial.  Starting small keeps the scalar
 #: candidate walk short through the dense early phase (when every node
 #: still owns data, every interaction is a candidate); the block length
 #: doubles up to the engine's ``block_size`` as owners thin out and
@@ -188,7 +192,6 @@ class _IndexRows(NamedTuple):
 class _KernelTrial:
     """One kernel-routed trial of a batch."""
 
-    index: int  # position in the caller's trial list
     kernel: Any
     state: Any
     fetcher: Any  # committed-block reader (adversary or _IndexRows)
@@ -198,12 +201,54 @@ class _KernelTrial:
     opt_cost: Optional[float]  # captured at prepare, or None
 
 
+@dataclass
+class _BlockLoops:
+    """The kernel trials' block loops of one batch, summed for tracing.
+
+    The ``engine.lockstep`` span covers the loops alone, not preparation
+    or fallback runs: it starts with the first loop and lasts their summed
+    time, as ``engine.committed_draws`` lasts their summed reads.
+    """
+
+    trials: int = 0
+    started: float = 0.0
+    seconds: float = 0.0
+    draw_seconds: float = 0.0
+    blocks: int = 0
+    candidates_walked: int = 0
+
+    def add_trial(self, started: float, ended: float) -> None:
+        if not self.trials:
+            self.started = started
+        self.trials += 1
+        self.seconds += ended - started
+
+    def emit(self, collector: Any) -> None:
+        collector.add_span(
+            "engine.lockstep",
+            self.started,
+            self.started + self.seconds,
+            engine="vectorized",
+            trials=self.trials,
+            blocks=self.blocks,
+            candidates_walked=self.candidates_walked,
+        )
+        collector.add_span(
+            "engine.committed_draws",
+            self.started,
+            self.started + self.draw_seconds,
+            engine="vectorized",
+            blocks=self.blocks,
+        )
+        collector.counter("engine.candidates_walked", self.candidates_walked)
+
+
 class VectorizedExecutor:
-    """Run batches of DODA trials as numpy struct-of-arrays.
+    """Run batches of DODA trials, each over numpy blocks of its future.
 
     Construction mirrors the reference
     :class:`~repro.core.execution.Executor`; ``block_size`` bounds the
-    committed-future window consumed per lockstep iteration.
+    committed-future window a trial reads per block.
 
     Args:
         nodes: the node set shared by every trial of a batch.
@@ -215,7 +260,7 @@ class VectorizedExecutor:
             reference engine, which implements the memory-write check
             (kernels never touch node memory, so there is nothing to
             enforce on the kernel path).
-        block_size: maximum lockstep window length (default
+        block_size: maximum block length (default
             :data:`DEFAULT_BLOCK_SIZE`).
         capture_opt: evaluate each trial's offline optimum at ``prepare``,
             from its committed future.  Either way a run consumes its
@@ -242,8 +287,8 @@ class VectorizedExecutor:
         self.knowledge = knowledge
         self.enforce_oblivious = enforce_oblivious
         # Offline-optimum capture (see Executor): each kernel trial's
-        # baseline is read at prepare from its committed future.  The
-        # lockstep releases each committed adversary's consumed past
+        # baseline is read at prepare from its committed future.  A run
+        # releases its committed adversary's consumed past
         # (CommittedBlockAdversary.release_before) as it goes, so a later
         # read below the consumed cursor raises.
         self.capture_opt = capture_opt
@@ -262,7 +307,7 @@ class VectorizedExecutor:
             None if ranks is None else np.asarray(ranks, dtype=np.int64)
         )
         #: Per-trial fallback records of the most recent :meth:`run_many`
-        #: batch (empty when every trial ran the lockstep).  A side channel
+        #: batch (empty when every trial ran on a kernel).  A side channel
         #: rather than an ``ExecutionResult`` field: results stay
         #: byte-identical across engines, while the batch caller can still
         #: observe — and report — every engine downgrade.
@@ -293,11 +338,14 @@ class VectorizedExecutor:
         )[0]
 
     def run_many(self, trials: Iterable[BatchTrial]) -> List[ExecutionResult]:
-        """Run a batch of trials, vectorizing every kernel-capable one.
+        """Run a batch of trials one at a time, in batch order.
 
         Results are identical to running each trial through the reference
         executor — trials the kernels cannot reproduce exactly are executed
-        by it — so the returned list is uniformly exact.
+        by it — so the returned list is uniformly exact.  Since the trials
+        run in the reference engine's order, an algorithm instance shared
+        by several trials (a ``random.Random`` stream, say) sees the same
+        calls in the same order on both engines.
         """
         batch = list(trials)
         collector = current_collector()
@@ -312,83 +360,67 @@ class VectorizedExecutor:
         self, batch: List[BatchTrial], collector: Any
     ) -> List[ExecutionResult]:
         self.last_fallbacks = ()
-        results: List[Optional[ExecutionResult]] = [None] * len(batch)
-        effective = [
+        # A source shared by several trials is released only by the last of
+        # them: the others read it from time 0, at prepare or in their run.
+        last_reader = {
+            id(trial.source): position for position, trial in enumerate(batch)
+        }
+        loops = _BlockLoops() if collector.enabled else None
+        results: List[ExecutionResult] = []
+        # Each trial leaves the batch as it starts, so that a finished
+        # trial's source and kernel state go with it: the engine holds one
+        # trial at a time.
+        batch.reverse()
+        while batch:
+            position, trial = len(results), batch.pop()
+            results.append(self._run_one(
+                position, trial, last_reader[id(trial.source)] == position,
+                collector, loops,
+            ))
+        if loops is not None and loops.trials:
+            loops.emit(collector)
+        return results
+
+    def _run_one(
+        self,
+        position: int,
+        trial: BatchTrial,
+        last_reader: bool,
+        collector: Any,
+        loops: Optional[_BlockLoops],
+    ) -> ExecutionResult:
+        """Route one trial and run it: on a kernel, or on the reference engine."""
+        algorithm = (
             trial.algorithm if trial.algorithm is not None else self.algorithm
-            for trial in batch
-        ]
-        # A *stateful* (RNG-consuming) algorithm
-        # instance shared by several trials must not enter the lockstep:
-        # interleaving rows would consume the shared stream in a different
-        # order than sequential per-trial execution.  All trials of such an
-        # instance fall back together, which preserves their mutual order
-        # (Executor.run_many is sequential) and therefore the stream.
-        stateful_uses: Dict[int, int] = {}
-        for algorithm in effective:
-            try:
-                kernel = get_kernel(algorithm.name)
-            except LookupError:
-                continue  # _prepare_trial reports the missing kernel
-            if kernel.stateful:
-                key = id(algorithm)
-                stateful_uses[key] = stateful_uses.get(key, 0) + 1
-        kernel_trials: List[_KernelTrial] = []
-        fallback: List[BatchTrial] = []
-        fallback_positions: List[int] = []
-        fallbacks: List[EngineFallback] = []
-        for position, trial in enumerate(batch):
-            algorithm = effective[position]
-            knowledge = (
-                trial.knowledge if trial.knowledge is not None else self.knowledge
-            )
-            available = () if knowledge is None else knowledge.provides()
-            algorithm.validate_knowledge(available)
-            shared = stateful_uses.get(id(algorithm), 0)
-            if shared > 1:
-                prepared: Union[_KernelTrial, str] = (
-                    f"stateful (RNG) kernel state shared across "
-                    f"{shared} trials of the batch"
-                )
-            else:
-                prepared = self._prepare_trial(
-                    position, algorithm, knowledge, trial
-                )
-            if isinstance(prepared, _KernelTrial):
-                algorithm.on_run_start(self.nodes, self.sink)
-                kernel_trials.append(prepared)
-            else:
-                fallback.append(trial)
-                fallback_positions.append(position)
-                fallbacks.append(
-                    EngineFallback(position=position, reason=prepared)
-                )
-        self.last_fallbacks = tuple(fallbacks)
+        )
+        knowledge = (
+            trial.knowledge if trial.knowledge is not None else self.knowledge
+        )
+        available = () if knowledge is None else knowledge.provides()
+        algorithm.validate_knowledge(available)
+        prepared = self._prepare_trial(algorithm, knowledge, trial)
+        if isinstance(prepared, _KernelTrial):
+            algorithm.on_run_start(self.nodes, self.sink)
+            return self._run_trial(prepared, last_reader, loops)
+        # Recorded before the run, so that a fallback the reference engine
+        # fails on is still reported.
+        self.last_fallbacks += (EngineFallback(position=position, reason=prepared),)
         if collector.enabled:
-            for record in fallbacks:
-                collector.event(
-                    "engine.fallback",
-                    engine="vectorized",
-                    position=record.position,
-                    reason=record.reason,
-                )
-        if fallback:
-            engine = Executor(
-                self.nodes,
-                self.sink,
-                self.algorithm,
-                aggregation=self.aggregation,
-                knowledge=self.knowledge,
-                enforce_oblivious=self.enforce_oblivious,
-                capture_opt=self.capture_opt,
+            collector.event(
+                "engine.fallback",
+                engine="vectorized",
+                position=position,
+                reason=prepared,
             )
-            for position, result in zip(
-                fallback_positions, engine.run_many(fallback)
-            ):
-                results[position] = result
-        if kernel_trials:
-            for position, result in self._run_lockstep(kernel_trials):
-                results[position] = result
-        return results  # type: ignore[return-value]
+        return Executor(
+            self.nodes,
+            self.sink,
+            self.algorithm,
+            aggregation=self.aggregation,
+            knowledge=self.knowledge,
+            enforce_oblivious=self.enforce_oblivious,
+            capture_opt=self.capture_opt,
+        ).run_many([trial])[0]
 
     @property
     def last_fallback_count(self) -> int:
@@ -403,7 +435,6 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------ #
     def _prepare_trial(
         self,
-        position: int,
         algorithm: DODAAlgorithm,
         knowledge: Any,
         trial: BatchTrial,
@@ -488,7 +519,6 @@ class VectorizedExecutor:
             return f"kernel precondition failed: {exc}"
         payloads = trial.initial_payloads or {}
         return _KernelTrial(
-            index=position,
             kernel=kernel,
             state=state,
             fetcher=fetcher,
@@ -531,169 +561,120 @@ class VectorizedExecutor:
             width *= 2
 
     # ------------------------------------------------------------------ #
-    def _run_lockstep(self, kernel_trials: List[_KernelTrial]):
-        """The struct-of-arrays hot loop over all kernel-routed trials."""
-        collector = current_collector()
-        tracing = collector.enabled
-        lockstep_start = _now() if tracing else 0.0
-        draw_seconds = 0.0
-        draw_blocks = 0
-        candidates_walked = 0
-        batch_size = len(kernel_trials)
-        n = len(self.nodes)
-        nodes = self.nodes
-        sink = self.sink_index
-        fold = self.aggregation.fold
+    def _run_trial(
+        self,
+        trial: _KernelTrial,
+        release: bool,
+        loops: Optional[_BlockLoops],
+    ) -> ExecutionResult:
+        """Run one kernel trial's blocks to completion.
 
-        owns = np.ones((batch_size, n), dtype=bool)
-        # Python-list mirror of ``owns`` for the scalar candidate walk
-        # (plain list reads are several times cheaper than numpy scalar
-        # indexing); writes go through _consume_row, which updates both.
-        owns_py = [[True] * n for _ in range(batch_size)]
-        origin_counts = np.ones((batch_size, n), dtype=np.int64)
-        # Payloads are folded scalar-side in event order (to reproduce the
-        # reference engine's float semantics bit for bit), so they live as
-        # per-row Python lists rather than a numpy matrix.
-        payload = [list(trial.payloads) for trial in kernel_trials]
-        remaining = [n - 1] * batch_size
-        transmissions: List[List[Transmission]] = [[] for _ in range(batch_size)]
-        duration: List[Optional[int]] = [None] * batch_size
-        used = [0] * batch_size
-        horizons = [trial.horizon for trial in kernel_trials]
-
-        active = [b for b in range(batch_size) if horizons[b] > 0]
-        cursor = 0
-        window = min(INITIAL_BLOCK, self.block_size)
-        while active:
-            stops = [min(horizons[b], cursor + window) for b in active]
-            if tracing:
-                draw_started = _now()
-            matrix_i, matrix_j, lengths = (
-                CommittedBlockAdversary.committed_index_matrix(
-                    [kernel_trials[b].fetcher for b in active], cursor, stops
-                )
-            )
-            if tracing:
-                draw_seconds += _now() - draw_started
-                draw_blocks += 1
-            still_active = []
-            for row, b in enumerate(active):
-                count = int(lengths[row])
-                if count:
-                    trial = kernel_trials[b]
-                    candidates, first, second, directions = self._decide_row(
-                        trial, owns[b], matrix_i[row, :count],
-                        matrix_j[row, :count], cursor,
-                    )
-                    if candidates.size:
-                        if tracing:
-                            candidates_walked += int(candidates.size)
-                        terminated_at = self._consume_row(
-                            trial,
-                            b,
-                            candidates,
-                            first,
-                            second,
-                            directions,
-                            cursor,
-                            owns,
-                            owns_py[b],
-                            origin_counts,
-                            payload[b],
-                            remaining,
-                            transmissions,
-                            fold,
-                        )
-                        if terminated_at is not None:
-                            duration[b] = terminated_at
-                            used[b] = terminated_at
-                            continue
-                used[b] = cursor + count
-                if used[b] < stops[row]:
-                    continue  # committed future exhausted: row is done
-                if used[b] < horizons[b]:
-                    still_active.append(b)
-            active = still_active
-            self._release_consumed(kernel_trials, active, used)
-            cursor += window
-            window = min(window * 2, self.block_size)
-
-        if tracing:
-            lockstep_end = _now()
-            collector.add_span(
-                "engine.lockstep",
-                lockstep_start,
-                lockstep_end,
-                engine="vectorized",
-                trials=batch_size,
-                blocks=draw_blocks,
-                candidates_walked=candidates_walked,
-            )
-            collector.add_span(
-                "engine.committed_draws",
-                lockstep_start,
-                lockstep_start + draw_seconds,
-                engine="vectorized",
-                blocks=draw_blocks,
-            )
-            collector.counter("engine.candidates_walked", candidates_walked)
-
-        for b, trial in enumerate(kernel_trials):
-            yield trial.index, ExecutionResult(
-                terminated=duration[b] is not None,
-                duration=duration[b],
-                interactions_used=used[b],
-                transmissions=transmissions[b],
-                sink_coverage=int(origin_counts[b, sink]),
-                node_count=n,
-                remaining_owners=tuple(
-                    sorted(
-                        (
-                            nodes[position]
-                            for position in range(n)
-                            if owns[b, position] and position != sink
-                        ),
-                        key=repr,
-                    )
-                ),
-                sink_payload=float(payload[b][sink]),
-                opt_cost=trial.opt_cost,
-            )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _release_consumed(
-        kernel_trials: List[_KernelTrial], active: List[int], used: List[int]
-    ) -> None:
-        """Release each active row's committed past before its next cursor.
-
-        No kernel reads a row's source after ``prepare`` (Waiting Greedy's
-        meet table scans ahead on a lookahead copy), so only the lockstep
-        reads it, and active rows share the cursor: a source shared by
-        several rows is released to the same time by each.  Sources without
+        Blocks start at :data:`INITIAL_BLOCK` interactions and double up to
+        ``block_size``.  Each is read, decided (:meth:`_decide_row`) and
+        walked (:meth:`_consume_row`) until the aggregation completes, the
+        horizon is reached or the committed future runs out.  With
+        ``release`` (the batch's last reader of this source) the trial
+        releases its committed past before each next block: no kernel reads
+        its source after ``prepare``, since Waiting Greedy's meet table
+        scans ahead on a lookahead copy.  Sources without
         ``release_before`` (finite sequences and knowledge prefixes) are
         left alone.
         """
-        for b in active:
-            fetcher = kernel_trials[b].fetcher
-            if hasattr(fetcher, "release_before"):
-                fetcher.release_before(used[b])
+        n = len(self.nodes)
+        sink = self.sink_index
+        owns = np.ones(n, dtype=bool)
+        # Python-list mirror of ``owns`` for the scalar candidate walk
+        # (plain list reads are several times cheaper than numpy scalar
+        # indexing); writes go through _consume_row, which updates both.
+        owns_list = [True] * n
+        origin_counts = [1] * n
+        # Payloads are folded scalar-side in event order, to reproduce the
+        # reference engine's float semantics bit for bit.
+        payload = trial.payloads
+        transmissions: List[Transmission] = []
+        duration: Optional[int] = None
+        fetcher = trial.fetcher
+        release = release and hasattr(fetcher, "release_before")
+        horizon = trial.horizon
+        if loops is not None:
+            started = _now()
+        used = cursor = 0
+        window = min(INITIAL_BLOCK, self.block_size)
+        while cursor < horizon:
+            stop = min(horizon, cursor + window)
+            if loops is not None:
+                draw_started = _now()
+            # Read through the class attribute, looked up at each call, so
+            # that a wrapper installed there sees every block.
+            rows_i, rows_j, lengths = (
+                CommittedBlockAdversary.committed_index_matrix(
+                    [fetcher], cursor, stop
+                )
+            )
+            if loops is not None:
+                loops.draw_seconds += _now() - draw_started
+                loops.blocks += 1
+            count = int(lengths[0])
+            if count:
+                candidates, first, second, directions = self._decide_row(
+                    trial, owns, rows_i[0, :count], rows_j[0, :count], cursor
+                )
+                if candidates.size:
+                    if loops is not None:
+                        loops.candidates_walked += int(candidates.size)
+                    duration = self._consume_row(
+                        trial, candidates, first, second, directions, cursor,
+                        owns, owns_list, origin_counts, payload, transmissions,
+                    )
+                    if duration is not None:
+                        used = duration
+                        break
+            used = cursor + count
+            if used < stop:
+                break  # the committed future is exhausted
+            cursor += window
+            window = min(window * 2, self.block_size)
+            if release and cursor < horizon:
+                fetcher.release_before(cursor)
+        if loops is not None:
+            loops.add_trial(started, _now())
+
+        return ExecutionResult(
+            terminated=duration is not None,
+            duration=duration,
+            interactions_used=used,
+            transmissions=transmissions,
+            sink_coverage=origin_counts[sink],
+            node_count=n,
+            remaining_owners=tuple(
+                sorted(
+                    (
+                        self.nodes[position]
+                        for position in range(n)
+                        if owns_list[position] and position != sink
+                    ),
+                    key=repr,
+                )
+            ),
+            sink_payload=float(payload[sink]),
+            opt_cost=trial.opt_cost,
+        )
 
     # ------------------------------------------------------------------ #
     def _decide_row(
         self,
         trial: _KernelTrial,
-        owns_b: np.ndarray,
+        owns: np.ndarray,
         row_i: np.ndarray,
         row_j: np.ndarray,
         cursor: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One row's block, decided: ``(offsets, first, second, directions)``.
+        """One block of a trial, decided: ``(offsets, first, second, directions)``.
 
         Sparse kernels (a rare non-abstain set and an ownership-free,
         order-insensitive pure decision, e.g. Waiting's sink-only rule)
-        decide the whole row in raw draw order, where direction 0 names the
-        ``row_i`` side.  The others decide only the survivors of the
+        decide the whole block in raw draw order, where direction 0 names
+        the ``row_i`` side.  The others decide only the survivors of the
         ownership mask, in canonical identifier order: since ownership only
         decays, everything the mask (taken at block start) rejects stays
         rejected and never reaches Python.  ``NO_TRANSMISSION`` candidates
@@ -706,7 +687,7 @@ class VectorizedExecutor:
             offsets = np.arange(row_i.shape[0])
             first, second = row_i, row_j
         else:
-            offsets = np.nonzero(owns_b[row_i] & owns_b[row_j])[0]
+            offsets = np.nonzero(owns[row_i] & owns[row_j])[0]
             if not offsets.size:
                 return offsets, offsets, offsets, offsets
             iu = row_i[offsets]
@@ -724,7 +705,6 @@ class VectorizedExecutor:
     def _consume_row(
         self,
         trial: _KernelTrial,
-        b: int,
         candidates: np.ndarray,
         first: np.ndarray,
         second: np.ndarray,
@@ -732,13 +712,11 @@ class VectorizedExecutor:
         cursor: int,
         owns: np.ndarray,
         owns_list: List[bool],
-        origin_counts: np.ndarray,
-        payload_row: List[float],
-        remaining: List[int],
-        transmissions: List[List[Transmission]],
-        fold: Any,
+        origin_counts: List[int],
+        payload: List[float],
+        transmissions: List[Transmission],
     ) -> Optional[int]:
-        """Walk one row's decided candidates in time order; apply them.
+        """Walk one block's decided candidates in time order; apply them.
 
         ``candidates`` holds block offsets, aligned with their endpoints
         (``first``/``second``) and their kernel ``directions``.  Their
@@ -750,9 +728,11 @@ class VectorizedExecutor:
         """
         kernel = trial.kernel
         state = trial.state
-        owns_b = owns[b]
         sink = self.sink_index
         nodes = self.nodes
+        fold = self.aggregation.fold
+        # Every transmission takes one owner other than the sink.
+        remaining = len(nodes) - 1 - len(transmissions)
         algorithm_name = kernel.algorithm_name
         # The numpy views stay alongside the scalar-walk lists so the
         # periodic re-filter compaction runs entirely in numpy.
@@ -772,7 +752,7 @@ class VectorizedExecutor:
                     tail = slice(position + 1, None)
                     rest_first = first[tail]
                     rest_second = second[tail]
-                    alive = owns_b[rest_first] & owns_b[rest_second]
+                    alive = owns[rest_first] & owns[rest_second]
                     candidates = candidates[tail][alive]
                     first = rest_first[alive]
                     second = rest_second[alive]
@@ -806,17 +786,15 @@ class VectorizedExecutor:
                     f"algorithm {algorithm_name!r} ordered the sink to "
                     f"transmit at t={time}"
                 )
-            payload_row[receiver] = fold(
-                payload_row[receiver], payload_row[sender]
-            )
-            origin_counts[b, receiver] += origin_counts[b, sender]
-            owns_b[sender] = False
+            payload[receiver] = fold(payload[receiver], payload[sender])
+            origin_counts[receiver] += origin_counts[sender]
+            owns[sender] = False
             owns_list[sender] = False
-            remaining[b] -= 1
-            transmissions[b].append(
+            remaining -= 1
+            transmissions.append(
                 Transmission(time=time, sender=nodes[sender], receiver=nodes[receiver])
             )
-            if remaining[b] == 0:
+            if remaining == 0:
                 return time + 1
             position += 1
         return None

@@ -20,11 +20,11 @@ suggests:
 * **E20 — spanning-tree edge-order ablation (Theorem 5 robustness).**
   On tree footprints, the algorithm must stay optimal (cost 1) regardless of
   the order in which the recurrent sequence presents the tree edges.
-* **E23 — trial-vectorized engine equivalence.**  The struct-of-arrays
+* **E23 — trial-vectorized engine equivalence.**  The
   :class:`~repro.core.vector_execution.VectorizedExecutor` must reproduce
   the reference executor's sweep metrics **exactly** — trial for trial,
   seed for seed — across the paper's algorithms and adversary families,
-  while running the whole sweep cell as numpy arrays.  The report also
+  while running each trial over numpy blocks of its committed future.  The report also
   records the measured wall-clock ratio (the engine's reason to exist).
 
 E18 and E19 run on the one sweep path: every scenario × algorithm, and

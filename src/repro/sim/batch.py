@@ -2,10 +2,11 @@
 
 :func:`run_sweep_cell` is the unit of every sweep.  It derives each trial's
 seed, horizon, adversary and knowledge oracles, constructs one executor per
-cell and hands it every trial through ``run_many``: the trial-vectorized
-:class:`~repro.core.vector_execution.VectorizedExecutor` runs the cell as
-one struct-of-arrays lockstep, the reference
-:class:`~repro.core.execution.Executor` trial by trial.
+cell and hands it every trial through ``run_many``.  Both engines run the
+cell trial by trial: the trial-vectorized
+:class:`~repro.core.vector_execution.VectorizedExecutor` over numpy blocks
+of each trial's committed future, the reference
+:class:`~repro.core.execution.Executor` one interaction at a time.
 
 Determinism contract: every trial derives from its seed alone
 (:func:`~repro.sim.runner.derive_sweep_trial`), so a cell returns the same
@@ -61,18 +62,19 @@ def run_sweep_cell(
 ) -> List[TrialMetrics]:
     """Run all ``trials`` of one sweep cell in one engine invocation.
 
-    ``engine="vectorized"`` runs the cell through the struct-of-arrays
-    lockstep of :meth:`~repro.core.vector_execution.VectorizedExecutor.
-    run_many` — every registered algorithm has a decision kernel, so a
-    trial leaves the lockstep only for the exceptional shapes listed in
-    :mod:`repro.core.vector_execution`; when that happens the cell emits one
-    :class:`EngineFallbackWarning` and tags the affected trials' metrics
-    with ``extra["engine_fallback"]`` (the reason string).
+    ``engine="vectorized"`` runs the cell through
+    :meth:`~repro.core.vector_execution.VectorizedExecutor.run_many`, one
+    trial at a time on its decision kernel — every registered algorithm
+    has one, so a trial falls back to the reference engine only for the
+    exceptional shapes listed in :mod:`repro.core.vector_execution`; when
+    that happens the cell emits one :class:`EngineFallbackWarning` and
+    tags the affected trials' metrics with ``extra["engine_fallback"]``
+    (the reason string).
     ``engine="reference"`` runs one reference executor per trial (the
     semantics oracle for differential tests of this very function).
     ``capture_opt=True`` additionally evaluates the offline-optimum
     baseline per trial (the vectorized engine from each trial's committed
-    future, before the lockstep), filling the metrics' ``opt_cost`` /
+    future, before the trial runs), filling the metrics' ``opt_cost`` /
     ``competitive_ratio`` fields identically on both engines.
     ``first_trial`` offsets the trial numbers, so the call runs trials
     ``first_trial .. first_trial + trials - 1`` of the cell: consecutive
@@ -144,9 +146,11 @@ def _run_cell(
     # Trials are prepared lazily — the reference engine runs each trial as
     # soon as it is built, so only its committed future (and any
     # horizon-length committed prefix a knowledge oracle pre-draws) is
-    # alive.  The vectorized engine materialises the whole cell (its
-    # lockstep consumes all committed futures side by side), so its peak
-    # memory grows with ``trials`` — by design.
+    # alive.  The vectorized engine lists the cell first, to find the last
+    # trial reading each source, so every trial's adversary and oracles
+    # (knowledge prefixes included) are built up front; it then runs one
+    # trial at a time and drops each when it is done, so what the runs
+    # commit does not add up across trials.
     meta: List[Tuple[str, int, int]] = []
     first = prepare(first_trial)
     cell_executor = executor_cls(

@@ -43,8 +43,9 @@ AlgorithmFactory = Callable[[int], DODAAlgorithm]
 #: semantics oracle (:class:`~repro.core.execution.Executor`);
 #: ``vectorized`` is the trial-vectorized engine
 #: (:class:`~repro.core.vector_execution.VectorizedExecutor`), which runs
-#: whole sweep cells as numpy struct-of-arrays and falls back to the
-#: reference engine for the trials its kernels cannot mirror.  Both
+#: each trial of a sweep cell over numpy blocks of its committed future and
+#: falls back to the reference engine for the trials its kernels cannot
+#: mirror.  Both
 #: produce identical results seed for seed.
 ENGINES = {
     "reference": Executor,

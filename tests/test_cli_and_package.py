@@ -12,7 +12,7 @@ from repro.cli import build_parser, main
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -209,7 +209,7 @@ class TestVectorizedEngineCLI:
     def test_sweep_vectorized_workers_and_block_size_compose(
         self, capsys, monkeypatch
     ):
-        """--workers fans out over trial ranges, and each lockstep crosses
+        """--workers fans out over trial ranges, and each trial crosses
         many block boundaries; together they still print the reference
         table."""
         from repro.core import vector_execution

@@ -6,7 +6,7 @@ committed family — the non-uniform (Zipf/hub) adversary and the mobility
 adversaries (random waypoint, community, trace replay) — across all
 registered algorithms, multiple seeds and instance shapes, plus the
 serial and multi-process sweep with a non-uniform adversary selected.
-The vectorized engine runs at its default lockstep window and at a window
+The vectorized engine runs at its default block window and at a window
 so small that every trial crosses many block boundaries.
 """
 

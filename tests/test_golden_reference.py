@@ -4,10 +4,14 @@
 each benchmark workload at seed 0, recorded on the vectorized engine.  A
 shard digest covers the cell's trial records only, not the engine that
 ran them, so the reference engine (the semantics oracle) must reproduce
-every digest.  That checks reference ≡ vectorized at benchmark scale:
-``paper_ratio`` runs n = 100-200 with ratio capture, where the engine
-differential tests stop at n ≤ 20.  The test reads the workload spec and
-the golden digests and writes neither file.
+every digest.  That checks reference ≡ vectorized at benchmark scale,
+where the engine differential tests stop at n ≤ 20: ``paper_ratio`` runs
+n = 100-200 with ratio capture, ``paper_engine`` n = 200-400 on the
+default block windows over hundreds of thousands of interactions per
+trial, ``knowledge`` the knowledge-based algorithms and ``skewed`` the
+zipf and hub adversaries.  Cells are never shrunk, since a digest covers
+a whole cell; ``paper_engine`` takes about three minutes.  The test
+reads the workload spec and the golden digests and writes neither file.
 """
 
 import importlib.util
@@ -33,7 +37,9 @@ workloads = _load_workloads()
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workload", ("paper_ratio",))
+@pytest.mark.parametrize(
+    "workload", ("paper_ratio", "paper_engine", "knowledge", "skewed")
+)
 def test_reference_engine_reproduces_the_golden_digests(workload, tmp_path):
     fields = workloads.spec_fields(workload, workloads.DEFAULT_SEED)
     spec = CampaignSpec(**{**fields, "engine": "reference"})

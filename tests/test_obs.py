@@ -390,7 +390,7 @@ class TestCampaignTelemetryIsolation:
     def test_meet_table_scans_are_counted_and_change_no_shard(
         self, tmp_path, meet_tables
     ):
-        # The draws a Waiting Greedy meet table makes ahead of the lockstep
+        # The draws a Waiting Greedy meet table makes ahead of the run
         # never reach engine.committed_draws; they are counted here.
         spec = campaign_spec(algorithms=("waiting_greedy",), ns=(200,), trials=4)
         run_campaign(spec, tmp_path / "plain")

@@ -2,7 +2,7 @@
 
 Each case derives a random ``(adversary family, algorithm, n, sink, seed)``
 combination from a case seed, runs it through the engine under test (the
-trial-vectorized engine, at its default lockstep window and at a window
+trial-vectorized engine, at its default block window and at a window
 so small that every run crosses many block boundaries), and asserts the
 invariants every result in the repository builds on:
 
@@ -36,7 +36,7 @@ from repro.sim.runner import build_knowledge_for_random_run, default_horizon
 
 CASE_COUNT = 24
 
-#: A lockstep window far below the engine's first block
+#: A block window far below the engine's first block
 #: (``INITIAL_BLOCK``): block boundaries are consumption windows only, so
 #: every invariant must hold however often a run crosses one.
 SMALL_BLOCK = 16

@@ -202,7 +202,7 @@ def test_cost_at_least_one_and_one_iff_optimal(data):
 
 #: Engine legs of the ratio invariants, as ``(engine, block_size)``, where
 #: a block size replaces the vectorized engine's default window cap.  The
-#: small-block leg runs the lockstep, and its release of each row's
+#: small-block leg runs each trial, and its release of the trial's
 #: consumed past, across many blocks.
 RATIO_LEGS = {
     "reference": ("reference", None),

@@ -83,7 +83,7 @@ class TestEngineAndPathIdentity:
     def test_vectorized_fallback_algorithm_captures_too(self):
         # A same-name subclass is not the registered class, so its trials
         # fall back to the reference engine, which captures the baseline
-        # itself; the other rows of the batch stay on the kernel.
+        # itself; the other trials of the batch stay on the kernel.
         class SameNameGathering(Gathering):
             pass
 

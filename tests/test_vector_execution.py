@@ -7,8 +7,8 @@ the transmission log, seed for seed — for **every registered algorithm**
 (all of which now carry decision kernels) under every committed adversary
 family (uniform / zipf / hub / waypoint / community / trace replay).  The
 few shapes no kernel can mirror (adaptive providers, mis-shaped oracles,
-``enforce_oblivious`` runs, shared RNG instances, overridden ``decide``
-methods) fall back to the reference engine — exactly, and *observably*:
+``enforce_oblivious`` runs, overridden ``decide`` methods) fall back to
+the reference engine — exactly, and *observably*:
 every fallback carries a reason in ``VectorizedExecutor.last_fallbacks``
 and sweep cells warn.
 """
@@ -222,7 +222,7 @@ class TestKernelVsObjectDifferential:
 class TestBatchDifferential:
     """Whole batches: ``VectorizedExecutor.run_many`` equals the reference
     ``Executor.run_many`` — the engine its fallbacks run on — trial for
-    trial, while the rows of one lockstep mix adversary families and stop
+    trial, while the trials of one batch mix adversary families and stop
     at different budgets."""
 
     @staticmethod
@@ -538,10 +538,11 @@ class TestFallback:
         (reason,) = executor.last_fallback_reasons
         assert "enforce_oblivious" in reason
 
-    def test_shared_rng_algorithm_instance_falls_back(self):
-        """One RNG-bearing instance shared by several trials must not enter
-        the lockstep: interleaving rows would consume the shared stream in
-        a different order than sequential per-trial execution."""
+    def test_shared_rng_algorithm_instance_runs_trial_after_trial(self):
+        """One RNG-bearing instance shared by several trials draws its
+        stream exactly as the reference engine does: the engine runs the
+        trials one after another in batch order, kernel and fallback trials
+        alike, so none has to fall back."""
         from repro.algorithms.random_baseline import RandomReceiver
 
         n, sink = 14, 0
@@ -572,9 +573,7 @@ class TestFallback:
         executor = VectorizedExecutor(nodes, sink, shared_vec)
         actual = executor.run_many(batch(shared_vec))
         assert actual == expected
-        assert executor.last_fallback_count == 3
-        for reason in executor.last_fallback_reasons:
-            assert "shared across 3 trials" in reason
+        assert executor.last_fallback_count == 0
 
         # Distinct per-trial instances do take the kernel path and agree too.
         def per_trial():
@@ -595,9 +594,32 @@ class TestFallback:
         ).run_many(per_trial())
         assert executor.last_fallback_count == 0
 
+        # A fallback trial between two kernel trials draws the shared
+        # stream in its turn, too.
+        nodes = list(range(5))
+
+        def mixed():
+            cycle = [(u, v) for u in nodes for v in nodes if u < v]
+            sources = (
+                build_trial_adversary("uniform", nodes, 3, 400, sink, None),
+                EventuallyPeriodicAdversary(prefix=(), cycle=cycle),
+                build_trial_adversary("uniform", nodes, 4, 400, sink, None),
+            )
+            return [
+                BatchTrial(source=source, max_interactions=400)
+                for source in sources
+            ]
+
+        expected = Executor(nodes, sink, RandomReceiver(seed=99)).run_many(
+            mixed()
+        )
+        executor = VectorizedExecutor(nodes, sink, RandomReceiver(seed=99))
+        assert executor.run_many(mixed()) == expected
+        assert [record.position for record in executor.last_fallbacks] == [1]
+
     def test_mixed_batch_preserves_order(self):
         """Heterogeneous algorithms interleave in one batch — and, now that
-        every algorithm has a kernel, all of them take the lockstep."""
+        every algorithm has a kernel, all of them run on it."""
         n, sink = 11, 0
         nodes = list(range(n))
         names = ["gathering", "spanning_tree", "waiting", "full_knowledge"]
@@ -681,7 +703,7 @@ class TestFallbackReporting:
 
     @pytest.mark.parametrize("name", KNOWLEDGE_HEAVY)
     def test_zero_fallbacks_at_executor_level(self, name):
-        """The executor's own counter agrees: no trial left the lockstep."""
+        """The executor's own counter agrees: no trial fell back."""
         algorithm = make_algorithm(name, 12)
         nodes = list(range(12))
         horizon = default_horizon(algorithm, 12)
@@ -797,46 +819,65 @@ class TestConsumedPast:
             opt(twin.committed_prefix(used), list(range(12)), 0)
         )
 
+    @pytest.mark.parametrize(
+        "order",
+        (
+            ("waiting_greedy", "gathering"),
+            # Waiting Greedy's meet table scans the shared prefix from
+            # time 0 at prepare, after the gathering trial has run.
+            ("gathering", "waiting_greedy"),
+            # The fallback's reference engine reads it from time 0.
+            ("gathering", "unregistered"),
+        ),
+        ids="-then-".join,
+    )
     @pytest.mark.parametrize("seed", (1, 5, 9))
-    def test_shared_adversary_rows_match_reference(self, seed):
-        # One adversary read by a waiting_greedy row and a gathering row:
-        # the lockstep keeps everything from the rows' minimum floor on, and
-        # the Waiting Greedy row's floor trails its meet table's scan.
+    def test_shared_adversary_rows_match_reference(self, order, seed):
+        # One adversary read by two trials of a batch: only the last of
+        # them releases its past, since the first reads it from time 0.
         n = 16
         nodes = list(range(n))
+        horizon = default_horizon(WaitingGreedy(tau=optimal_tau(n)), n)
 
         def trials(adversary):
-            greedy = WaitingGreedy(tau=optimal_tau(n))
-            horizon = default_horizon(greedy, n)
-            knowledge, _ = build_knowledge_for_random_run(
-                greedy, adversary, nodes, 0, horizon
-            )
-            return [
-                BatchTrial(
+            batch = []
+            for name in order:
+                knowledge = None
+                if name == "waiting_greedy":
+                    algorithm = WaitingGreedy(tau=optimal_tau(n))
+                    knowledge, _ = build_knowledge_for_random_run(
+                        algorithm, adversary, nodes, 0, horizon
+                    )
+                elif name == "gathering":
+                    algorithm = Gathering()
+                else:
+                    algorithm = _UnregisteredGathering()
+                batch.append(BatchTrial(
                     source=adversary, max_interactions=horizon,
-                    algorithm=greedy, knowledge=knowledge,
-                ),
-                BatchTrial(
-                    source=adversary, max_interactions=horizon,
-                    algorithm=Gathering(),
-                ),
-            ]
+                    algorithm=algorithm, knowledge=knowledge,
+                ))
+            return batch
 
         adversary = self.adversary(n, seed)
-        vectorized = VectorizedExecutor(
-            nodes, 0, Gathering(), block_size=16
-        ).run_many(trials(adversary))
+        executor = VectorizedExecutor(nodes, 0, Gathering(), block_size=16)
+        vectorized = executor.run_many(trials(adversary))
         reference = Executor(nodes, 0, Gathering()).run_many(
             trials(self.adversary(n, seed))
         )
         assert vectorized == reference
-        with pytest.raises(ConfigurationError, match="was released"):
+        if order[-1] == "unregistered":
+            # The last reader ran on the reference engine, which keeps it.
+            assert executor.last_fallback_count == 1
             adversary.committed_prefix(1)
+        else:
+            assert executor.last_fallback_count == 0
+            with pytest.raises(ConfigurationError, match="was released"):
+                adversary.committed_prefix(1)
 
     def test_waiting_greedy_floor_trails_its_meet_table(self):
         # Node 2 hands its data to node 1 at t = 0 and node 1 to the sink at
         # t = 1; the 4998 interactions of data-less nodes that follow let
-        # the lockstep's cursor overtake the meet table's first scan (4096
+        # the run's cursor overtake the meet table's first scan (4096
         # interactions).  At t = 5000 the table must then scan on from
         # 4096 to decide between nodes 3 and 4, behind the cursor.
         nodes = list(range(5))
@@ -860,10 +901,10 @@ class TestConsumedPast:
         assert vectorized == run(Executor)
 
     def test_waiting_greedy_rows_store_no_scan_ahead(self, meet_tables):
-        # The meet tables scan past the lockstep by at least one pair gap
+        # The meet tables scan past the run by at least one pair gap
         # (19,900 at n = 200).  The scan reads lookahead copies, so each
         # trial's adversary commits only the tau + 1 prefix the table reads
-        # at prepare and the blocks the lockstep reads, chunk-aligned.
+        # at prepare and the blocks the run reads, chunk-aligned.
         n = 200
         nodes = list(range(n))
         greedy = WaitingGreedy(tau=optimal_tau(n))
@@ -982,13 +1023,53 @@ if capture_opt:
 def test_waiting_cell_at_n_1000_fits_in_512_mb_of_address_space(
     algorithm, capture
 ):
-    # Each row keeps only the committed window it has yet to consume, and
+    # Each trial keeps only the committed window it has yet to consume, and
     # Waiting Greedy's meet tables keep none of their scan-ahead: the whole
     # cell's committed history would be several gigabytes.  Ratio capture
     # reads each optimum from a short prefix of the committed future at
     # prepare, so it keeps no past either.
-    result = subprocess.run(
-        [sys.executable, "-c", BOUNDED_MEMORY_SCRIPT, algorithm, capture],
+    result = run_script(BOUNDED_MEMORY_SCRIPT, algorithm, capture)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+CELL_PEAK_SCRIPT = """
+import sys
+
+from repro.campaign.spec import algorithm_factory_for
+from repro.sim.batch import run_sweep_cell
+
+metrics = run_sweep_cell(
+    algorithm_factory_for(sys.argv[1]), 400, int(sys.argv[2]), master_seed=0,
+    engine="vectorized",
+)
+assert all(trial.terminated for trial in metrics)
+with open("/proc/self/status") as status:
+    (peak,) = [line for line in status if line.startswith("VmHWM:")]
+print(int(peak.split()[1]))  # kB
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="needs /proc/self/status"
+)
+@pytest.mark.parametrize("algorithm", ("waiting", "waiting_greedy"))
+def test_cell_peak_memory_does_not_grow_with_trials(algorithm):
+    # The engine holds one trial at a time: what a run commits goes with
+    # its trial, so four times the trials add only their preparation.
+    def peak_mb(trials):
+        result = run_script(CELL_PEAK_SCRIPT, algorithm, str(trials))
+        assert result.returncode == 0, result.stderr[-2000:]
+        return int(result.stdout.split()[-1]) / 1024
+
+    few, many = peak_mb(48), peak_mb(192)
+    assert many <= few + 20, (few, many)
+
+
+def run_script(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this repro."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         timeout=300,
@@ -999,4 +1080,3 @@ def test_waiting_cell_at_n_1000_fits_in_512_mb_of_address_space(
             "OMP_NUM_THREADS": "1",
         },
     )
-    assert result.returncode == 0, result.stderr[-2000:]
