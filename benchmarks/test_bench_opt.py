@@ -14,8 +14,10 @@ uniform-adversary futures — and times
 * the **kernel**: the vectorized path — assemble the cell's dense index
   matrices (``committed_index_matrix``) and evaluate
   :func:`repro.ratio.kernels.opt_end_matrix` over the whole ``(B, L)``
-  cell in one call; this is exactly what the vectorized engine's
-  ``capture_opt`` does.
+  cell in one call.  The vectorized engine's ``capture_opt`` calls the
+  same kernel, one row per call, on doubling prefixes of each trial's
+  committed future at ``prepare`` (``docs/engines.md``, "Memory"); the
+  cell-wide call measures the kernel's cost per interaction swept.
 
 Both timings start from the same committed numpy buffers and end at the
 same per-trial ``opt(0)`` values, so the ratio is the real cost ratio of
@@ -28,9 +30,10 @@ floor.  The hard floor asserted here (:data:`MIN_OPT_KERNEL_SPEEDUP`,
 10x — the acceptance criterion) is deliberately below locally measured
 figures so a loaded CI runner cannot flake the suite.
 
-A second gate guards the kernel's window scaling: the engines hand it the
-whole window the *algorithm* consumed, which grows far past where the
-optimum ends, and the kernel sweeps only the prefixes the optimum needs.
+A second gate guards the kernel's window scaling: a caller may hand it a
+window that runs far past where the optimum ends (a prefix that reaches
+the horizon, say), and the kernel sweeps only the prefixes the optimum
+needs.
 On the same committed futures, readback plus kernel on an 8x longer
 window must give the same ends and cost at most
 :data:`MAX_LONG_WINDOW_COST` times the short one.  Both timings come from

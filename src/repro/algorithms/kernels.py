@@ -39,12 +39,13 @@ with the object form is enforced by the differential tests in
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from ..adversaries.committed import COMMIT_CHUNK
 from ..core.algorithm import DODAAlgorithm, KNOWLEDGE_MEET_TIME
+from ..knowledge.base import KnowledgeBundle
 from ..obs import current_collector
 
 __all__ = [
@@ -104,18 +105,15 @@ class DecisionKernel:
         algorithm: DODAAlgorithm,
         source: Any,
         knowledge: Any,
-        horizon: int,
-        n: int,
-        sink_index: int,
-        translate: Optional[np.ndarray] = None,
-        sink_node: Any = None,
-        index_of: Optional[Dict[Any, int]] = None,
+        index_of: Dict[Any, int],
+        sink_node: Any,
     ) -> Any:
         """Build the per-trial kernel state (tables, parameters, RNG refs).
 
         ``index_of`` is the executor's node -> dense-index map (insertion
-        order is the dense order); plan-building kernels need it to express
-        node identifiers in array form.
+        order is the dense order, which the trial's source shares); it
+        gives ``n`` and the sink's index, and plan-building kernels express
+        node identifiers in array form through it.
 
         Raises:
             KernelUnsupported: when the trial cannot be reproduced exactly.
@@ -195,9 +193,8 @@ class GatheringKernel(DecisionKernel):
 
     algorithm_name = "gathering"
 
-    def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
-                translate=None, sink_node=None, index_of=None):
-        return _SinkState(sink_index)
+    def prepare(self, algorithm, source, knowledge, index_of, sink_node):
+        return _SinkState(index_of[sink_node])
 
     def decide_block(self, state, iu, iv, t):
         # Receiver defaults to the first (lower-identifier) node; the sink
@@ -220,9 +217,8 @@ class WaitingKernel(DecisionKernel):
     algorithm_name = "waiting"
     sparse = True
 
-    def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
-                translate=None, sink_node=None, index_of=None):
-        return _SinkState(sink_index)
+    def prepare(self, algorithm, source, knowledge, index_of, sink_node):
+        return _SinkState(index_of[sink_node])
 
     def decide_block(self, state, iu, iv, t):
         dirs = np.full(iu.shape[0], NO_TRANSMISSION, dtype=np.int8)
@@ -259,8 +255,8 @@ class SinkMeetTable:
     round emits the interactions it scanned as the
     ``kernels.meet_table_scanned`` counter.
 
-    All indices are in the *executor's* dense node order; ``translate`` maps
-    the adversary's dense indices onto it when the orders differ.
+    All indices are the adversary's dense node indices: the engine runs a
+    kernel only on an adversary in the executor's node order.
     """
 
     def __init__(
@@ -268,13 +264,11 @@ class SinkMeetTable:
         adversary: Any,
         sink_index: int,
         horizon: int,
-        translate: Optional[np.ndarray] = None,
         gap: int = 4096,
         prefix: int = 0,
     ) -> None:
         self._sink = sink_index
         self._horizon = horizon
-        self._translate = translate
         # Expected committed distance between two meetings of a fixed pair;
         # the scan extends by at least this much per resolution round so the
         # amortised cost per unresolved query stays O(1).
@@ -344,9 +338,6 @@ class SinkMeetTable:
     def _scan(self, i: np.ndarray, j: np.ndarray) -> None:
         """Record the sink meetings of the next ``len(i)`` committed pairs."""
         count = i.shape[0]
-        if self._translate is not None and count:
-            i = self._translate[i]
-            j = self._translate[j]
         hit = (i == self._sink) | (j == self._sink)
         if hit.any():
             offsets = np.nonzero(hit)[0]
@@ -436,8 +427,7 @@ class WaitingGreedyKernel(DecisionKernel):
 
     algorithm_name = "waiting_greedy"
 
-    def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
-                translate=None, sink_node=None, index_of=None):
+    def prepare(self, algorithm, source, knowledge, index_of, sink_node):
         from ..knowledge.meet_time import MeetTimeKnowledge
 
         oracle = _bundle_oracle(knowledge, KNOWLEDGE_MEET_TIME)
@@ -454,13 +444,13 @@ class WaitingGreedyKernel(DecisionKernel):
         if not hasattr(source, "lookahead"):
             raise KernelUnsupported("source is not a committed-block adversary")
         tau = int(algorithm.tau)
+        n = len(index_of)
         # Meetings at or below tau must be exact for the abstain decision,
         # so the table's first round scans out to tau + 1.
         table = SinkMeetTable(
             source,
-            sink_index,
+            index_of[sink_node],
             oracle.horizon,
-            translate=translate,
             gap=n * (n - 1) // 2,
             prefix=tau + 1,
         )
@@ -541,9 +531,8 @@ class CoinFlipGatheringKernel(_RngKernel):
 
     algorithm_name = "coin_flip_gathering"
 
-    def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
-                translate=None, sink_node=None, index_of=None):
-        return _RngState(sink_index, algorithm._rng.random, p=algorithm.p)
+    def prepare(self, algorithm, source, knowledge, index_of, sink_node):
+        return _RngState(index_of[sink_node], algorithm._rng.random, p=algorithm.p)
 
     def resolve_one(self, state, iu, iv, t):
         if state.random() >= state.p:
@@ -561,9 +550,8 @@ class RandomReceiverKernel(_RngKernel):
 
     algorithm_name = "random_receiver"
 
-    def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
-                translate=None, sink_node=None, index_of=None):
-        return _RngState(sink_index, algorithm._rng.random)
+    def prepare(self, algorithm, source, knowledge, index_of, sink_node):
+        return _RngState(index_of[sink_node], algorithm._rng.random)
 
     def resolve_one(self, state, iu, iv, t):
         if state.random() < 0.5:
@@ -642,20 +630,15 @@ def _plan_decide_block(
 
 
 def _bundle_oracle(knowledge: Any, name: str) -> Any:
-    """The raw oracle registered under ``name``, however ``knowledge`` is shaped.
+    """The oracle the knowledge bundle grants under ``name``, or None.
 
-    Accepts a knowledge bundle (the sim-layer shape) or a raw oracle object
-    passed directly (the unit-test shape); returns None when neither yields
-    an oracle.
+    Only a :class:`~repro.knowledge.base.KnowledgeBundle` names the oracle
+    behind its answers; any other knowledge object gets None, so its trial
+    runs on the reference engine.
     """
-    if knowledge is None:
-        return None
-    if hasattr(knowledge, "oracle"):
-        try:
-            return knowledge.oracle(name)
-        except Exception:
-            return None
-    return knowledge
+    if isinstance(knowledge, KnowledgeBundle) and knowledge.has(name):
+        return knowledge.oracle(name)
+    return None
 
 
 @register_kernel
@@ -674,15 +657,12 @@ class FullKnowledgeKernel(DecisionKernel):
     algorithm_name = "full_knowledge"
     sparse = True
 
-    def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
-                translate=None, sink_node=None, index_of=None):
+    def prepare(self, algorithm, source, knowledge, index_of, sink_node):
         from .full_knowledge import convergecast_plan
 
         oracle = _bundle_oracle(knowledge, "full_knowledge")
         if oracle is None or not hasattr(oracle, "full_sequence"):
             raise KernelUnsupported("no full-knowledge oracle to mirror")
-        if index_of is None:
-            raise KernelUnsupported("engine did not supply the dense node order")
         plan = convergecast_plan(
             oracle.full_sequence(), list(index_of), sink_node, start=0
         )
@@ -717,8 +697,7 @@ class FutureBroadcastKernel(DecisionKernel):
     algorithm_name = "future_broadcast"
     sparse = True
 
-    def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
-                translate=None, sink_node=None, index_of=None):
+    def prepare(self, algorithm, source, knowledge, index_of, sink_node):
         from ..knowledge.future import FutureKnowledge
         from .future_broadcast import broadcast_then_convergecast_plan
 
@@ -732,8 +711,6 @@ class FutureBroadcastKernel(DecisionKernel):
             raise KernelUnsupported(
                 "future oracle is not backed by the trial's own sequence"
             )
-        if index_of is None:
-            raise KernelUnsupported("engine did not supply the dense node order")
         _, plan = broadcast_then_convergecast_plan(
             oracle.sequence, list(index_of), sink_node
         )
@@ -785,18 +762,16 @@ class SpanningTreeKernel(DecisionKernel):
     algorithm_name = "spanning_tree"
     sparse = True
 
-    def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
-                translate=None, sink_node=None, index_of=None):
+    def prepare(self, algorithm, source, knowledge, index_of, sink_node):
         from .spanning_tree import dense_bfs_tree
 
         oracle = _bundle_oracle(knowledge, "underlying_graph")
         if oracle is None or not hasattr(oracle, "underlying_graph"):
             raise KernelUnsupported("no underlying-graph oracle to mirror")
-        if index_of is None:
-            raise KernelUnsupported("engine did not supply the dense node order")
         if getattr(oracle, "complete_nodes", None) == frozenset(index_of):
             # G-bar is the complete graph on the executor's nodes: the BFS
             # tree is the sink's star (every other node is its neighbour).
+            n, sink_index = len(index_of), index_of[sink_node]
             parent = [sink_index] * n
             parent[sink_index] = -1
             needed = [0] * n

@@ -346,6 +346,8 @@ def load_campaign_spec(path: "str | Path") -> CampaignSpec:
     suffix = spec_path.suffix.lower()
     try:
         if suffix == ".toml":
+            # Imported here: only TOML specs need it, and every campaign
+            # worker imports this module as it starts.
             import tomllib
 
             data = tomllib.loads(text)

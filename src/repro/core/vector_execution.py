@@ -27,10 +27,10 @@ Per-interaction Python work is eliminated through two observations:
   baselines' kernels consume their random stream at exactly the reference
   engine's ``decide`` call sites.
 
-Each block of a trial goes through the same four steps: read the block
-(translated to the executor's node order), keep the raw draw order
-(sparse kernels) or the ownership-mask survivors in canonical order
-(the others), call ``decide_block`` once, and drop ``NO_TRANSMISSION``.
+Each block of a trial goes through the same four steps: read the block,
+keep the raw draw order (sparse kernels) or the ownership-mask survivors
+in canonical order (the others), call ``decide_block`` once, and drop
+``NO_TRANSMISSION``.
 
 The engine is **metric-identical** to the reference executor — same
 transmission log, same durations, same :class:`~repro.core.execution.
@@ -39,14 +39,14 @@ in ``tests/test_vector_execution.py`` and the invariant harness in
 ``tests/test_property_engine.py``.  Every registered algorithm has a
 decision kernel, so under the standard sim-layer trial shapes no trial ever
 falls back.  The few trials the kernels cannot reproduce exactly — an
-adaptive / non-committed interaction source, an oracle shape a kernel
-cannot mirror, ``enforce_oblivious`` runs, unorderable node identifiers,
-an instance of a subclass of the class registered under its name — run on
-the reference :class:`~repro.core.execution.Executor` in their turn, and
-the engine reports each downgrade through
-:attr:`VectorizedExecutor.last_fallbacks` (per-trial
-:class:`EngineFallback` records with human-readable reasons); the sim
-layer surfaces nonzero counts as :class:`EngineFallbackWarning`.
+adaptive / non-committed interaction source, an adversary whose node list
+differs from the executor's, an oracle shape a kernel cannot mirror,
+unorderable node identifiers, an instance of a subclass of the class
+registered under its name — run on the reference
+:class:`~repro.core.execution.Executor` in their turn, and the engine
+reports each downgrade through :attr:`VectorizedExecutor.last_fallbacks`
+(per-trial :class:`EngineFallback` records with human-readable reasons);
+the sim layer surfaces nonzero counts as :class:`EngineFallbackWarning`.
 
 A run releases its committed adversary's past block by block, unless a
 later trial of the batch reads the same source; once a trial's result is
@@ -55,7 +55,7 @@ what its runs consume.  With ``capture_opt`` each kernel trial's offline
 optimum is read at ``prepare``, from doubling prefixes of its committed
 future (``docs/metrics.md``), so capturing it keeps no consumed past.
 
-Engine selection guidance lives in ``src/repro/README.md``; the speedup
+Engine selection guidance lives in ``docs/engines.md``; the speedup
 trajectory (~32x over the reference engine on the standard n = 120
 Waiting / Gathering / Waiting-Greedy sweep) is recorded in
 ``benchmarks/BENCH_engine.json`` and regression-gated by
@@ -102,11 +102,11 @@ __all__ = [
     "INITIAL_BLOCK",
 ]
 
-#: Default cap on the number of committed interactions read per block.
-#: Large enough to amortise the numpy slicing, small enough that an early
-#: termination does not force drawing far beyond the duration.  The engine
-#: takes a per-instance ``block_size`` option; the default is pinned by the
-#: micro-benchmark in ``benchmarks/test_bench_blocksize.py``.
+#: Cap on the number of committed interactions read per block.  Large
+#: enough to amortise the numpy slicing, small enough that an early
+#: termination does not force drawing far beyond the duration.  Read when a
+#: trial starts, so that tests and the micro-benchmark in
+#: ``benchmarks/test_bench_blocksize.py`` patch it around a run.
 DEFAULT_BLOCK_SIZE = 4096
 
 
@@ -166,15 +166,9 @@ class EngineFallback:
 #: First block length of a trial.  Starting small keeps the scalar
 #: candidate walk short through the dense early phase (when every node
 #: still owns data, every interaction is a candidate); the block length
-#: doubles up to the engine's ``block_size`` as owners thin out and
+#: doubles up to :data:`DEFAULT_BLOCK_SIZE` as owners thin out and
 #: candidates become rare.
 INITIAL_BLOCK = 1024
-
-#: After this many stale candidates (endpoints that lost data earlier in
-#: the same block) accumulate since the last compaction, the remaining
-#: candidates are re-masked against the current ownership vector and
-#: compacted.
-_REFILTER_AFTER = 48
 
 
 class _IndexRows(NamedTuple):
@@ -195,7 +189,6 @@ class _KernelTrial:
     kernel: Any
     state: Any
     fetcher: Any  # committed-block reader (adversary or _IndexRows)
-    translate: Optional[np.ndarray]
     horizon: int
     payloads: List[float]
     opt_cost: Optional[float]  # captured at prepare, or None
@@ -247,8 +240,7 @@ class VectorizedExecutor:
     """Run batches of DODA trials, each over numpy blocks of its future.
 
     Construction mirrors the reference
-    :class:`~repro.core.execution.Executor`; ``block_size`` bounds the
-    committed-future window a trial reads per block.
+    :class:`~repro.core.execution.Executor`.
 
     Args:
         nodes: the node set shared by every trial of a batch.
@@ -256,12 +248,6 @@ class VectorizedExecutor:
         algorithm: default algorithm (overridable per trial).
         aggregation: payload fold.
         knowledge: default knowledge bundle (overridable per trial).
-        enforce_oblivious: when True every trial falls back to the
-            reference engine, which implements the memory-write check
-            (kernels never touch node memory, so there is nothing to
-            enforce on the kernel path).
-        block_size: maximum block length (default
-            :data:`DEFAULT_BLOCK_SIZE`).
         capture_opt: evaluate each trial's offline optimum at ``prepare``,
             from its committed future.  Either way a run consumes its
             committed adversaries: their past is released block by block,
@@ -276,8 +262,6 @@ class VectorizedExecutor:
         algorithm: DODAAlgorithm,
         aggregation: AggregationFunction = SUM,
         knowledge: Any = None,
-        enforce_oblivious: bool = False,
-        block_size: Optional[int] = None,
         capture_opt: bool = False,
     ) -> None:
         self.nodes = list(nodes)
@@ -285,16 +269,12 @@ class VectorizedExecutor:
         self.algorithm = algorithm
         self.aggregation = aggregation
         self.knowledge = knowledge
-        self.enforce_oblivious = enforce_oblivious
         # Offline-optimum capture (see Executor): each kernel trial's
         # baseline is read at prepare from its committed future.  A run
         # releases its committed adversary's consumed past
         # (CommittedBlockAdversary.release_before) as it goes, so a later
         # read below the consumed cursor raises.
         self.capture_opt = capture_opt
-        if block_size is not None and block_size < 1:
-            raise ConfigurationError("block_size must be a positive integer")
-        self.block_size = int(block_size or DEFAULT_BLOCK_SIZE)
         validate_instance(self.nodes, sink)
         self.index_of = {node: position for position, node in enumerate(self.nodes)}
         self.sink_index = self.index_of[sink]
@@ -418,19 +398,8 @@ class VectorizedExecutor:
             self.algorithm,
             aggregation=self.aggregation,
             knowledge=self.knowledge,
-            enforce_oblivious=self.enforce_oblivious,
             capture_opt=self.capture_opt,
         ).run_many([trial])[0]
-
-    @property
-    def last_fallback_count(self) -> int:
-        """How many trials of the last batch ran on the fallback engine."""
-        return len(self.last_fallbacks)
-
-    @property
-    def last_fallback_reasons(self) -> Tuple[str, ...]:
-        """The per-trial fallback reasons of the last batch, in batch order."""
-        return tuple(record.reason for record in self.last_fallbacks)
 
     # ------------------------------------------------------------------ #
     def _prepare_trial(
@@ -440,11 +409,6 @@ class VectorizedExecutor:
         trial: BatchTrial,
     ) -> Union[_KernelTrial, str]:
         """Route one trial: a prepared kernel trial, or the fallback reason."""
-        if self.enforce_oblivious:
-            return (
-                "enforce_oblivious requires the reference engine's "
-                "node-memory write check"
-            )
         if self._rank is None:
             return "node identifiers have no canonical total order"
         try:
@@ -462,7 +426,6 @@ class VectorizedExecutor:
             )
         source = trial.source
         horizon = trial.max_interactions
-        translate: Optional[np.ndarray] = None
         if isinstance(source, InteractionSequence):
             if horizon is None:
                 horizon = len(source)
@@ -482,21 +445,10 @@ class VectorizedExecutor:
                     "max_interactions is required when running against an "
                     "unbounded interaction provider"
                 )
-            source_nodes = source.nodes()
-            if source_nodes != self.nodes:
-                try:
-                    translate = np.fromiter(
-                        (self.index_of[node] for node in source_nodes),
-                        dtype=np.int64,
-                        count=len(source_nodes),
-                    )
-                except KeyError:
-                    # Let the reference engine report (or survive) the
-                    # mismatch.
-                    return (
-                        "adversary node set is not a subset of the "
-                        "executor's node set"
-                    )
+            if source.nodes() != self.nodes:
+                # Its dense indices would name other nodes: let the
+                # reference engine run (or report) the mismatch.
+                return "adversary nodes differ from the executor's node order"
             fetcher = source
         else:
             return (
@@ -505,15 +457,7 @@ class VectorizedExecutor:
             )
         try:
             state = kernel.prepare(
-                algorithm,
-                source,
-                knowledge,
-                horizon,
-                len(self.nodes),
-                self.sink_index,
-                translate=translate,
-                sink_node=self.sink,
-                index_of=self.index_of,
+                algorithm, source, knowledge, self.index_of, self.sink
             )
         except KernelUnsupported as exc:
             return f"kernel precondition failed: {exc}"
@@ -522,19 +466,16 @@ class VectorizedExecutor:
             kernel=kernel,
             state=state,
             fetcher=fetcher,
-            translate=translate,
             horizon=int(horizon),
             payloads=[float(payloads.get(node, 1.0)) for node in self.nodes],
             opt_cost=(
-                self._committed_opt_cost(fetcher, translate, int(horizon))
+                self._committed_opt_cost(fetcher, int(horizon))
                 if self.capture_opt
                 else None
             ),
         )
 
-    def _committed_opt_cost(
-        self, fetcher: Any, translate: Optional[np.ndarray], horizon: int
-    ) -> float:
+    def _committed_opt_cost(self, fetcher: Any, horizon: int) -> float:
         """The trial's offline-optimum duration, read from its committed future.
 
         ``opt(0)`` of the first doubling prefix ``[0, 4n)``, ``[0, 8n)``, …
@@ -550,8 +491,6 @@ class VectorizedExecutor:
         while True:
             stop = min(width, horizon)
             first, second = fetcher.committed_index_block(0, stop)
-            if translate is not None:
-                first, second = translate[first], translate[second]
             length = first.shape[0]
             end = ratio_kernels.opt_end_matrix(
                 first[None], second[None], [length], n, self.sink_index
@@ -570,9 +509,10 @@ class VectorizedExecutor:
         """Run one kernel trial's blocks to completion.
 
         Blocks start at :data:`INITIAL_BLOCK` interactions and double up to
-        ``block_size``.  Each is read, decided (:meth:`_decide_row`) and
-        walked (:meth:`_consume_row`) until the aggregation completes, the
-        horizon is reached or the committed future runs out.  With
+        :data:`DEFAULT_BLOCK_SIZE`, read as the trial starts.  Each is read,
+        decided (:meth:`_decide_row`) and walked (:meth:`_consume_row`)
+        until the aggregation completes, the horizon is reached or the
+        committed future runs out.  With
         ``release`` (the batch's last reader of this source) the trial
         releases its committed past before each next block: no kernel reads
         its source after ``prepare``, since Waiting Greedy's meet table
@@ -599,7 +539,8 @@ class VectorizedExecutor:
         if loops is not None:
             started = _now()
         used = cursor = 0
-        window = min(INITIAL_BLOCK, self.block_size)
+        cap = DEFAULT_BLOCK_SIZE
+        window = min(INITIAL_BLOCK, cap)
         while cursor < horizon:
             stop = min(horizon, cursor + window)
             if loops is not None:
@@ -633,7 +574,7 @@ class VectorizedExecutor:
             if used < stop:
                 break  # the committed future is exhausted
             cursor += window
-            window = min(window * 2, self.block_size)
+            window = min(window * 2, cap)
             if release and cursor < horizon:
                 fetcher.release_before(cursor)
         if loops is not None:
@@ -680,9 +621,6 @@ class VectorizedExecutor:
         rejected and never reaches Python.  ``NO_TRANSMISSION`` candidates
         are dropped; the walk re-checks ownership for the rest.
         """
-        if trial.translate is not None:
-            row_i = trial.translate[row_i]
-            row_j = trial.translate[row_j]
         if trial.kernel.sparse:
             offsets = np.arange(row_i.shape[0])
             first, second = row_i, row_j
@@ -733,41 +671,13 @@ class VectorizedExecutor:
         fold = self.aggregation.fold
         # Every transmission takes one owner other than the sink.
         remaining = len(nodes) - 1 - len(transmissions)
-        algorithm_name = kernel.algorithm_name
-        # The numpy views stay alongside the scalar-walk lists so the
-        # periodic re-filter compaction runs entirely in numpy.
-        offsets = candidates.tolist()
-        first_list = first.tolist()
-        second_list = second.tolist()
-        direction_list = directions.tolist()
-        position = 0
-        stale = 0
-        while position < len(offsets):
-            iu = first_list[position]
-            iv = second_list[position]
+        for offset, iu, iv, direction in zip(
+            candidates.tolist(), first.tolist(), second.tolist(),
+            directions.tolist(),
+        ):
             if not (owns_list[iu] and owns_list[iv]):
-                stale += 1
-                remaining_count = len(offsets) - position - 1
-                if stale >= _REFILTER_AFTER and remaining_count > _REFILTER_AFTER:
-                    tail = slice(position + 1, None)
-                    rest_first = first[tail]
-                    rest_second = second[tail]
-                    alive = owns[rest_first] & owns[rest_second]
-                    candidates = candidates[tail][alive]
-                    first = rest_first[alive]
-                    second = rest_second[alive]
-                    directions = directions[tail][alive]
-                    offsets = candidates.tolist()
-                    first_list = first.tolist()
-                    second_list = second.tolist()
-                    direction_list = directions.tolist()
-                    position = 0
-                    stale = 0
-                    continue
-                position += 1
                 continue
-            time = cursor + offsets[position]
-            direction = direction_list[position]
+            time = cursor + offset
             if direction == PENDING:
                 # The kernel deferred this decision; it is resolved only
                 # now that the candidate is known to be live (stale PENDING
@@ -775,7 +685,6 @@ class VectorizedExecutor:
                 # never queries the algorithm for them either).
                 direction = kernel.resolve_one(state, iu, iv, time)
                 if direction == NO_TRANSMISSION:
-                    position += 1
                     continue
             if direction == FIRST_RECEIVES:
                 receiver, sender = iu, iv
@@ -783,8 +692,8 @@ class VectorizedExecutor:
                 receiver, sender = iv, iu
             if sender == sink:
                 raise ModelViolationError(
-                    f"algorithm {algorithm_name!r} ordered the sink to "
-                    f"transmit at t={time}"
+                    f"algorithm {kernel.algorithm_name!r} ordered the sink "
+                    f"to transmit at t={time}"
                 )
             payload[receiver] = fold(payload[receiver], payload[sender])
             origin_counts[receiver] += origin_counts[sender]
@@ -796,5 +705,4 @@ class VectorizedExecutor:
             )
             if remaining == 0:
                 return time + 1
-            position += 1
         return None

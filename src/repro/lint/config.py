@@ -29,6 +29,7 @@ truth once it exists.
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
@@ -164,13 +165,6 @@ def load_config(pyproject_path: "str | Path") -> LintConfig:
     path = Path(pyproject_path)
     if not path.is_file():
         raise LintConfigError(f"config file not found: {path}")
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - Python < 3.11 fallback
-        raise LintConfigError(
-            "reading pyproject.toml needs the standard-library tomllib "
-            "(Python >= 3.11)"
-        ) from None
     try:
         data = tomllib.loads(path.read_text(encoding="utf-8"))
     except (OSError, tomllib.TOMLDecodeError) as error:

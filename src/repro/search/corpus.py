@@ -30,13 +30,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from ..campaign.store import _atomic_write
 from ..sim.metrics import TrialMetrics
 from .loop import SearchCandidate, SearchConfig, SearchOutcome, score_schedules
 from .mutations import MutationRecord, Schedule
@@ -57,12 +57,6 @@ _FORMAT = 1
 
 class WorstCaseCorpusError(RuntimeError):
     """The corpus is unreadable, corrupt, or the instance is invalid."""
-
-
-def _atomic_write(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)

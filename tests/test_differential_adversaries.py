@@ -12,6 +12,7 @@ so small that every trial crosses many block boundaries.
 
 import pytest
 
+from block_window import block_window
 from repro.adversaries import (
     CommunityAdversary,
     RandomWaypointAdversary,
@@ -21,7 +22,6 @@ from repro.adversaries import (
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import optimal_tau
-from repro.core import vector_execution
 from repro.core.algorithm import registry
 from repro.core.execution import Executor
 from repro.core.vector_execution import VectorizedExecutor
@@ -43,7 +43,7 @@ N = 12
 # the slow marker so the default run always exercises their full matrix.
 KNOWLEDGE_HEAVY = ("spanning_tree", "full_knowledge", "future_broadcast")
 
-#: Candidate legs, by the vectorized engine's ``block_size``: the default
+#: Candidate legs, by the vectorized engine's block cap: the default
 #: window (None), and one far below the first block, so that every trial
 #: crosses many block boundaries.
 CANDIDATES = {"vectorized": None, "vectorized-small-blocks": 16}
@@ -69,11 +69,9 @@ def candidate_trial(engine, name, family, seed):
         algorithm, adversary, nodes, 0, horizon
     )
     source = committed if committed is not None else adversary
-    executor = VectorizedExecutor(
-        nodes, 0, algorithm, knowledge=knowledge,
-        block_size=CANDIDATES[engine],
-    )
-    return executor.run(source, max_interactions=horizon)
+    executor = VectorizedExecutor(nodes, 0, algorithm, knowledge=knowledge)
+    with block_window(CANDIDATES[engine]):
+        return executor.run(source, max_interactions=horizon)
 
 
 @pytest.mark.slow
@@ -261,21 +259,19 @@ class TestSweepPathEquivalence:
     @pytest.mark.slow
     @pytest.mark.parametrize("engine", sorted(CANDIDATES))
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_sweep_reproduces_serial(self, family, engine, monkeypatch):
-        if CANDIDATES[engine] is not None:
-            # The sweep takes no window option: shrink the engine's default.
-            monkeypatch.setattr(
-                vector_execution, "DEFAULT_BLOCK_SIZE", CANDIDATES[engine]
-            )
+    def test_sweep_reproduces_serial(self, family, engine):
         factory = lambda n: Gathering()
         serial = sweep_random_adversary(
             factory, ns=[8, 12], trials=4, master_seed=9,
             engine="reference", adversary=family,
         )
-        candidate = sweep_random_adversary(
-            factory, ns=[8, 12], trials=4, master_seed=9,
-            engine="vectorized", adversary=family,
-        )
+        # The sweep takes no window option: the helper shrinks the
+        # engine's default.
+        with block_window(CANDIDATES[engine]):
+            candidate = sweep_random_adversary(
+                factory, ns=[8, 12], trials=4, master_seed=9,
+                engine="vectorized", adversary=family,
+            )
         assert candidate.algorithm == serial.algorithm
         assert candidate.ns == serial.ns
         for point, expected in zip(candidate.points, serial.points):

@@ -24,10 +24,10 @@ also one more differential data point.
 """
 
 import random
-from functools import partial
 
 import pytest
 
+from block_window import block_window
 from repro.adversaries.factory import ADVERSARY_FAMILIES, make_adversary
 from repro.core.algorithm import registry
 from repro.core.execution import Executor
@@ -64,7 +64,7 @@ def make_algorithm(name: str, n: int):
     return registry.create(name, **kwargs)
 
 
-def run_case(case_seed: int, engine_cls=VectorizedExecutor):
+def run_case(case_seed: int, window=None):
     family, name, n, sink, seed = derive_case(case_seed)
     nodes = list(range(n))
     algorithm = make_algorithm(name, n)
@@ -81,9 +81,10 @@ def run_case(case_seed: int, engine_cls=VectorizedExecutor):
         algorithm, adversary, nodes, sink, horizon
     )
     source = committed if committed is not None else adversary
-    result = engine_cls(nodes, sink, algorithm, knowledge=knowledge).run(
-        source, max_interactions=horizon
-    )
+    with block_window(window):
+        result = VectorizedExecutor(
+            nodes, sink, algorithm, knowledge=knowledge
+        ).run(source, max_interactions=horizon)
     # The run consumed its adversary (a vectorized run releases the
     # committed past), so the checks below read a twin
     # re-derived from the same (family, seed, max_horizon, sink): it
@@ -93,14 +94,12 @@ def run_case(case_seed: int, engine_cls=VectorizedExecutor):
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "engine_cls",
-    (VectorizedExecutor, partial(VectorizedExecutor, block_size=SMALL_BLOCK)),
-    ids=("vectorized", "vectorized-small-blocks"),
+    "window", (None, SMALL_BLOCK), ids=("vectorized", "vectorized-small-blocks")
 )
 @pytest.mark.parametrize("case_seed", range(CASE_COUNT))
 class TestEngineInvariants:
-    def test_data_conservation(self, case_seed, engine_cls):
-        _, _, n, sink, _, _, result, _ = run_case(case_seed, engine_cls)
+    def test_data_conservation(self, case_seed, window):
+        _, _, n, sink, _, _, result, _ = run_case(case_seed, window)
         coverage = {node: 1 for node in range(n)}
         owners = set(range(n))
         for transmission in result.transmissions:
@@ -117,50 +116,51 @@ class TestEngineInvariants:
             assert result.sink_coverage == n
             assert len(result.transmissions) == n - 1
 
-    def test_sink_monotone_and_never_sends(self, case_seed, engine_cls):
-        _, _, _, sink, _, _, result, _ = run_case(case_seed, engine_cls)
+    def test_sink_monotone_and_never_sends(self, case_seed, window):
+        _, _, _, sink, _, _, result, _ = run_case(case_seed, window)
         assert all(t.sender != sink for t in result.transmissions)
         times = [t.time for t in result.transmissions]
         assert times == sorted(times)
 
-    def test_no_transmission_after_data_loss(self, case_seed, engine_cls):
-        _, _, _, _, _, _, result, _ = run_case(case_seed, engine_cls)
+    def test_no_transmission_after_data_loss(self, case_seed, window):
+        _, _, _, _, _, _, result, _ = run_case(case_seed, window)
         lost_at = {}
         for transmission in result.transmissions:
             assert transmission.sender not in lost_at
             assert transmission.receiver not in lost_at
             lost_at[transmission.sender] = transmission.time
 
-    def test_transmissions_ride_committed_interactions(self, case_seed, engine_cls):
-        _, _, _, _, _, adversary, result, _ = run_case(case_seed, engine_cls)
+    def test_transmissions_ride_committed_interactions(self, case_seed, window):
+        _, _, _, _, _, adversary, result, _ = run_case(case_seed, window)
         prefix = adversary.committed_prefix(result.interactions_used)
         for transmission in result.transmissions:
             assert prefix[transmission.time].pair == frozenset(
                 (transmission.sender, transmission.receiver)
             )
 
-    def test_committed_prefix_replay_reproduces_run(self, case_seed, engine_cls):
+    def test_committed_prefix_replay_reproduces_run(self, case_seed, window):
         family, name, n, sink, seed, adversary, result, horizon = run_case(
-            case_seed, engine_cls
+            case_seed, window
         )
         replay_source = adversary.committed_prefix(
             min(horizon, max(result.interactions_used, 1))
         )
-        replayed = engine_cls(
-            list(range(n)), sink, make_algorithm(name, n),
-            knowledge=build_knowledge_for_random_run(
-                make_algorithm(name, n), adversary, list(range(n)), sink,
-                horizon,
-            )[0],
-        ).run(replay_source, max_interactions=result.interactions_used)
+        with block_window(window):
+            replayed = VectorizedExecutor(
+                list(range(n)), sink, make_algorithm(name, n),
+                knowledge=build_knowledge_for_random_run(
+                    make_algorithm(name, n), adversary, list(range(n)), sink,
+                    horizon,
+                )[0],
+            ).run(replay_source, max_interactions=result.interactions_used)
         assert replayed.transmissions == result.transmissions
         assert replayed.terminated == result.terminated
         assert replayed.duration == result.duration
 
-    def test_oracle_answers_match_realized_schedule(self, case_seed, engine_cls):
-        _, _, n, sink, _, adversary, result, _ = run_case(case_seed, engine_cls)
-        window = max(result.interactions_used, 64)
-        prefix = adversary.committed_prefix(window)
+    def test_oracle_answers_match_realized_schedule(self, case_seed, window):
+        _, _, n, sink, _, adversary, result, _ = run_case(case_seed, window)
+        span = max(result.interactions_used, 64)
+        prefix = adversary.committed_prefix(span)
         probe = random.Random(case_seed)
         for _ in range(5):
             node = probe.randrange(n)
@@ -185,9 +185,9 @@ class TestEngineInvariants:
                 extended = adversary.committed_prefix(answer + 1)
                 assert extended[answer].pair == frozenset((node, sink))
 
-    def test_reference_engine_agrees(self, case_seed, engine_cls):
+    def test_reference_engine_agrees(self, case_seed, window):
         family, name, n, sink, seed, _, result, horizon = run_case(
-            case_seed, engine_cls
+            case_seed, window
         )
         nodes = list(range(n))
         algorithm = make_algorithm(name, n)

@@ -26,6 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from strategies import common_settings, interaction_sequences
 
+from block_window import block_window
 from repro.adversaries.factory import ADVERSARY_FAMILIES
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting import Waiting
@@ -200,8 +201,8 @@ def test_cost_at_least_one_and_one_iff_optimal(data):
 # ---------------------------------------------------------------------- #
 
 
-#: Engine legs of the ratio invariants, as ``(engine, block_size)``, where
-#: a block size replaces the vectorized engine's default window cap.  The
+#: Engine legs of the ratio invariants, as ``(engine, block cap)``, where
+#: a cap replaces the vectorized engine's default window cap.  The
 #: small-block leg runs each trial, and its release of the trial's
 #: consumed past, across many blocks.
 RATIO_LEGS = {
@@ -213,14 +214,10 @@ RATIO_LEGS = {
 
 def ratio_cell(leg, factory, adversary, trials, horizon_fn=None):
     """One ratio-capturing sweep cell at ``n = 12`` on an engine leg."""
-    from unittest import mock
-
-    from repro.core import vector_execution
     from repro.sim.batch import run_sweep_cell
 
-    engine, block_size = RATIO_LEGS[leg]
-    window = block_size or vector_execution.DEFAULT_BLOCK_SIZE
-    with mock.patch.object(vector_execution, "DEFAULT_BLOCK_SIZE", window):
+    engine, window = RATIO_LEGS[leg]
+    with block_window(window):
         return run_sweep_cell(
             factory, 12, trials, master_seed=0, engine=engine,
             adversary=adversary, capture_opt=True, horizon_fn=horizon_fn,

@@ -7,8 +7,8 @@ the transmission log, seed for seed — for **every registered algorithm**
 (all of which now carry decision kernels) under every committed adversary
 family (uniform / zipf / hub / waypoint / community / trace replay).  The
 few shapes no kernel can mirror (adaptive providers, mis-shaped oracles,
-``enforce_oblivious`` runs, overridden ``decide`` methods) fall back to
-the reference engine — exactly, and *observably*:
+adversaries in another node order, overridden ``decide`` methods) fall
+back to the reference engine — exactly, and *observably*:
 every fallback carries a reason in ``VectorizedExecutor.last_fallbacks``
 and sweep cells warn.
 """
@@ -23,6 +23,7 @@ import pytest
 
 import repro
 
+from block_window import block_window
 from repro.adversaries import TraceReplayAdversary, make_adversary
 from repro.adversaries.base import EventuallyPeriodicAdversary
 from repro.adversaries.committed import COMMIT_CHUNK, CommittedBlockAdversary
@@ -80,8 +81,9 @@ def make_algorithm(name: str, n: int):
 
 
 def run_engine(engine_cls, name, n, seed, sink=0, family="uniform",
-               block_size=None):
-    """One committed-adversary trial through an explicit engine class."""
+               window=None):
+    """One committed-adversary trial through an explicit engine class, its
+    blocks capped at ``window`` interactions (None: the default cap)."""
     algorithm = make_algorithm(name, n)
     nodes = list(range(n))
     horizon = default_horizon(algorithm, n)
@@ -90,9 +92,14 @@ def run_engine(engine_cls, name, n, seed, sink=0, family="uniform",
         algorithm, adversary, nodes, sink, horizon
     )
     source = committed if committed is not None else adversary
-    kwargs = {} if block_size is None else {"block_size": block_size}
-    executor = engine_cls(nodes, sink, algorithm, knowledge=knowledge, **kwargs)
-    return executor.run(source, max_interactions=horizon)
+    executor = engine_cls(nodes, sink, algorithm, knowledge=knowledge)
+    with block_window(window):
+        return executor.run(source, max_interactions=horizon)
+
+
+def fallback_reasons(executor):
+    """The fallback reasons of the executor's last batch, in batch order."""
+    return tuple(record.reason for record in executor.last_fallbacks)
 
 
 class TestKernelRegistry:
@@ -205,13 +212,9 @@ class TestKernelVsObjectDifferential:
         for name in ("gathering", "waiting", "waiting_greedy"):
             reference = run_engine(Executor, name, 14, seed=3)
             vectorized = run_engine(
-                VectorizedExecutor, name, 14, seed=3, block_size=block_size
+                VectorizedExecutor, name, 14, seed=3, window=block_size
             )
             assert vectorized == reference, (name, block_size)
-
-    def test_invalid_block_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VectorizedExecutor(list(range(4)), 0, Gathering(), block_size=0)
 
     def test_unbounded_provider_requires_horizon(self):
         adversary = make_adversary("uniform", list(range(6)), seed=0, sink=0)
@@ -267,7 +270,7 @@ class TestBatchDifferential:
         _, reference = run_batch(Executor)
         executor, vectorized = run_batch(VectorizedExecutor)
         assert vectorized == reference
-        assert executor.last_fallback_count == 0
+        assert executor.last_fallbacks == ()
 
     @pytest.mark.parametrize("block_size", (None, 16))
     @pytest.mark.parametrize("family", ("uniform", "zipf", "waypoint"))
@@ -282,7 +285,7 @@ class TestBatchDifferential:
         nodes = list(range(n))
         seeds = (3, 4, 5, 6)
 
-        def run(engine_cls, **kwargs):
+        def run(engine_cls):
             algorithms = [registry.create(name, seed=seed) for seed in seeds]
             draws = [0] * len(algorithms)
             for position, algorithm in enumerate(algorithms):
@@ -302,13 +305,13 @@ class TestBatchDifferential:
                 )
                 for seed, algorithm in zip(seeds, algorithms)
             ]
-            executor = engine_cls(nodes, sink, algorithms[0], **kwargs)
+            executor = engine_cls(nodes, sink, algorithms[0])
             return executor, executor.run_many(trials), draws
 
         _, reference, reference_draws = run(Executor)
-        kwargs = {} if block_size is None else {"block_size": block_size}
-        executor, vectorized, vectorized_draws = run(VectorizedExecutor, **kwargs)
-        assert executor.last_fallback_count == 0
+        with block_window(block_size):
+            executor, vectorized, vectorized_draws = run(VectorizedExecutor)
+        assert executor.last_fallbacks == ()
         assert min(reference_draws) > 0
         assert vectorized_draws == reference_draws
         assert vectorized == reference
@@ -378,7 +381,7 @@ class TestModelEnforcement:
         executor = VectorizedExecutor([0, 1, 2], 0, Abstainer())
         assert executor.run(sequence) == reference
         assert reference.transmission_count == 0
-        (reason,) = executor.last_fallback_reasons
+        (reason,) = fallback_reasons(executor)
         assert "Abstainer" in reason
 
     def test_same_name_subclass_with_own_tree_falls_back(self):
@@ -412,7 +415,7 @@ class TestModelEnforcement:
         _, reference = run(Executor, PathTree())
         executor, vectorized = run(VectorizedExecutor, PathTree())
         assert vectorized == reference
-        (reason,) = executor.last_fallback_reasons
+        (reason,) = fallback_reasons(executor)
         assert "PathTree" in reason
         # The BFS-tree kernel would have produced the stock algorithm's run.
         _, stock = run(Executor, SpanningTreeAggregation())
@@ -437,8 +440,7 @@ class TestFallback:
         executor, vectorized = run(VectorizedExecutor)
         _, reference = run(Executor)
         assert vectorized == reference
-        assert executor.last_fallback_count == 1
-        (reason,) = executor.last_fallback_reasons
+        (reason,) = fallback_reasons(executor)
         assert "unregistered_probe" in reason
         assert "registered kernels" in reason
         # The catalog in the reason names every actual kernel.
@@ -465,9 +467,45 @@ class TestFallback:
             _, reference = run(Executor)
             assert vectorized == reference, seed
             # The kernel's rejection message survives into the report.
-            (reason,) = vec_executor.last_fallback_reasons
+            (reason,) = fallback_reasons(vec_executor)
             assert reason.startswith("kernel precondition failed:"), reason
             assert "different sink" in reason
+
+    def test_knowledge_outside_a_bundle_falls_back(self):
+        """A knowledge object that answers meetTime queries but is no
+        KnowledgeBundle names no oracle a kernel could mirror: the trial
+        runs on the reference engine, with the same result."""
+
+        class MeetTimes:
+            def __init__(self, adversary):
+                self.adversary = adversary
+
+            def provides(self):
+                return frozenset({"meetTime"})
+
+            def meet_time(self, node, t):
+                if node == 0:
+                    return t
+                meeting = self.adversary.next_meeting(node, 0, t)
+                return 601 if meeting is None else meeting
+
+        nodes = list(range(8))
+
+        def run(engine_cls):
+            adversary = make_adversary("uniform", nodes, seed=1, sink=0)
+            twin = make_adversary("uniform", nodes, seed=1, sink=0)
+            executor = engine_cls(
+                nodes, 0, WaitingGreedy(tau=20), knowledge=MeetTimes(twin)
+            )
+            return executor, executor.run(adversary, max_interactions=600)
+
+        executor, vectorized = run(VectorizedExecutor)
+        _, reference = run(Executor)
+        assert vectorized == reference
+        assert vectorized.terminated
+        assert fallback_reasons(executor) == (
+            "kernel precondition failed: no meetTime oracle to mirror",
+        )
 
     def test_adversary_node_mismatch_reports_reason(self):
         """An adversary naming nodes outside the executor's set routes to
@@ -490,8 +528,37 @@ class TestFallback:
         vec_executor, vectorized = run(VectorizedExecutor)
         _, reference = run(Executor)
         assert vectorized == reference
-        assert vec_executor.last_fallback_reasons == (
-            "adversary node set is not a subset of the executor's node set",
+        assert fallback_reasons(vec_executor) == (
+            "adversary nodes differ from the executor's node order",
+        )
+
+    @pytest.mark.parametrize("name", ("gathering", "waiting_greedy"))
+    def test_adversary_in_another_node_order_falls_back(self, name):
+        """An adversary over a permutation of the executor's nodes draws
+        its dense indices in its own order, so the trial runs on the
+        reference engine, with the same result."""
+        n = 12
+        nodes = list(range(n))
+        permuted = nodes[::-1]
+
+        def run(engine_cls):
+            algorithm = make_algorithm(name, n)
+            horizon = default_horizon(algorithm, n)
+            adversary = build_trial_adversary(
+                "uniform", permuted, 3, horizon, 0, None
+            )
+            knowledge, _ = build_knowledge_for_random_run(
+                algorithm, adversary, nodes, 0, horizon
+            )
+            executor = engine_cls(nodes, 0, algorithm, knowledge=knowledge)
+            return executor, executor.run(adversary, max_interactions=horizon)
+
+        executor, vectorized = run(VectorizedExecutor)
+        _, reference = run(Executor)
+        assert vectorized == reference
+        assert vectorized.terminated
+        assert fallback_reasons(executor) == (
+            "adversary nodes differ from the executor's node order",
         )
 
     def test_sequence_with_foreign_node_falls_back(self):
@@ -504,7 +571,7 @@ class TestFallback:
         vectorized = executor.run(sequence)
         assert vectorized == reference
         assert vectorized.terminated
-        assert executor.last_fallback_reasons == (
+        assert fallback_reasons(executor) == (
             "interaction sequence mentions nodes outside the executor's "
             "node set",
         )
@@ -519,24 +586,8 @@ class TestFallback:
         executor = VectorizedExecutor(nodes, "s", Gathering())
         vectorized = executor.run(Theorem1Adversary(), max_interactions=500)
         assert vectorized == reference
-        (reason,) = executor.last_fallback_reasons
+        (reason,) = fallback_reasons(executor)
         assert "adaptive" in reason
-
-    def test_enforce_oblivious_falls_back(self):
-        result = run_engine(Executor, "gathering", 10, seed=2)
-        nodes = list(range(10))
-        adversary = build_trial_adversary(
-            "uniform", nodes, 2, default_horizon(Gathering(), 10), 0, None
-        )
-        executor = VectorizedExecutor(
-            nodes, 0, Gathering(), enforce_oblivious=True
-        )
-        vectorized = executor.run(
-            adversary, max_interactions=default_horizon(Gathering(), 10)
-        )
-        assert vectorized == result
-        (reason,) = executor.last_fallback_reasons
-        assert "enforce_oblivious" in reason
 
     def test_shared_rng_algorithm_instance_runs_trial_after_trial(self):
         """One RNG-bearing instance shared by several trials draws its
@@ -573,7 +624,7 @@ class TestFallback:
         executor = VectorizedExecutor(nodes, sink, shared_vec)
         actual = executor.run_many(batch(shared_vec))
         assert actual == expected
-        assert executor.last_fallback_count == 0
+        assert executor.last_fallbacks == ()
 
         # Distinct per-trial instances do take the kernel path and agree too.
         def per_trial():
@@ -592,7 +643,7 @@ class TestFallback:
         assert executor.run_many(per_trial()) == Executor(
             nodes, sink, RandomReceiver(seed=0)
         ).run_many(per_trial())
-        assert executor.last_fallback_count == 0
+        assert executor.last_fallbacks == ()
 
         # A fallback trial between two kernel trials draws the shared
         # stream in its turn, too.
@@ -658,7 +709,7 @@ class TestFallback:
             )
         executor = VectorizedExecutor(nodes, sink, make_algorithm("gathering", n))
         assert executor.run_many(trials) == expected
-        assert executor.last_fallback_count == 0
+        assert executor.last_fallbacks == ()
 
 
 class TestFallbackReporting:
@@ -714,8 +765,7 @@ class TestFallbackReporting:
         source = committed if committed is not None else adversary
         executor = VectorizedExecutor(nodes, 0, algorithm, knowledge=knowledge)
         executor.run(source, max_interactions=horizon)
-        assert executor.last_fallback_count == 0
-        assert executor.last_fallback_reasons == ()
+        assert executor.last_fallbacks == ()
 
     def test_reference_engine_cells_report_nothing(self):
         """Fallback telemetry is a vectorized-engine concept; reference
@@ -797,9 +847,10 @@ class TestConsumedPast:
 
     def test_run_releases_the_consumed_past(self):
         adversary = self.adversary()
-        result = VectorizedExecutor(
-            list(range(12)), 0, Gathering(), block_size=64
-        ).run(adversary, max_interactions=10_000)
+        with block_window(64):
+            result = VectorizedExecutor(list(range(12)), 0, Gathering()).run(
+                adversary, max_interactions=10_000
+            )
         assert result.terminated and result.interactions_used > 64
         with pytest.raises(ConfigurationError, match="was released"):
             adversary.committed_prefix(result.interactions_used)
@@ -808,9 +859,10 @@ class TestConsumedPast:
         # The optimum is read from the committed future at prepare, so the
         # capturing run consumes its adversary like any other run.
         adversary, twin = self.adversary(), self.adversary()
-        result = VectorizedExecutor(
-            list(range(12)), 0, Gathering(), block_size=64, capture_opt=True
-        ).run(adversary, max_interactions=10_000)
+        with block_window(64):
+            result = VectorizedExecutor(
+                list(range(12)), 0, Gathering(), capture_opt=True
+            ).run(adversary, max_interactions=10_000)
         used = result.interactions_used
         assert result.terminated and used > 64
         with pytest.raises(ConfigurationError, match="was released"):
@@ -859,18 +911,19 @@ class TestConsumedPast:
             return batch
 
         adversary = self.adversary(n, seed)
-        executor = VectorizedExecutor(nodes, 0, Gathering(), block_size=16)
-        vectorized = executor.run_many(trials(adversary))
+        executor = VectorizedExecutor(nodes, 0, Gathering())
+        with block_window(16):
+            vectorized = executor.run_many(trials(adversary))
         reference = Executor(nodes, 0, Gathering()).run_many(
             trials(self.adversary(n, seed))
         )
         assert vectorized == reference
         if order[-1] == "unregistered":
             # The last reader ran on the reference engine, which keeps it.
-            assert executor.last_fallback_count == 1
+            assert len(executor.last_fallbacks) == 1
             adversary.committed_prefix(1)
         else:
-            assert executor.last_fallback_count == 0
+            assert executor.last_fallbacks == ()
             with pytest.raises(ConfigurationError, match="was released"):
                 adversary.committed_prefix(1)
 
@@ -884,7 +937,7 @@ class TestConsumedPast:
         i = [1, 0] + [1] * 4998 + [3, 0, 0]
         j = [2, 1] + [2] * 4998 + [4, 3, 4]
 
-        def run(engine_cls, **kwargs):
+        def run(engine_cls):
             adversary = TraceReplayAdversary.from_dense_indices(
                 np.array(i), np.array(j), nodes
             )
@@ -893,10 +946,11 @@ class TestConsumedPast:
                 greedy, adversary, nodes, 0, len(i)
             )
             return engine_cls(
-                nodes, 0, greedy, knowledge=knowledge, **kwargs
+                nodes, 0, greedy, knowledge=knowledge
             ).run(adversary, max_interactions=len(i))
 
-        vectorized = run(VectorizedExecutor, block_size=16)
+        with block_window(16):
+            vectorized = run(VectorizedExecutor)
         assert vectorized.duration == 5002
         assert vectorized == run(Executor)
 
@@ -942,22 +996,18 @@ class TestOptCapture:
     def test_capture_opt_stops_at_a_short_read(self, finite_trace, monkeypatch):
         # Node 6 never interacts, so no prefix settles the optimum: capture
         # reads doubling prefixes from 4n = 28 until one comes back short,
-        # at a 40-interaction trace's end or at max_horizon = 70, far below
-        # the horizon.
+        # at a 40-interaction trace's end or at max_horizon = 70 of a longer
+        # one, far below the horizon.
         nodes = list(range(7))
+        length, max_horizon, reads = (
+            (40, 10_000_000, [28, 40]) if finite_trace else (200, 70, [28, 56, 70])
+        )
         rng = np.random.default_rng(4)
-        i = rng.integers(0, 6, 40)
-        j = (i + rng.integers(1, 6, 40)) % 6
-        if finite_trace:
-            source = lambda: TraceReplayAdversary.from_dense_indices(
-                i, j, nodes[:6]
-            )
-            reads = [28, 40]
-        else:
-            source = lambda: make_adversary(
-                "uniform", nodes[:6], seed=2, max_horizon=70, sink=0
-            )
-            reads = [28, 56, 70]
+        i = rng.integers(0, 6, length)
+        j = (i + rng.integers(1, 6, length)) % 6
+        source = lambda: TraceReplayAdversary.from_dense_indices(
+            i, j, nodes, max_horizon=max_horizon
+        )
         lengths = []
         opt_end_matrix = ratio_kernels.opt_end_matrix
 
