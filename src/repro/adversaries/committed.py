@@ -269,7 +269,7 @@ class CommittedBlockAdversary(Adversary):
         """
         if length > self._max_horizon:
             length = self._max_horizon
-        if length > self._size:
+        if length > self._size and not self._exhausted:
             # One allocation for the whole chunk-aligned extension instead
             # of a doubling reallocation per chunk.
             chunks = -(-(length - self._size) // COMMIT_CHUNK)
@@ -350,7 +350,12 @@ class CommittedBlockAdversary(Adversary):
         This assembles, for the shared window starting at ``start``, the
         dense node-index matrices ``I`` and ``J`` (one row per adversary)
         plus the per-row committed lengths.  The trial-vectorized engine
-        reads each block of a trial through it as a one-row matrix.
+        reads each block of a trial through it as a one-row matrix.  One
+        row has nothing to pad, so it comes back uncopied, as ``i[None]``
+        and ``j[None]`` of its ``committed_index_block(start, stop)``:
+        read-only int32 views of the committed buffers (int64 for a finite
+        sequence's index arrays).  Several rows are copied into int64
+        matrices.
 
         Args:
             adversaries: the cell's committed adversaries (or any objects
@@ -366,9 +371,9 @@ class CommittedBlockAdversary(Adversary):
             ``(I, J, lengths)`` where ``I``/``J`` have shape ``(B, L)`` with
             ``L`` the widest row (0 when every row is empty) and
             ``lengths[b]`` is row ``b``'s committed count; entries beyond a
-            row's length hold ``pad``.  A row shorter than requested means
-            that adversary's committed future is exhausted (finite trace or
-            ``max_horizon``).
+            row's length hold ``pad`` (one row has none).  A row shorter
+            than requested means that adversary's committed future is
+            exhausted (finite trace or ``max_horizon``).
         """
         count = len(adversaries)
         if isinstance(stop, (int, np.integer)):
@@ -386,6 +391,13 @@ class CommittedBlockAdversary(Adversary):
             for adversary, row_stop in zip(adversaries, stops)
         ]
         lengths = np.array([i.shape[0] for i, _ in blocks], dtype=np.int64)
+        if count == 1:
+            ((i, j),) = blocks
+            rows_i, rows_j = i[None], j[None]
+            # Views of the committed future: a write would rewrite it.
+            rows_i.flags.writeable = False
+            rows_j.flags.writeable = False
+            return rows_i, rows_j, lengths
         width = int(lengths.max()) if count else 0
         matrix_i = np.full((count, width), pad, dtype=np.int64)
         matrix_j = np.full((count, width), pad, dtype=np.int64)

@@ -129,7 +129,10 @@ class DecisionKernel:
         the lower identifier rank; raw draw order for ``sparse`` kernels);
         ``t`` the interaction times.  Must be a pure function of its inputs
         and ``state``'s precomputed tables; anything that depends on
-        running state is returned :data:`PENDING`.
+        running state is returned :data:`PENDING`.  A ``sparse`` kernel
+        gets the block as read, in the source's dtype (read-only int32
+        views of a committed adversary's buffers), and widens it to intp
+        before indexing with it.  The others get intp arrays of their own.
         """
         raise NotImplementedError
 
@@ -786,6 +789,9 @@ class SpanningTreeKernel(DecisionKernel):
         return _TreeState(parent, needed)
 
     def decide_block(self, state, iu, iv, t):
+        # Widen once: numpy casts a non-intp index array on every use.
+        iu = iu.astype(np.intp, copy=False)
+        iv = iv.astype(np.intp, copy=False)
         parent = state.parent
         dirs = np.full(iu.shape[0], NO_TRANSMISSION, dtype=np.int8)
         dirs[(parent[iu] == iv) | (parent[iv] == iu)] = PENDING

@@ -625,6 +625,9 @@ class VectorizedExecutor:
             offsets = np.arange(row_i.shape[0])
             first, second = row_i, row_j
         else:
+            # Widen once: numpy casts a non-intp index array on every use.
+            row_i = row_i.astype(np.intp, copy=False)
+            row_j = row_j.astype(np.intp, copy=False)
             offsets = np.nonzero(owns[row_i] & owns[row_j])[0]
             if not offsets.size:
                 return offsets, offsets, offsets, offsets

@@ -8,7 +8,11 @@ import pytest
 from repro.adversaries import TraceReplayAdversary, make_adversary
 from repro.adversaries.base import Adversary, EventuallyPeriodicAdversary
 from repro.adversaries.committed import COMMIT_CHUNK, CommittedBlockAdversary
-from repro.adversaries.randomized import RandomizedAdversary
+from repro.adversaries.randomized import (
+    RandomizedAdversary,
+    _bounded_uint32,
+    _uniform_pairs,
+)
 from repro.algorithms.kernels import SinkMeetTable
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
 from repro.core.exceptions import ConfigurationError
@@ -352,27 +356,35 @@ class TestLookahead:
             fork.committed_pair(adversary.committed_length - 1)
 
 
+NO_WORDS = np.empty(0, dtype=np.uint32)
+#: Chunk lengths of the interleaved draws: empty, odd (as a horizon cuts
+#: a chunk), a block and a full chunk.
+WORD_KS = (0, 1, 3, 77, 4096, COMMIT_CHUNK)
+
+
 class TestIndexDtypes:
     """Committed draws are int32; every key formed from them is int64."""
 
-    @pytest.mark.parametrize("n", (2, 3, 400, 70_000))
+    @pytest.mark.parametrize("n", (2, 3, 400, 70_000, 2**31 - 3))
     @pytest.mark.parametrize("seed", (0, 7))
     def test_uniform_int32_stream_equals_the_int64_stream(self, n, seed):
-        stop = 3 * COMMIT_CHUNK + 17
-        i, j = RandomizedAdversary(list(range(n)), seed=seed).committed_index_block(
-            0, stop
-        )
-        assert i.dtype == j.dtype == np.int32
-        # The int64 draw the uniform sampler used to make, chunk by chunk.
+        # The uniform sampler used to call Generator.integers, and still
+        # draws its values, for int32 and int64 output alike: chunks of
+        # every length, alternating the dtype.
         rng = np.random.Generator(np.random.PCG64(seed))
-        chunks_i, chunks_j = [], []
-        for _ in range(4):
-            first = rng.integers(0, n, size=COMMIT_CHUNK)
-            second = rng.integers(0, n - 1, size=COMMIT_CHUNK)
-            chunks_i.append(first)
-            chunks_j.append(np.where(second >= first, second + 1, second))
-        assert (i == np.concatenate(chunks_i)[:stop]).all()
-        assert (j == np.concatenate(chunks_j)[:stop]).all()
+        bitgen, words = np.random.PCG64(seed), NO_WORDS
+        for step, k in enumerate(WORD_KS + WORD_KS[::-1]):
+            dtype = (np.int32, np.int64)[step % 2]
+            i, j, words = _uniform_pairs(bitgen, words, n, k)
+            want_i = rng.integers(0, n, size=k, dtype=dtype)
+            want_j = rng.integers(0, n - 1, size=k, dtype=dtype)
+            want_j += want_j >= want_i
+            assert (i == want_i).all() and (j == want_j).all(), (
+                f"numpy's Generator.integers no longer draws what the word "
+                f"loop does (k {k}, {dtype.__name__}): numpy changed its "
+                f"bounded 32-bit path, and the committed future follows the "
+                f"loop, not numpy"
+            )
 
     def test_pair_codes_stay_int64_past_46340_nodes(self):
         n = 50_000
@@ -409,3 +421,104 @@ class TestIndexDtypes:
         assert [
             table.lookup_one(int(node), int(t))[0] for node, t in zip(nodes, before)
         ] == expected
+
+
+def _word_loop(bitgen, pending, bound, k):
+    """numpy's bounded 32-bit rule, one word per attempt: the sampler's contract.
+
+    Each attempt takes the ``pending`` word if there is one, else the low
+    half of a fresh 64-bit output, keeping its high half pending.  The
+    attempt yields ``(w * bound) >> 32`` unless ``(w * bound) mod 2**32``
+    is below ``(2**32 - bound) mod bound``.  A bound of 1 takes no word.
+    Returns the values and the word left pending (or None).
+    """
+    if bound == 1:
+        return [0] * k, pending
+    threshold = (2**32 - bound) % bound
+    values = []
+    while len(values) < k:
+        if pending is None:
+            raw = int(bitgen.random_raw())
+            word, pending = raw & 0xFFFFFFFF, raw >> 32
+        else:
+            word, pending = pending, None
+        product = word * bound
+        if product & 0xFFFFFFFF >= threshold:
+            values.append(product >> 32)
+    return values, pending
+
+
+def _pair_loop(bitgen, pending, n, k):
+    """The uniform pair draw, word by word: ``i`` below ``n``, ``j`` below ``n - 1``."""
+    i, pending = _word_loop(bitgen, pending, n, k)
+    j, pending = _word_loop(bitgen, pending, n - 1, k)
+    return i, [b + (b >= a) for a, b in zip(i, j)], pending
+
+
+class TestUniformWords:
+    """The uniform sampler is numpy's bounded rule on PCG64's raw words."""
+
+    @pytest.mark.parametrize(
+        "bound",
+        # 2**31 + 1 and 3 * 2**30 + 1 reject about half and a quarter of
+        # the words; 399 makes n = 400, the largest benchmark size.
+        (1, 2, 3, 256, 399, 400, 70_000, 2**31 + 1, 3 * 2**30 + 1),
+    )
+    def test_pairs_equal_the_word_loop(self, bound):
+        # n = bound + 1: the j draw runs at ``bound``, the i draw one above.
+        n = bound + 1
+        for seed in range(30):
+            bitgen, words = np.random.PCG64(seed), NO_WORDS
+            loop, pending = np.random.PCG64(seed), None
+            order = np.random.default_rng(seed).permutation(WORD_KS)
+            for k in map(int, order):
+                i, j, words = _uniform_pairs(bitgen, words, n, k)
+                want_i, want_j, pending = _pair_loop(loop, pending, n, k)
+                assert i.tolist() == want_i and j.tolist() == want_j, (seed, k)
+
+    @pytest.mark.parametrize(
+        "bound", (1, 2, 5, 400, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 5)
+    )
+    def test_single_draws_equal_the_word_loop(self, bound):
+        for seed in range(10):
+            bitgen, words = np.random.PCG64(seed), NO_WORDS
+            loop, pending = np.random.PCG64(seed), None
+            for k in (1, 0, 3, 77, 1000, 2, 5):
+                values, words = _bounded_uint32(bitgen, words, bound, k)
+                want, pending = _word_loop(loop, pending, bound, k)
+                assert values.tolist() == want, (seed, k)
+                assert values.dtype == np.uint32
+
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_lookahead_draws_the_pending_word(self, seed):
+        # At n = 2 the j draw takes no word, so an odd block leaves the
+        # high half of the i draw's last output pending.
+        adversary = RandomizedAdversary([0, 1], seed=seed)
+        loop, pending = np.random.PCG64(seed), None
+        i, _ = adversary.draw_block(7)
+        want_i, _, pending = _pair_loop(loop, pending, 2, 7)
+        assert i.tolist() == want_i
+        assert pending is not None and adversary._words.tolist() == [pending]
+        frontier = adversary.committed_length
+        stop = frontier + 2 * COMMIT_CHUNK
+        fork = adversary.lookahead()
+        fork_i, _ = fork.committed_index_block(frontier, stop)
+        source_i, _ = adversary.committed_index_block(frontier, stop)
+        want_i = []
+        for _ in range(2):
+            chunk, _, pending = _pair_loop(loop, pending, 2, COMMIT_CHUNK)
+            want_i += chunk
+        assert fork_i.tolist() == source_i.tolist() == want_i
+
+    def test_adversary_commits_the_word_loop_across_chunks(self):
+        n, seed = 400, 3
+        adversary = RandomizedAdversary(list(range(n)), seed=seed)
+        i, j = adversary.committed_index_block(0, 2 * COMMIT_CHUNK)
+        assert i.dtype == j.dtype == np.int32
+        loop, pending = np.random.PCG64(seed), None
+        want_i, want_j = [], []
+        for _ in range(2):
+            chunk_i, chunk_j, pending = _pair_loop(loop, pending, n, COMMIT_CHUNK)
+            want_i += chunk_i
+            want_j += chunk_j
+        assert i.tolist() == want_i and j.tolist() == want_j

@@ -42,6 +42,7 @@ from repro.core.vector_execution import (
     INITIAL_BLOCK,
     EngineFallbackWarning,
     VectorizedExecutor,
+    _IndexRows,
 )
 from repro.graph.traces import VehicularGridTrace
 from repro.offline.convergecast import opt
@@ -819,6 +820,54 @@ class TestCommittedIndexMatrix:
             CommittedBlockAdversary.committed_index_matrix(
                 adversaries, 0, [10, 20]
             )
+
+    def test_one_row_is_the_committed_block_itself(self):
+        adversary = make_adversary("uniform", list(range(6)), seed=1, sink=0)
+        rows_i, rows_j, lengths = CommittedBlockAdversary.committed_index_matrix(
+            [adversary], 100, 300
+        )
+        block_i, block_j = adversary.committed_index_block(100, 300)
+        assert rows_i.shape == rows_j.shape == (1, 200)
+        assert list(lengths) == [200]
+        # The committed dtype, and no copy.
+        assert rows_i.dtype == rows_j.dtype == np.int32
+        assert (rows_i[0] == block_i).all() and (rows_j[0] == block_j).all()
+        assert np.shares_memory(rows_i, block_i)
+        assert np.shares_memory(rows_j, block_j)
+        # Read-only, so a caller cannot rewrite the committed future.
+        for rows in (rows_i, rows_j):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 5
+        assert adversary.committed_index_block(100, 101)[0][0] == block_i[0]
+
+    def test_one_row_past_a_finite_end_is_short(self):
+        trace = VehicularGridTrace(
+            vehicle_count=6, grid_size=3, steps=10, seed=2
+        ).build()
+        short = TraceReplayAdversary(trace, nodes=list(trace.nodes))
+        end = short.trace_length
+        rows_i, rows_j, lengths = CommittedBlockAdversary.committed_index_matrix(
+            [short], 3, end + 50
+        )
+        assert list(lengths) == [end - 3]
+        assert rows_i.shape == rows_j.shape == (1, end - 3)
+        block_i, block_j = short.committed_index_block(3, end + 50)
+        assert (rows_i[0] == block_i).all() and (rows_j[0] == block_j).all()
+        assert np.shares_memory(rows_i, block_i)
+        assert rows_i.dtype == np.int32
+
+    def test_one_row_of_a_finite_sequence_keeps_its_dtype(self):
+        adversary = make_adversary("uniform", list(range(6)), seed=4, sink=0)
+        sequence = adversary.committed_prefix(50)
+        i, j = sequence.index_arrays({node: node for node in range(6)})
+        rows = _IndexRows(i, j)
+        rows_i, rows_j, lengths = CommittedBlockAdversary.committed_index_matrix(
+            [rows], 10, 80
+        )
+        assert list(lengths) == [40]
+        assert rows_i.dtype == rows_j.dtype == i.dtype == np.int64
+        assert np.shares_memory(rows_i, i) and np.shares_memory(rows_j, j)
+        assert (rows_i[0] == i[10:]).all()
 
 
 class TestSweepPaths:
