@@ -7,16 +7,21 @@ with one protocol:
 
 * :meth:`DecisionKernel.prepare` builds the per-trial state (tables,
   parameters, RNG references);
-* :meth:`DecisionKernel.decide_block` takes a block of candidates as dense
-  index arrays ``(iu, iv)`` (canonically ordered, lower identifier rank
-  first, unless the kernel is ``sparse``) and their interaction times
-  ``t``, and returns a *direction* per candidate:
+* :meth:`DecisionKernel.decide_block` decides one block.  A dense kernel
+  takes the block's candidates as dense index arrays ``(iu, iv)``
+  (canonically ordered, lower identifier rank first) and their interaction
+  times ``t``, and returns a *direction* per candidate:
 
   * :data:`FIRST_RECEIVES` (0) — the ``iu`` node receives,
   * :data:`SECOND_RECEIVES` (1) — the ``iv`` node receives,
   * :data:`NO_TRANSMISSION` (-1) — the algorithm abstains,
   * :data:`PENDING` (-2) — decided later, by
-    :meth:`DecisionKernel.resolve_one`;
+    :meth:`DecisionKernel.resolve_one`.
+
+  A ``sparse`` kernel takes the whole block in raw draw order and its first
+  time ``start``, and returns only the interactions that may transmit, as
+  ``(offsets, directions)``: ascending block offsets, each with one of the
+  three other directions (never :data:`NO_TRANSMISSION`);
 * :meth:`DecisionKernel.resolve_one` decides one :data:`PENDING`
   candidate.  The engine's walk calls it only on candidates whose
   endpoints both own data at that point, in time order — the reference
@@ -39,7 +44,7 @@ with the object form is enforced by the differential tests in
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,8 +101,10 @@ class DecisionKernel:
     #: order-insensitive pure decision (e.g. Waiting's sink-only rule).
     #: The engine then runs ``decide_block`` on the raw draw order over the
     #: whole block — direction 0 names the ``iu`` argument positionally —
-    #: and skips the block-level ownership mask entirely, leaving the
-    #: ownership guard to the walk's scalar re-check.
+    #: and gets back only the interactions that may transmit, as block
+    #: offsets with their directions.  It skips the block-level ownership
+    #: mask entirely, leaving the ownership guard to the walk's scalar
+    #: re-check.
     sparse: bool = False
 
     def prepare(
@@ -120,19 +127,25 @@ class DecisionKernel:
         """
         raise NotImplementedError
 
-    def decide_block(
-        self, state: Any, iu: np.ndarray, iv: np.ndarray, t: np.ndarray
-    ) -> np.ndarray:
-        """Directions for a block of candidates.
+    def decide_block(self, state: Any, iu: np.ndarray, iv: np.ndarray, t: Any) -> Any:
+        """Decide one block: directions, or a sparse kernel's candidates.
 
-        ``iu``/``iv`` are dense node indices in canonical order (``iu`` has
-        the lower identifier rank; raw draw order for ``sparse`` kernels);
-        ``t`` the interaction times.  Must be a pure function of its inputs
-        and ``state``'s precomputed tables; anything that depends on
-        running state is returned :data:`PENDING`.  A ``sparse`` kernel
-        gets the block as read, in the source's dtype (read-only int32
-        views of a committed adversary's buffers), and widens it to intp
-        before indexing with it.  The others get intp arrays of their own.
+        Must be a pure function of its inputs and ``state``'s precomputed
+        tables; anything that depends on running state is returned
+        :data:`PENDING`.
+
+        A dense kernel gets the block's ownership-mask survivors: ``iu``/
+        ``iv`` are intp arrays of dense node indices in canonical order
+        (``iu`` has the lower identifier rank) and ``t`` their interaction
+        times.  It returns one int8 direction per candidate.
+
+        A ``sparse`` kernel gets the whole block as read, in raw draw order
+        and in the source's dtype (read-only int32 views of a committed
+        adversary's buffers), and ``t`` is the block's first time, an int.
+        It compares the views as they are and widens them to intp before it
+        gathers with them.  It returns ``(offsets, directions)``: the
+        ascending block offsets of the interactions that may transmit, and
+        an int8 direction for each, never :data:`NO_TRANSMISSION`.
         """
         raise NotImplementedError
 
@@ -190,6 +203,19 @@ class _SinkState:
         self.sink_index = sink_index
 
 
+def _sink_meetings(
+    sink: int, iu: np.ndarray, iv: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A sparse block's meetings with the sink: ``(offsets, directions)``.
+
+    The direction names the sink's side: :data:`SECOND_RECEIVES` (1) where
+    the sink is ``iv``, :data:`FIRST_RECEIVES` (0) where it is ``iu``.
+    """
+    second = iv == sink
+    offsets = np.flatnonzero((iu == sink) | second)
+    return offsets, second[offsets].astype(np.int8)
+
+
 @register_kernel
 class GatheringKernel(DecisionKernel):
     """Array form of :class:`~repro.algorithms.gathering.Gathering`."""
@@ -214,7 +240,7 @@ class WaitingKernel(DecisionKernel):
     Declared ``sparse``: only the ~2/n sink-involving interactions can ever
     transmit and the rule is ownership-free and order-insensitive (the
     receiver is the sink, whichever side it is on), so the engine feeds the
-    raw draw order and skips the block-level ownership mask.
+    raw draw order and gets back the sink meetings alone.
     """
 
     algorithm_name = "waiting"
@@ -223,11 +249,8 @@ class WaitingKernel(DecisionKernel):
     def prepare(self, algorithm, source, knowledge, index_of, sink_node):
         return _SinkState(index_of[sink_node])
 
-    def decide_block(self, state, iu, iv, t):
-        dirs = np.full(iu.shape[0], NO_TRANSMISSION, dtype=np.int8)
-        dirs[iu == state.sink_index] = FIRST_RECEIVES
-        dirs[iv == state.sink_index] = SECOND_RECEIVES
-        return dirs
+    def decide_block(self, state, iu, iv, start):
+        return _sink_meetings(state.sink_index, iu, iv)
 
 
 # --------------------------------------------------------------------- #
@@ -606,30 +629,31 @@ def _plan_state(plan: Dict[int, Tuple[Any, Any]], index_of: Dict[Any, int]) -> _
 
 
 def _plan_decide_block(
-    state: _PlanState, iu: np.ndarray, iv: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """Directions for a raw-order block against a materialised plan.
+    state: _PlanState, iu: np.ndarray, iv: np.ndarray, start: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A raw-order block's plan transmissions: ``(offsets, directions)``.
 
     Pure and order-insensitive: an interaction transmits iff the plan names
     exactly its pair at exactly its time, with the direction given by the
     plan's receiver — the array form of the object algorithms'
-    ``plan.get(time)`` + pair-match test.  Ownership is left to the walk's
-    scalar re-check (the kernels are ``sparse``), mirroring the reference
-    engine's guard that never calls ``decide`` unless both endpoints own
-    data.
+    ``plan.get(time)`` + pair-match test.  The plan entries inside the
+    block's times ``[start, start + len(iu))`` are found with two
+    ``searchsorted`` bounds, and only they are pair-matched.  Ownership is
+    left to the walk's scalar re-check (the kernels are ``sparse``),
+    mirroring the reference engine's guard that never calls ``decide``
+    unless both endpoints own data.
     """
-    dirs = np.full(iu.shape[0], NO_TRANSMISSION, dtype=np.int8)
-    if not state.times.shape[0]:
-        return dirs
-    idx = np.searchsorted(state.times, t)
-    found = idx < state.times.shape[0]
-    safe = np.where(found, idx, 0)
-    found &= state.times[safe] == t
-    senders = state.senders[safe]
-    receivers = state.receivers[safe]
-    dirs[found & (senders == iv) & (receivers == iu)] = FIRST_RECEIVES
-    dirs[found & (senders == iu) & (receivers == iv)] = SECOND_RECEIVES
-    return dirs
+    low, high = np.searchsorted(state.times, (start, start + iu.shape[0]))
+    offsets = state.times[low:high] - start
+    first = iu[offsets]
+    second = iv[offsets]
+    senders = state.senders[low:high]
+    receivers = state.receivers[low:high]
+    to_second = (senders == first) & (receivers == second)
+    keep = np.flatnonzero(
+        to_second | ((senders == second) & (receivers == first))
+    )
+    return offsets[keep], to_second[keep].astype(np.int8)
 
 
 def _bundle_oracle(knowledge: Any, name: str) -> Any:
@@ -674,8 +698,8 @@ class FullKnowledgeKernel(DecisionKernel):
             return _empty_plan_state()
         return _plan_state(plan, index_of)
 
-    def decide_block(self, state, iu, iv, t):
-        return _plan_decide_block(state, iu, iv, t)
+    def decide_block(self, state, iu, iv, start):
+        return _plan_decide_block(state, iu, iv, start)
 
 
 @register_kernel
@@ -723,8 +747,8 @@ class FutureBroadcastKernel(DecisionKernel):
             return _empty_plan_state()
         return _plan_state(plan, index_of)
 
-    def decide_block(self, state, iu, iv, t):
-        return _plan_decide_block(state, iu, iv, t)
+    def decide_block(self, state, iu, iv, start):
+        return _plan_decide_block(state, iu, iv, start)
 
 
 class _TreeState:
@@ -734,16 +758,20 @@ class _TreeState:
     for the root and unreachable nodes); ``needed[i]`` counts node ``i``'s
     tree children and ``received[i]`` how many have reported in.  Because
     ownership is monotone a child transmits at most once, so the counter is
-    equivalent to the object form's received-children *set*.
+    equivalent to the object form's received-children *set*.  ``star_sink``
+    is the sink's index when the tree is the sink's star, else None.
     """
 
-    __slots__ = ("parent", "parent_list", "needed", "received")
+    __slots__ = ("parent", "parent_list", "needed", "received", "star_sink")
 
-    def __init__(self, parent: List[int], needed: List[int]) -> None:
+    def __init__(
+        self, parent: List[int], needed: List[int], star_sink: Optional[int] = None
+    ) -> None:
         self.parent = np.asarray(parent, dtype=np.int64)
         self.parent_list = list(parent)
         self.needed = list(needed)
         self.received = [0] * len(parent)
+        self.star_sink = star_sink
 
 
 @register_kernel
@@ -759,7 +787,8 @@ class SpanningTreeKernel(DecisionKernel):
     the reference engine queries the object algorithm.  Tree antisymmetry
     (``parent[u] == v`` and ``parent[v] == u`` cannot both hold) makes the
     raw-order branch test safe.  A G-bar stored as the complete graph on
-    the executor's nodes needs no BFS: its tree is the sink's star.
+    the executor's nodes needs no BFS: its tree is the sink's star, whose
+    edges are the sink's meetings.
     """
 
     algorithm_name = "spanning_tree"
@@ -779,7 +808,7 @@ class SpanningTreeKernel(DecisionKernel):
             parent[sink_index] = -1
             needed = [0] * n
             needed[sink_index] = n - 1
-            return _TreeState(parent, needed)
+            return _TreeState(parent, needed, star_sink=sink_index)
         graph = oracle.underlying_graph()
         if sink_node not in graph:
             # The object form would crash computing the BFS tree; the
@@ -788,14 +817,16 @@ class SpanningTreeKernel(DecisionKernel):
         parent, needed = dense_bfs_tree(graph, sink_node, index_of)
         return _TreeState(parent, needed)
 
-    def decide_block(self, state, iu, iv, t):
-        # Widen once: numpy casts a non-intp index array on every use.
-        iu = iu.astype(np.intp, copy=False)
-        iv = iv.astype(np.intp, copy=False)
-        parent = state.parent
-        dirs = np.full(iu.shape[0], NO_TRANSMISSION, dtype=np.int8)
-        dirs[(parent[iu] == iv) | (parent[iv] == iu)] = PENDING
-        return dirs
+    def decide_block(self, state, iu, iv, start):
+        if state.star_sink is not None:
+            offsets, _ = _sink_meetings(state.star_sink, iu, iv)
+        else:
+            # Widen once: numpy casts a non-intp index array on every use.
+            iu = iu.astype(np.intp, copy=False)
+            iv = iv.astype(np.intp, copy=False)
+            parent = state.parent
+            offsets = np.flatnonzero((parent[iu] == iv) | (parent[iv] == iu))
+        return offsets, np.full(offsets.shape[0], PENDING, dtype=np.int8)
 
     def resolve_one(self, state, iu, iv, t):
         if state.parent_list[iu] == iv:

@@ -19,17 +19,18 @@ Per-interaction Python work is eliminated through two observations:
   outside the mask is discarded with numpy, never touching Python;
 * **algorithm decisions are (mostly) pure** — each registered algorithm
   has a :mod:`~repro.algorithms.kernels` decision kernel, whose pure-array
-  ``decide_block(state, iu, iv, t) -> direction`` is evaluated once per
-  block.  Only the decided *candidates* (a superset of the at most
-  ``n - 1`` transmissions per trial) are walked scalar-side, in time order,
-  with an exact ownership re-check; a candidate the kernel left
-  ``PENDING`` is resolved there, only if it is still live — so the RNG
-  baselines' kernels consume their random stream at exactly the reference
-  engine's ``decide`` call sites.
+  ``decide_block`` is evaluated once per block.  Only the decided
+  *candidates* (a superset of the at most ``n - 1`` transmissions per
+  trial) are walked scalar-side, in time order, with an exact ownership
+  re-check; a candidate the kernel left ``PENDING`` is resolved there, only
+  if it is still live — so the RNG baselines' kernels consume their random
+  stream at exactly the reference engine's ``decide`` call sites.
 
-Each block of a trial goes through the same four steps: read the block,
-keep the raw draw order (sparse kernels) or the ownership-mask survivors
-in canonical order (the others), call ``decide_block`` once, and drop
+Each block of a trial goes through the same steps: read the block; for a
+sparse kernel, call ``decide_block`` once on the raw draw order and gather
+the endpoints of the ``(offsets, directions)`` it returns; for the others,
+keep the ownership-mask survivors in canonical order, call
+``decide_block`` once for a direction per survivor, and drop
 ``NO_TRANSMISSION``.
 
 The engine is **metric-identical** to the reference executor — same
@@ -166,8 +167,8 @@ class EngineFallback:
 #: First block length of a trial.  Starting small keeps the scalar
 #: candidate walk short through the dense early phase (when every node
 #: still owns data, every interaction is a candidate); the block length
-#: doubles up to :data:`DEFAULT_BLOCK_SIZE` as owners thin out and
-#: candidates become rare.
+#: doubles up to the trial's cap as owners thin out and candidates become
+#: rare: :data:`DEFAULT_BLOCK_SIZE`, or four times it for a sparse kernel.
 INITIAL_BLOCK = 1024
 
 
@@ -509,7 +510,8 @@ class VectorizedExecutor:
         """Run one kernel trial's blocks to completion.
 
         Blocks start at :data:`INITIAL_BLOCK` interactions and double up to
-        :data:`DEFAULT_BLOCK_SIZE`, read as the trial starts.  Each is read,
+        a cap read as the trial starts: :data:`DEFAULT_BLOCK_SIZE`, or four
+        times it for a sparse kernel.  Each is read,
         decided (:meth:`_decide_row`) and walked (:meth:`_consume_row`)
         until the aggregation completes, the horizon is reached or the
         committed future runs out.  With
@@ -539,7 +541,12 @@ class VectorizedExecutor:
         if loops is not None:
             started = _now()
         used = cursor = 0
-        cap = DEFAULT_BLOCK_SIZE
+        # A sparse kernel decides a block in a few array passes and hands
+        # the walk only its rare candidates, so longer windows amortise the
+        # per-block overhead.  A dense kernel's ownership mask is taken at
+        # block start and goes stale within a window, so its windows stay
+        # short.
+        cap = 4 * DEFAULT_BLOCK_SIZE if trial.kernel.sparse else DEFAULT_BLOCK_SIZE
         window = min(INITIAL_BLOCK, cap)
         while cursor < horizon:
             stop = min(horizon, cursor + window)
@@ -615,28 +622,31 @@ class VectorizedExecutor:
         Sparse kernels (a rare non-abstain set and an ownership-free,
         order-insensitive pure decision, e.g. Waiting's sink-only rule)
         decide the whole block in raw draw order, where direction 0 names
-        the ``row_i`` side.  The others decide only the survivors of the
+        the ``row_i`` side, and return only the offsets that may transmit,
+        with their directions.  The others decide only the survivors of the
         ownership mask, in canonical identifier order: since ownership only
         decays, everything the mask (taken at block start) rejects stays
-        rejected and never reaches Python.  ``NO_TRANSMISSION`` candidates
-        are dropped; the walk re-checks ownership for the rest.
+        rejected and never reaches Python; their ``NO_TRANSMISSION``
+        candidates are dropped.  The walk re-checks ownership for the rest.
         """
-        if trial.kernel.sparse:
-            offsets = np.arange(row_i.shape[0])
-            first, second = row_i, row_j
-        else:
-            # Widen once: numpy casts a non-intp index array on every use.
-            row_i = row_i.astype(np.intp, copy=False)
-            row_j = row_j.astype(np.intp, copy=False)
-            offsets = np.nonzero(owns[row_i] & owns[row_j])[0]
-            if not offsets.size:
-                return offsets, offsets, offsets, offsets
-            iu = row_i[offsets]
-            iv = row_j[offsets]
-            swap = self._rank[iu] > self._rank[iv]
-            first = np.where(swap, iv, iu)
-            second = np.where(swap, iu, iv)
-        directions = trial.kernel.decide_block(
+        kernel = trial.kernel
+        if kernel.sparse:
+            offsets, directions = kernel.decide_block(
+                trial.state, row_i, row_j, cursor
+            )
+            return offsets, row_i[offsets], row_j[offsets], directions
+        # Widen once: numpy casts a non-intp index array on every use.
+        row_i = row_i.astype(np.intp, copy=False)
+        row_j = row_j.astype(np.intp, copy=False)
+        offsets = np.nonzero(owns[row_i] & owns[row_j])[0]
+        if not offsets.size:
+            return offsets, offsets, offsets, offsets
+        iu = row_i[offsets]
+        iv = row_j[offsets]
+        swap = self._rank[iu] > self._rank[iv]
+        first = np.where(swap, iv, iu)
+        second = np.where(swap, iu, iv)
+        directions = kernel.decide_block(
             trial.state, first, second, cursor + offsets
         )
         keep = np.nonzero(directions != NO_TRANSMISSION)[0]

@@ -28,7 +28,14 @@ from repro.adversaries import TraceReplayAdversary, make_adversary
 from repro.adversaries.base import EventuallyPeriodicAdversary
 from repro.adversaries.committed import COMMIT_CHUNK, CommittedBlockAdversary
 from repro.algorithms.gathering import Gathering
-from repro.algorithms.kernels import KERNELS, get_kernel
+from repro.algorithms.kernels import (
+    FIRST_RECEIVES,
+    KERNELS,
+    NO_TRANSMISSION,
+    PENDING,
+    SECOND_RECEIVES,
+    get_kernel,
+)
 from repro.algorithms.spanning_tree import SpanningTreeAggregation
 from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
@@ -45,6 +52,7 @@ from repro.core.vector_execution import (
     _IndexRows,
 )
 from repro.graph.traces import VehicularGridTrace
+from repro.knowledge import KnowledgeBundle, UnderlyingGraphKnowledge
 from repro.offline.convergecast import opt
 from repro.ratio import kernels as ratio_kernels
 from repro.ratio.semantics import UNREACHABLE, opt_cost_from_end
@@ -868,6 +876,210 @@ class TestCommittedIndexMatrix:
         assert rows_i.dtype == rows_j.dtype == i.dtype == np.int64
         assert np.shares_memory(rows_i, i) and np.shares_memory(rows_j, j)
         assert (rows_i[0] == i[10:]).all()
+
+
+class TestSparseKernelProtocol:
+    """A sparse kernel returns what its per-interaction rule did not abstain on.
+
+    The reference below states each rule as a direction array, one
+    direction per interaction of the block; a sparse kernel's
+    ``(offsets, directions)`` must be exactly its entries other than
+    ``NO_TRANSMISSION``, in block order.
+    """
+
+    N = 9
+    START = 5_000
+
+    @staticmethod
+    def block(seed, n, avoid=None, size=400):
+        """A raw block as the engine reads it: read-only int32 views."""
+        rng = np.random.default_rng(seed)
+        pool = np.array([node for node in range(n) if node != avoid])
+        first = rng.integers(0, pool.size, size)
+        second = (first + rng.integers(1, pool.size, size)) % pool.size
+        iu, iv = pool[first].astype(np.int32), pool[second].astype(np.int32)
+        iu.flags.writeable = iv.flags.writeable = False
+        return iu, iv
+
+    @staticmethod
+    def reference(name, state, iu, iv, start):
+        """One direction per interaction of the block, rule by rule."""
+        dirs = np.full(iu.shape[0], NO_TRANSMISSION, dtype=np.int8)
+        if name == "waiting":
+            dirs[iu == state.sink_index] = FIRST_RECEIVES
+            dirs[iv == state.sink_index] = SECOND_RECEIVES
+        elif name == "spanning_tree":
+            parent = state.parent
+            iu, iv = iu.astype(np.intp), iv.astype(np.intp)
+            dirs[(parent[iu] == iv) | (parent[iv] == iu)] = PENDING
+        elif state.times.shape[0]:
+            t = start + np.arange(iu.shape[0])
+            idx = np.searchsorted(state.times, t)
+            found = idx < state.times.shape[0]
+            safe = np.where(found, idx, 0)
+            found &= state.times[safe] == t
+            senders = state.senders[safe]
+            receivers = state.receivers[safe]
+            dirs[found & (senders == iv) & (receivers == iu)] = FIRST_RECEIVES
+            dirs[found & (senders == iu) & (receivers == iv)] = SECOND_RECEIVES
+        return dirs
+
+    def decide(self, name, state, iu, iv, start):
+        """The kernel's sparse decision, checked against the reference."""
+        offsets, directions = get_kernel(name).decide_block(state, iu, iv, start)
+        expected = self.reference(name, state, iu, iv, start)
+        keep = np.flatnonzero(expected != NO_TRANSMISSION)
+        assert directions.dtype == np.int8
+        assert (np.diff(offsets) > 0).all()
+        assert offsets.tolist() == keep.tolist()
+        assert directions.tolist() == expected[keep].tolist()
+        return offsets, directions
+
+    def test_every_sparse_kernel_is_covered(self):
+        sparse = sorted(name for name, kernel in KERNELS.items() if kernel.sparse)
+        assert sparse == [
+            "full_knowledge", "future_broadcast", "spanning_tree", "waiting",
+        ]
+
+    @pytest.mark.parametrize("sink", (0, 4, 8))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_waiting_returns_the_sink_meetings(self, seed, sink):
+        index_of = {node: node for node in range(self.N)}
+        state = get_kernel("waiting").prepare(Waiting(), None, None, index_of, sink)
+        iu, iv = self.block(seed, self.N)
+        _, directions = self.decide("waiting", state, iu, iv, self.START + seed)
+        # The sink met on either side.
+        assert set(directions.tolist()) == {FIRST_RECEIVES, SECOND_RECEIVES}
+
+    def test_waiting_returns_nothing_from_a_block_without_the_sink(self):
+        index_of = {node: node for node in range(self.N)}
+        state = get_kernel("waiting").prepare(Waiting(), None, None, index_of, 3)
+        iu, iv = self.block(7, self.N, avoid=3)
+        offsets, directions = self.decide("waiting", state, iu, iv, self.START)
+        assert offsets.size == directions.size == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_star_tree_returns_the_sink_meetings_pending(self, seed):
+        nodes = list(range(self.N))
+        knowledge = KnowledgeBundle(UnderlyingGraphKnowledge.complete(nodes))
+        state = get_kernel("spanning_tree").prepare(
+            SpanningTreeAggregation(), None, knowledge,
+            {node: node for node in nodes}, 2,
+        )
+        assert state.star_sink == 2
+        iu, iv = self.block(seed, self.N)
+        offsets, directions = self.decide(
+            "spanning_tree", state, iu, iv, self.START + seed
+        )
+        assert offsets.size and (directions == PENDING).all()
+        assert ((iu[offsets] == 2) | (iv[offsets] == 2)).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bfs_tree_returns_its_tree_edges_pending(self, seed):
+        # A path with two chords; the last node is outside G-bar's edges,
+        # so the tree leaves it without a parent.
+        nodes = list(range(self.N))
+        edges = [(k, k + 1) for k in range(self.N - 2)] + [(0, 4), (2, 6)]
+        knowledge = KnowledgeBundle(UnderlyingGraphKnowledge(nodes, edges=edges))
+        state = get_kernel("spanning_tree").prepare(
+            SpanningTreeAggregation(), None, knowledge,
+            {node: node for node in nodes}, 3,
+        )
+        assert state.star_sink is None
+        iu, iv = self.block(seed, self.N)
+        offsets, directions = self.decide(
+            "spanning_tree", state, iu, iv, self.START + seed
+        )
+        assert offsets.size and (directions == PENDING).all()
+
+    @pytest.mark.parametrize("name", ("full_knowledge", "future_broadcast"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_plan_kernels_return_the_plan_entries_inside_the_block(
+        self, name, seed
+    ):
+        from repro.algorithms.kernels import _plan_state
+
+        iu, iv = self.block(seed, self.N)
+        start, size = self.START + seed, iu.shape[0]
+
+        def entry(offset, receiver):
+            """The block's pair at ``offset``, as (sender, receiver)."""
+            pair = (int(iu[offset]), int(iv[offset]))
+            return pair if receiver == SECOND_RECEIVES else pair[::-1]
+
+        stranger = next(
+            node for node in range(self.N) if node not in (iu[1], iv[1])
+        )
+        plan = {
+            start - 1: entry(0, FIRST_RECEIVES),
+            start: entry(0, FIRST_RECEIVES),
+            # A pair mismatch at a plan time, and a node off the executor.
+            start + 1: (int(iu[1]), stranger),
+            start + 3: ("ghost", int(iv[3])),
+            start + 2: entry(2, SECOND_RECEIVES),
+            start + size // 2: entry(size // 2, FIRST_RECEIVES),
+            start + size - 1: entry(size - 1, SECOND_RECEIVES),
+            start + size: entry(0, SECOND_RECEIVES),
+        }
+        state = _plan_state(plan, {node: node for node in range(self.N)})
+        offsets, directions = self.decide(name, state, iu, iv, start)
+        assert offsets.tolist() == [0, 2, size // 2, size - 1]
+        assert directions.tolist() == [
+            FIRST_RECEIVES, SECOND_RECEIVES, FIRST_RECEIVES, SECOND_RECEIVES,
+        ]
+
+    @pytest.mark.parametrize("name", ("full_knowledge", "future_broadcast"))
+    def test_an_empty_plan_returns_empty_arrays(self, name):
+        from repro.algorithms.kernels import _empty_plan_state
+
+        iu, iv = self.block(0, self.N)
+        offsets, directions = self.decide(
+            name, _empty_plan_state(), iu, iv, self.START
+        )
+        assert offsets.size == directions.size == 0
+
+
+class TestWindowSchedule:
+    """Windows double from ``INITIAL_BLOCK`` up to the kernel kind's cap."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        """The window lengths the engine's block reads ask for, in order."""
+        read = CommittedBlockAdversary.committed_index_matrix
+        lengths = []
+
+        def recording(rows, start, stop, *args, **kwargs):
+            lengths.append(stop - start)
+            return read(rows, start, stop, *args, **kwargs)
+
+        monkeypatch.setattr(
+            CommittedBlockAdversary, "committed_index_matrix",
+            staticmethod(recording),
+        )
+        return lengths
+
+    @staticmethod
+    def doubling(count, cap):
+        return [min(INITIAL_BLOCK << k, cap) for k in range(count)]
+
+    def test_a_sparse_trial_doubles_up_to_four_times_the_cap(self, windows):
+        assert get_kernel("waiting").sparse
+        assert run_engine(VectorizedExecutor, "waiting", 200, 0).terminated
+        assert windows[:6] == [1024, 2048, 4096, 8192, 16384, 16384]
+        assert windows == self.doubling(len(windows), 4 * DEFAULT_BLOCK_SIZE)
+
+    def test_a_dense_trial_stops_doubling_at_the_cap(self, windows):
+        assert not get_kernel("gathering").sparse
+        assert run_engine(VectorizedExecutor, "gathering", 200, 0).terminated
+        assert windows[:5] == [1024, 2048, 4096, 4096, 4096]
+        assert windows == self.doubling(len(windows), DEFAULT_BLOCK_SIZE)
+
+    @pytest.mark.parametrize("name, cap", (("waiting", 64), ("gathering", 16)))
+    def test_block_window_sets_both_caps(self, windows, name, cap):
+        assert run_engine(
+            VectorizedExecutor, name, 30, 0, window=16
+        ).terminated
+        assert len(windows) > 2 and set(windows) == {cap}
 
 
 class TestSweepPaths:
