@@ -269,17 +269,38 @@ class SinkMeetTable:
     far as the decisions actually require.
 
     The table reads the trial's adversary once, in the first round at
-    construction: the committed prefix of at least ``prefix`` interactions,
-    rounded up to the adversary's chunk-aligned frontier, which the run
-    consumes anyway.  Everything past the frontier comes from the
-    adversary's :meth:`~repro.adversaries.committed.CommittedBlockAdversary.
-    lookahead` copy, one :data:`~repro.adversaries.committed.COMMIT_CHUNK`
-    piece at a time, released once scanned.  The lookahead draws the
-    committed future itself, so the table answers as if it had read the
-    adversary; but the scan-ahead is never stored, and the run may release
-    the adversary's past at its own cursor.  When tracing, each
-    round emits the interactions it scanned as the
-    ``kernels.meet_table_scanned`` counter.
+    construction: the committed prefix of at least ``tau + 1``
+    interactions, rounded up to the adversary's chunk-aligned frontier,
+    which the run consumes anyway.  Everything past the frontier comes from
+    the adversary's :meth:`~repro.adversaries.committed.
+    CommittedBlockAdversary.lookahead` copy, one
+    :data:`~repro.adversaries.committed.COMMIT_CHUNK` piece at a time,
+    released once scanned.  The lookahead draws the committed future
+    itself, so the table answers as if it had read the adversary; but the
+    scan-ahead is never stored, and the run may release the adversary's
+    past at its own cursor.
+
+    Each round keeps three per-node summaries current, from which
+    :meth:`summary` and :meth:`summary_one` answer every query at a time
+    ``t <= tau`` by gathering:
+
+    * ``below``: the node's last sink meeting at or below ``tau`` (-1 for
+      none).  The sink's entry is ``tau + 1``: its ``meetTime`` is the
+      identity, at or below ``tau`` at every such ``t``;
+    * ``above``: its first sink meeting above ``tau`` (``horizon + 1``
+      until one is found);
+    * ``found``: whether ``above`` is final, because the meeting was found
+      or because the scan is complete and the sentinel stands.
+
+    Queries after ``tau`` (:meth:`lookup`, :meth:`lookup_one`)
+    binary-search a node-major table of every scanned meeting.  It is
+    stable-sorted on narrow partner indices (16-bit up to 65,536 nodes,
+    which numpy radix-sorts), and only when a search first reads it after
+    a round; its plain-list copies are made when a scalar lookup first
+    needs them.  When tracing, each round emits the interactions it
+    scanned as the ``kernels.meet_table_scanned`` counter, and each search
+    the queries it answered by binary search (the sink's are not) as
+    ``kernels.meet_table_searched``.
 
     All indices are the adversary's dense node indices: the engine runs a
     kernel only on an adversary in the executor's node order.
@@ -290,31 +311,40 @@ class SinkMeetTable:
         adversary: Any,
         sink_index: int,
         horizon: int,
+        tau: int,
         gap: int = 4096,
-        prefix: int = 0,
     ) -> None:
         self._sink = sink_index
         self._horizon = horizon
+        self._tau = tau
         # Expected committed distance between two meetings of a fixed pair;
         # the scan extends by at least this much per resolution round so the
         # amortised cost per unresolved query stays O(1).
         self._gap = max(4096, int(gap))
         self._covered = 0  # committed prefix scanned so far
         self._complete = False  # no meetings can exist beyond _covered
+        n = len(adversary.nodes())
+        self._partner_dtype = np.uint16 if n <= 2**16 else np.int32
         self._partners: List[np.ndarray] = []
         self._times: List[np.ndarray] = []
+        self._below = np.full(n, -1, dtype=np.int64)
+        self._below[sink_index] = tau + 1
+        self._above = np.full(n, horizon + 1, dtype=np.int64)
+        self._found = np.zeros(n, dtype=bool)
         # Flat (node, time) meeting list sorted by node then time, encoded
         # as keys node * stride + time for one-searchsorted-per-block
-        # lookups.
+        # lookups; stale once a round has recorded new meetings.
         self._stride = horizon + 2
+        self._stale = False
         self._keys = np.empty(0, dtype=np.int64)
         self._flat_nodes = np.empty(0, dtype=np.int64)
         self._flat_times = np.empty(0, dtype=np.int64)
         # Plain-list copies for the scalar lookup path (python bisect beats
         # numpy searchsorted by an order of magnitude on single keys).
-        self._keys_list: List[int] = []
+        self._keys_list: Optional[List[int]] = None
         self._flat_times_list: List[int] = []
-        adversary.ensure_committed(min(prefix, horizon + 1))
+        prefix = min(tau + 1, horizon + 1)
+        adversary.ensure_committed(prefix)
         self._lookahead = adversary.lookahead()
         self._extend(max(self._gap, prefix), head=adversary)
 
@@ -349,14 +379,15 @@ class SinkMeetTable:
             # The scan reached the sentinel bound.
             self._complete = True
         if len(self._times) > recorded:
-            partners = np.concatenate(self._partners)
-            times = np.concatenate(self._times)
-            order = np.argsort(partners, kind="stable")
-            self._flat_nodes = partners[order]
-            self._flat_times = times[order]
-            self._keys = self._flat_nodes * self._stride + self._flat_times
-            self._keys_list = self._keys.tolist()
-            self._flat_times_list = self._flat_times.tolist()
+            self._summarize(
+                np.concatenate(self._partners[recorded:]),
+                np.concatenate(self._times[recorded:]),
+            )
+            self._stale = True
+        if self._complete:
+            # No meeting lies past the scan: every first meeting above tau
+            # still missing is the horizon + 1 sentinel.
+            self._found[:] = True
         collector = current_collector()
         if collector.enabled:
             collector.counter("kernels.meet_table_scanned", self._covered - start)
@@ -367,12 +398,32 @@ class SinkMeetTable:
         hit = (i == self._sink) | (j == self._sink)
         if hit.any():
             offsets = np.nonzero(hit)[0]
-            # int64 before the keys are formed: node * stride overflows
-            # int32, the committed buffers' dtype, once it passes 2**31.
-            partners = i[offsets].astype(np.int64) + j[offsets]
-            self._partners.append(partners - self._sink)
+            partners = i[offsets] + j[offsets] - self._sink
+            self._partners.append(partners.astype(self._partner_dtype))
             self._times.append(offsets + self._covered)
         self._covered += count
+
+    def _summarize(self, partners: np.ndarray, times: np.ndarray) -> None:
+        """Fold one round's meetings, in time order, into the summaries."""
+        split = int(np.searchsorted(times, self._tau, side="right"))
+        np.maximum.at(self._below, partners[:split], times[:split])
+        later = partners[split:]
+        np.minimum.at(self._above, later, times[split:])
+        self._found[later] = True
+
+    def _node_major(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The node-major meeting table ``(keys, nodes, times)``, up to date."""
+        if self._stale:
+            partners = np.concatenate(self._partners)
+            order = np.argsort(partners, kind="stable")
+            self._flat_nodes = partners[order].astype(np.int64)
+            self._flat_times = np.concatenate(self._times)[order]
+            # int64 before the keys are formed: node * stride passes 2**31
+            # on long horizons.
+            self._keys = self._flat_nodes * self._stride + self._flat_times
+            self._keys_list = None
+            self._stale = False
+        return self._keys, self._flat_nodes, self._flat_times
 
     def extend_round(self) -> bool:
         """One more scan round (at least one expected inter-meeting gap).
@@ -390,6 +441,27 @@ class SinkMeetTable:
         """How much of the committed future the scan has consumed."""
         return self._covered
 
+    def summary(self, nodes: np.ndarray, t: np.ndarray):
+        """Per pair ``(node, t)`` with ``t <= tau``: the meet time the rule reads.
+
+        Returns ``(values, known)`` from the per-node summaries.  Where the
+        node's next sink meeting lies at or below ``tau`` (its last meeting
+        at or below ``tau`` lies after ``t``, or it is the sink), the value
+        is ``t``: a stand-in at or below ``tau``, exact for the sink, and
+        known.  Elsewhere it is the exact next meeting, the node's first
+        above ``tau``, known once found, as :meth:`lookup` answers it.  The
+        Waiting Greedy rule compares exact meet times only when both exceed
+        ``tau``, so the stand-ins decide as the exact values do.
+        """
+        low = self._below[nodes] > t
+        return np.where(low, t, self._above[nodes]), low | self._found[nodes]
+
+    def summary_one(self, node: int, t: int) -> Tuple[int, bool]:
+        """Scalar :meth:`summary` for walk-time late resolution."""
+        if self._below[node] > t:
+            return t, True
+        return int(self._above[node]), bool(self._found[node])
+
     def lookup(self, nodes: np.ndarray, t: np.ndarray):
         """Per pair ``(node, t)``: next sink meeting, if currently decidable.
 
@@ -400,36 +472,70 @@ class SinkMeetTable:
         Where ``known`` is False, all that is certain is that the node's
         next sink meeting is strictly beyond the scanned prefix
         (``> covered - 1``).  Nodes equal to the sink get the identity
-        ``meetTime`` (``t``), always known.
+        ``meetTime`` (``t``), always known; every other pair is a binary
+        search.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         count = nodes.shape[0]
         values = np.full(count, self._horizon + 1, dtype=np.int64)
+        known = np.full(count, self._complete)
         sink_rows = nodes == self._sink
-        if self._keys.shape[0]:
-            keys = nodes * self._stride + t
-            idx = np.searchsorted(self._keys, keys, side="right")
-            found = idx < self._keys.shape[0]
+        values[sink_rows] = t[sink_rows]
+        known[sink_rows] = True
+        keys, flat_nodes, flat_times = self._node_major()
+        rows = np.flatnonzero(~sink_rows)
+        if rows.size and keys.shape[0]:
+            nodes = nodes[rows]
+            idx = np.searchsorted(keys, nodes * self._stride + t[rows], side="right")
+            found = idx < keys.shape[0]
             safe = np.where(found, idx, 0)
-            found &= self._flat_nodes[safe] == nodes
-            values[found] = self._flat_times[safe[found]]
-        else:
-            found = np.zeros(count, dtype=bool)
-        known = found | self._complete | sink_rows
-        if sink_rows.any():
-            values[sink_rows] = t[sink_rows]
+            found &= flat_nodes[safe] == nodes
+            rows = rows[found]
+            values[rows] = flat_times[safe[found]]
+            known[rows] = True
+            _count_searched(nodes.shape[0])
         return values, known
 
     def lookup_one(self, node: int, t: int) -> Tuple[int, bool]:
         """Scalar :meth:`lookup` for walk-time late resolution."""
         if node == self._sink:
             return t, True
-        key = node * self._stride + t
-        keys = self._keys_list
-        idx = bisect_right(keys, key)
-        if idx < len(keys) and keys[idx] < (node + 1) * self._stride:
+        if self._stale or self._keys_list is None:
+            keys, _, times = self._node_major()
+            self._keys_list = keys.tolist()
+            self._flat_times_list = times.tolist()
+        keys_list = self._keys_list
+        idx = bisect_right(keys_list, node * self._stride + t)
+        _count_searched(1)
+        if idx < len(keys_list) and keys_list[idx] < (node + 1) * self._stride:
             return self._flat_times_list[idx], True
         return self._horizon + 1, self._complete
+
+
+def _count_searched(queries: int) -> None:
+    """Emit ``queries`` binary-searched meet-table queries when tracing."""
+    collector = current_collector()
+    if collector.enabled:
+        collector.counter("kernels.meet_table_searched", queries)
+
+
+def _greedy_directions(
+    tau: int, m1: np.ndarray, k1: np.ndarray, m2: np.ndarray, k2: np.ndarray
+) -> np.ndarray:
+    """The Waiting Greedy rule over both sides' ``(values, known)`` meet times."""
+    dirs = np.full(m1.shape[0], PENDING, dtype=np.int8)
+    both = k1 & k2
+    # The object form abstains exactly when max(m1, m2) <= tau; otherwise
+    # the side with the later sink meeting transmits (ties go to the first
+    # node, which also covers the sink itself).  Every unknown meet time
+    # lies past the scan, beyond tau and beyond any known one, so one known
+    # side decides; two unknown sides are PENDING.
+    dirs[both & (m1 <= tau) & (m2 <= tau)] = NO_TRANSMISSION
+    dirs[both & (m1 <= m2) & (tau < m2)] = FIRST_RECEIVES
+    dirs[both & (m1 > m2) & (tau < m1)] = SECOND_RECEIVES
+    dirs[k1 & ~k2] = FIRST_RECEIVES
+    dirs[~k1 & k2] = SECOND_RECEIVES
+    return dirs
 
 
 class _WaitingGreedyState:
@@ -474,47 +580,45 @@ class WaitingGreedyKernel(DecisionKernel):
         # Meetings at or below tau must be exact for the abstain decision,
         # so the table's first round scans out to tau + 1.
         table = SinkMeetTable(
-            source,
-            index_of[sink_node],
-            oracle.horizon,
-            gap=n * (n - 1) // 2,
-            prefix=tau + 1,
+            source, index_of[sink_node], oracle.horizon, tau, gap=n * (n - 1) // 2
         )
         return _WaitingGreedyState(tau, table)
 
     def decide_block(self, state, iu, iv, t):
+        """Decide a block's candidates, ascending in ``t``, by the object rule.
+
+        Candidates at or before ``tau`` read the meet table's per-node
+        summaries (:meth:`SinkMeetTable.summary`); those after it, the
+        binary-searched :meth:`SinkMeetTable.lookup`, and a block that
+        straddles ``tau`` is split there.  The table covers ``tau + 1``
+        since ``prepare``, so a meet time is unknown only when it lies past
+        the scan.  Pairs whose meet times are both unknown are returned
+        :data:`PENDING` and resolved lazily (:meth:`resolve_one`) only if
+        they are still live when the engine's walk reaches them — this
+        keeps the scan depth bounded by the meetings the *realized* run
+        actually compares, never by stale candidates the reference engine
+        would not have queried either.
+        """
         table = state.table
-        tau = state.tau
-        # The table covers tau + 1 since prepare, so every *unknown* meet
-        # time is > covered >= tau + 1, i.e. automatically both beyond tau
-        # and beyond any known (in-prefix) partner value: with one side
-        # known the comparison and the tau threshold are both decided.
-        # Pairs whose meet times are BOTH unknown are returned as PENDING
-        # and resolved lazily (:meth:`resolve_one`) only if they are still
-        # live when the engine's walk reaches them — this keeps the scan
-        # depth bounded by the meetings the *realized* run actually
-        # compares, never by stale candidates the reference engine would
-        # not have queried either.
-        m1, k1 = table.lookup(iu, t)
-        m2, k2 = table.lookup(iv, t)
-        dirs = np.full(iu.shape[0], PENDING, dtype=np.int8)
-        both = k1 & k2
-        # The object form abstains exactly when max(m1, m2) <= tau;
-        # otherwise the side with the later sink meeting transmits
-        # (ties go to the first node, which also covers the sink itself).
-        dirs[both & (m1 <= tau) & (m2 <= tau)] = NO_TRANSMISSION
-        dirs[both & (m1 <= m2) & (tau < m2)] = FIRST_RECEIVES
-        dirs[both & (m1 > m2) & (tau < m1)] = SECOND_RECEIVES
-        dirs[k1 & ~k2] = FIRST_RECEIVES
-        dirs[~k1 & k2] = SECOND_RECEIVES
+        count = t.shape[0]
+        cut = int(np.searchsorted(t, state.tau, side="right"))
+        dirs = np.empty(count, dtype=np.int8)
+        for low, high, lookup in (
+            (0, cut, table.summary), (cut, count, table.lookup)
+        ):
+            if low < high:
+                m1, k1 = lookup(iu[low:high], t[low:high])
+                m2, k2 = lookup(iv[low:high], t[low:high])
+                dirs[low:high] = _greedy_directions(state.tau, m1, k1, m2, k2)
         return dirs
 
     def resolve_one(self, state, iu, iv, t):
         table = state.table
         tau = state.tau
+        lookup = table.summary_one if t <= tau else table.lookup_one
         while True:
-            m1, k1 = table.lookup_one(iu, t)
-            m2, k2 = table.lookup_one(iv, t)
+            m1, k1 = lookup(iu, t)
+            m2, k2 = lookup(iv, t)
             if k1 and k2:
                 if m1 <= m2:
                     return FIRST_RECEIVES if tau < m2 else NO_TRANSMISSION
@@ -523,7 +627,11 @@ class WaitingGreedyKernel(DecisionKernel):
                 return FIRST_RECEIVES
             if k2:
                 return SECOND_RECEIVES
-            table.extend_round()
+            if not table.extend_round():
+                # A complete scan knows every meet time.
+                raise RuntimeError(
+                    f"meet table complete, yet meetTime is unknown at t={t}"
+                )
 
 
 # --------------------------------------------------------------------- #

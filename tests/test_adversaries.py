@@ -401,7 +401,7 @@ class TestIndexDtypes:
         n, sink, horizon = 1000, 0, 5_000_000
         adversary = RandomizedAdversary(list(range(n)), seed=3)
         table = SinkMeetTable(
-            adversary, sink, horizon, gap=n * (n - 1) // 2, prefix=600_000
+            adversary, sink, horizon, 599_999, gap=n * (n - 1) // 2
         )
         i, j = adversary.committed_index_block(0, table.covered)
         times = np.flatnonzero((i == sink) | (j == sink))

@@ -20,7 +20,14 @@ import pickle
 
 import pytest
 
-from repro.campaign import CampaignSpec, CampaignStore, campaign_status, run_campaign
+from repro.algorithms.kernels import get_kernel
+from repro.campaign import (
+    CampaignSpec,
+    CampaignStore,
+    algorithm_factory_for,
+    campaign_status,
+    run_campaign,
+)
 from repro.obs import (
     NOOP,
     CollectorSnapshot,
@@ -407,6 +414,36 @@ class TestCampaignTelemetryIsolation:
         assert shard_bytes(tmp_path / "plain", spec) == shard_bytes(
             tmp_path / "traced", spec
         )
+
+    def test_meet_table_searches_stay_rare_on_a_zipf_cell(self, monkeypatch):
+        # Up to tau, Waiting Greedy decides from its meet table's per-node
+        # summaries; only candidates after tau and scalar lookups still
+        # binary-search the table (the sink's queries never do).  At master
+        # seed 0, the skewed benchmark's zipf n = 400 x 8 cell searches
+        # 7,398 times, under 5% of its decided candidates.
+        kernel = type(get_kernel("waiting_greedy"))
+        decide = kernel.decide_block
+        decided = []
+
+        def counted(self, state, iu, iv, t):
+            decided.append(t.shape[0])
+            return decide(self, state, iu, iv, t)
+
+        monkeypatch.setattr(kernel, "decide_block", counted)
+        collector = RecordingCollector()
+        with use_collector(collector):
+            run_sweep_cell(
+                algorithm_factory_for("waiting_greedy"), 400, 8,
+                experiment="campaign", adversary="zipf",
+                adversary_params={"exponent": 1.0},
+            )
+        searched = sum(
+            c.value for c in collector.counters
+            if c.name == "kernels.meet_table_searched"
+        )
+        assert sum(decided) == 153_282
+        assert searched == 7_398
+        assert searched < 0.05 * sum(decided)
 
     def test_interrupted_resume_with_telemetry_matches_fresh(self, tmp_path):
         spec = campaign_spec()

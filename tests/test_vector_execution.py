@@ -1250,6 +1250,198 @@ class TestConsumedPast:
             assert table.covered >= n * (n - 1) // 2 > chunks * COMMIT_CHUNK
 
 
+def greedy_rule(state, iu, iv, t):
+    """Waiting Greedy's directions from two exact meet-table lookups.
+
+    The rule the kernel applied to every candidate before it read per-node
+    summaries up to tau: the oracle of :class:`TestWaitingGreedySummaries`.
+    """
+    table, tau = state.table, state.tau
+    m1, k1 = table.lookup(iu, t)
+    m2, k2 = table.lookup(iv, t)
+    dirs = np.full(iu.shape[0], PENDING, dtype=np.int8)
+    both = k1 & k2
+    dirs[both & (m1 <= tau) & (m2 <= tau)] = NO_TRANSMISSION
+    dirs[both & (m1 <= m2) & (tau < m2)] = FIRST_RECEIVES
+    dirs[both & (m1 > m2) & (tau < m1)] = SECOND_RECEIVES
+    dirs[k1 & ~k2] = FIRST_RECEIVES
+    dirs[~k1 & k2] = SECOND_RECEIVES
+    return dirs
+
+
+class TestWaitingGreedySummaries:
+    """Up to tau, Waiting Greedy decides from per-node meeting summaries.
+
+    Every ``decide_block`` result must equal :func:`greedy_rule` on the same
+    table, and every candidate the object rule on the exact meet times of
+    the committed future, read with ``next_meeting`` from an identically
+    built twin of the trial's adversary: a decided candidate directly, a
+    ``PENDING`` one through ``resolve_one``, which may extend the table.
+    """
+
+    KERNEL = type(get_kernel("waiting_greedy"))
+    WIDTH = 300
+
+    @staticmethod
+    def meet_time(twin, sink, horizon, node, t):
+        """The non-strict ``meetTime`` oracle's answer, read off the twin."""
+        if node == sink:
+            return t
+        answer = twin.next_meeting(node, sink, t)
+        return horizon + 1 if answer is None or answer > horizon else answer
+
+    def truth(self, tau, twin, sink, horizon, iu, iv, t):
+        """The object rule (``WaitingGreedy.decide``) as a direction."""
+        m1 = self.meet_time(twin, sink, horizon, iu, t)
+        m2 = self.meet_time(twin, sink, horizon, iv, t)
+        if m1 <= m2 and tau < m2:
+            return FIRST_RECEIVES
+        if m1 > m2 and tau < m1:
+            return SECOND_RECEIVES
+        return NO_TRANSMISSION
+
+    @staticmethod
+    def prepared(source, nodes, sink, tau, horizon):
+        greedy = WaitingGreedy(tau=tau)
+        knowledge, _ = build_knowledge_for_random_run(
+            greedy, source, nodes, sink, horizon
+        )
+        return get_kernel("waiting_greedy").prepare(
+            greedy, source, knowledge, {node: node for node in nodes}, sink
+        )
+
+    def check_window(self, state, twin, sink, horizon, start, stop):
+        """Decide the twin's ``[start, stop)`` in canonical order; check it.
+
+        Returns the window's times and directions, before resolution.
+        """
+        twin.ensure_committed(stop)
+        i, j = twin.committed_index_block(max(start, 0), stop)
+        iu = np.minimum(i, j).astype(np.intp)
+        iv = np.maximum(i, j).astype(np.intp)
+        t = np.arange(max(start, 0), max(start, 0) + iu.shape[0])
+        dirs = self.KERNEL().decide_block(state, iu, iv, t)
+        assert dirs.dtype == np.int8
+        assert dirs.tolist() == greedy_rule(state, iu, iv, t).tolist()
+        for a, b, time, direction in zip(
+            iu.tolist(), iv.tolist(), t.tolist(), dirs.tolist()
+        ):
+            expected = self.truth(state.tau, twin, sink, horizon, a, b, time)
+            if direction == PENDING:
+                direction = self.KERNEL().resolve_one(state, a, b, time)
+            assert direction == expected, (a, b, time)
+        return t, dirs
+
+    @pytest.mark.parametrize("n", (12, 60, 200))
+    @pytest.mark.parametrize("family", ("uniform", "zipf", "hub"))
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_engine_blocks_match_the_lookup_rule(
+        self, monkeypatch, seed, family, n
+    ):
+        # A middle sink meets partners on both sides of the canonical order.
+        nodes, sink, tau = list(range(n)), n // 2, optimal_tau(n)
+        greedy = WaitingGreedy(tau=tau)
+        horizon = default_horizon(greedy, n)
+        source, twin = (
+            build_trial_adversary(family, nodes, seed, horizon, sink, None)
+            for _ in range(2)
+        )
+        knowledge, _ = build_knowledge_for_random_run(
+            greedy, source, nodes, sink, horizon
+        )
+        decide, resolve = self.KERNEL.decide_block, self.KERNEL.resolve_one
+        blocks, resolved = [], []
+
+        def checked_decide(kernel, state, iu, iv, t):
+            dirs = decide(kernel, state, iu, iv, t)
+            assert dirs.dtype == np.int8
+            assert dirs.tolist() == greedy_rule(state, iu, iv, t).tolist()
+            blocks.append((iu.copy(), iv.copy(), t.copy()))
+            return dirs
+
+        def checked_resolve(kernel, state, iu, iv, t):
+            direction = resolve(kernel, state, iu, iv, t)
+            assert direction == self.truth(tau, twin, sink, horizon, iu, iv, t)
+            resolved.append(t)
+            return direction
+
+        monkeypatch.setattr(self.KERNEL, "decide_block", checked_decide)
+        monkeypatch.setattr(self.KERNEL, "resolve_one", checked_resolve)
+        result = VectorizedExecutor(
+            nodes, sink, greedy, knowledge=knowledge
+        ).run(source, max_interactions=horizon)
+        assert result.terminated
+        assert any(t[0] <= tau < t[-1] for _, _, t in blocks), "no block straddles tau"
+        assert any((iu == sink).any() for iu, _, _ in blocks)
+        assert any((iv == sink).any() for _, iv, _ in blocks)
+
+    @pytest.mark.parametrize("n", (12, 60, 200))
+    @pytest.mark.parametrize("family", ("uniform", "zipf", "hub"))
+    @pytest.mark.parametrize("case", ("tau 0", "optimal tau", "tau at the horizon"))
+    def test_windows_decide_and_resolve_as_the_object_rule(self, case, family, n):
+        nodes, sink = list(range(n)), n // 2
+        if case == "tau at the horizon":
+            # A horizon short enough that some nodes never meet the sink
+            # within it, and a tau at it: the first round completes the scan.
+            horizon = n * (n - 1) // 4
+            tau = horizon
+        else:
+            tau = 0 if case == "tau 0" else optimal_tau(n)
+            horizon = default_horizon(WaitingGreedy(tau=tau), n)
+        source, twin = (
+            build_trial_adversary(family, nodes, 5, horizon, sink, None)
+            for _ in range(2)
+        )
+        state = self.prepared(source, nodes, sink, tau, horizon)
+        table, width = state.table, self.WIDTH
+        first_scan = table.covered
+        windows = [(0, width), (tau - width, tau + width)]
+        if first_scan <= horizon:
+            windows.append((first_scan - width, first_scan + width))
+        pending = 0
+        for start, stop in windows:
+            pending += int((self.check_window(
+                state, twin, sink, horizon, start, stop
+            )[1] == PENDING).sum())
+        # Extension rounds (resolutions, or two more here) refresh the
+        # summaries: the same windows decide as the rule still.
+        table.extend_round()
+        table.extend_round()
+        for start, stop in windows:
+            self.check_window(state, twin, sink, horizon, start, stop)
+        if case == "tau at the horizon":
+            assert table.covered == horizon + 1 == first_scan
+            never = [
+                node for node in nodes
+                if self.meet_time(twin, sink, horizon, node, -1) == horizon + 1
+            ]
+            assert never, "every node meets the sink within the horizon"
+        elif case == "optimal tau" and n >= 60:
+            assert pending and table.covered > first_scan
+
+    @pytest.mark.parametrize("sink", (0, 5, 11))
+    def test_a_trace_that_ends_before_tau_completes_the_table(self, sink):
+        # The trace runs out before tau, so the first round finds the end
+        # and every missing meeting is the horizon + 1 sentinel: nothing is
+        # PENDING.  The node after the sink never meets it.
+        n, tau, horizon = 12, 2_000, 5_000
+        nodes = list(range(n))
+        rng = np.random.default_rng(sink)
+        i = rng.integers(0, n, 900)
+        j = (i + rng.integers(1, n, 900)) % n
+        silent = (sink + 1) % n
+        meets = ((i == sink) & (j == silent)) | ((i == silent) & (j == sink))
+        i, j = i[~meets], j[~meets]
+        source, twin = (
+            TraceReplayAdversary.from_dense_indices(i, j, nodes) for _ in range(2)
+        )
+        state = self.prepared(source, nodes, sink, tau, horizon)
+        assert state.table.covered == i.shape[0] < tau
+        _, dirs = self.check_window(state, twin, sink, horizon, 0, i.shape[0])
+        assert (dirs != PENDING).all()
+        assert self.meet_time(twin, sink, horizon, silent, -1) == horizon + 1
+
+
 class TestOptCapture:
     """Capture reads doubling prefixes of the committed future at prepare."""
 
