@@ -25,13 +25,18 @@ Q3), and the mobility families in :mod:`repro.adversaries.mobility`:
 * lazily built per-pair meeting indices backing ``next_meeting``;
 * lookahead copies (:meth:`CommittedBlockAdversary.lookahead`), which draw
   the future past the committed frontier for a reader that scans far ahead
-  of the consumer, without committing it to the adversary's buffers.
+  of the consumer, without committing it to the adversary's buffers;
+* consuming meeting reads (:meth:`CommittedBlockAdversary.take_meetings`),
+  which keep only one node's interactions of a window and release the
+  rest, for readers that need nothing else (Waiting, the sink's star tree
+  and Waiting Greedy's meet table).
 
-Subclasses implement a single hook, :meth:`_sample_block`, which draws the
+Subclasses implement one hook, :meth:`_sample_block`, which draws the
 next ``k`` pairs of dense node indices, and name the attributes it advances
 in ``_sampler_fields``.  Adversaries with a *finite* committed future (trace
 replay) may return fewer than requested; the base class then treats the
-future as exhausted.
+future as exhausted.  A family whose draws can skip most of the work for
+pairs a meeting read drops also implements :meth:`_sample_meetings`.
 """
 
 from __future__ import annotations
@@ -56,9 +61,19 @@ from .base import Adversary
 #: sweeps draw hundreds of thousands of pairs), small enough that a
 #: trial's committed prefix does not run far past its consumer;
 #: ``max_horizon`` still caps the waste on short runs.  Scans that run far
-#: ahead (Waiting Greedy's meet tables) read a lookahead copy one chunk at
-#: a time, so they hold about one chunk of that scan, not all of it.
+#: ahead (Waiting Greedy's meet tables) read a lookahead copy through
+#: ``take_meetings``, so they hold at most one chunk of that scan, not all
+#: of it.
 COMMIT_CHUNK = 8192
+
+#: At most this many pairs (four chunks) go to one
+#: :meth:`CommittedBlockAdversary._sample_meetings` call.  The uniform
+#: adversary draws their raw words at once (256 KiB, plus as much
+#: scratch).  On a 2-vCPU x86_64 VM (glibc, numpy 2.4) a draw cost about
+#: 7.9, 6.2 and 5.3 ns per pair at one, two and four chunks, but 10-14 ns
+#: at eight or sixteen, whose buffers the allocator returns to the system
+#: and faults back in on every call.
+MEETING_DRAW_PAIRS = 4 * COMMIT_CHUNK
 
 _Self = TypeVar("_Self", bound="CommittedBlockAdversary")
 
@@ -130,6 +145,24 @@ class CommittedBlockAdversary(Adversary):
         never of ``k``'s split across calls beyond chunk alignment.
         """
         raise NotImplementedError
+
+    def _sample_meetings(
+        self, k: int, node: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Draw the next ``k`` pairs, keeping only those of ``node``.
+
+        ``k`` covers whole chunks from the committed frontier: chunks of
+        :data:`COMMIT_CHUNK` pairs, the last one shorter only where
+        ``max_horizon`` cuts it.  A family that can draw them more cheaply
+        than :meth:`_sample_block` when most are dropped returns
+        ``(offsets, i, j)``: the offsets into the ``k`` pairs (ascending,
+        int64) of the pairs involving dense index ``node``, and their int32
+        endpoints, exactly as ``_sample_block`` would have drawn them chunk
+        by chunk, with the sampler state advanced as far.  The default
+        draws nothing and returns None, and the base class commits and
+        reads the chunks instead.
+        """
+        return None
 
     def _meeting_search_block(self, iu: int, iv: int) -> int:
         """How far to extend the future per ``next_meeting`` probe.
@@ -252,13 +285,21 @@ class CommittedBlockAdversary(Adversary):
         fork = copy.copy(self)
         for name in self._sampler_fields:
             setattr(fork, name, copy.deepcopy(getattr(self, name)))
-        fork._base = fork._floor = self._size
-        fork._pi = fork._pj = np.empty(0, dtype=np.int32)
-        fork._codes = np.empty(0, dtype=np.int64)
-        fork._codes_size = self._size
+        fork._drop_buffers()
         fork._meeting_index = {}
         fork._meeting_watermark = {}
         return fork
+
+    def _drop_buffers(self) -> None:
+        """Release the whole committed past: empty buffers from ``_size`` on.
+
+        The buffers are replaced, not emptied in place, so views handed out
+        earlier stay valid.
+        """
+        self._base = self._floor = self._size
+        self._pi = self._pj = np.empty(0, dtype=np.int32)
+        self._codes = np.empty(0, dtype=np.int64)
+        self._codes_size = self._size
 
     def ensure_committed(self, length: int) -> None:
         """Extend the committed sequence to at least ``length`` interactions.
@@ -336,6 +377,79 @@ class CommittedBlockAdversary(Adversary):
             return empty, empty
         low, high = start - self._base, stop - self._base
         return self._pi[low:high], self._pj[low:high]
+
+    def take_meetings(
+        self, node: int, start: int, stop: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Consume ``[start, stop)``, keeping only the interactions of ``node``.
+
+        Returns ``(times, i, j, count)``: the committed interactions in
+        ``[start, stop)`` that involve dense index ``node``, as ascending
+        absolute int64 times and their int32 endpoints in raw draw order,
+        and ``count``, the number of interactions read (short once the
+        committed future runs out, as :meth:`committed_index_block` is).
+        Everything before ``start + count`` is released; a ``start`` below
+        the released floor raises
+        :class:`~repro.core.exceptions.ConfigurationError`.
+
+        What is stored is read from the buffers, and the rest is committed
+        chunk by chunk, as any read commits it, and filtered with two
+        comparisons.  Whole chunks from the committed frontier that lie
+        inside the window go to :meth:`_sample_meetings` first: a family
+        that draws them there commits and releases them at once, so no
+        buffer slot ever holds them and the next growth starts fresh
+        buffers.  A chunk the window ends inside is committed and read, so
+        the next read goes on from its stored remainder.
+        """
+        self._require_retained(start)
+        times: List[np.ndarray] = []
+        firsts: List[np.ndarray] = []
+        seconds: List[np.ndarray] = []
+        cursor = start
+        fuse = True
+        while cursor < stop:
+            if fuse and cursor == self._size and not self._exhausted:
+                limit = min(stop, self._max_horizon)
+                # Whole chunks only; the horizon's last one may be short.
+                whole = limit - cursor
+                if limit < self._max_horizon:
+                    whole -= whole % COMMIT_CHUNK
+                whole = min(whole, MEETING_DRAW_PAIRS)
+                if whole > 0:
+                    drawn = self._sample_meetings(whole, node)
+                    fuse = drawn is not None
+                    if drawn is not None:
+                        offsets, i, j = drawn
+                        times.append(offsets + cursor)
+                        firsts.append(i)
+                        seconds.append(j)
+                        self._size += whole
+                        self._drop_buffers()
+                        cursor += whole
+                        continue
+            if cursor < self._size:
+                piece = min(stop, self._size)
+            else:
+                piece = min(stop, cursor + COMMIT_CHUNK)
+            i, j = self.committed_index_block(cursor, piece)
+            hits = np.flatnonzero((i == node) | (j == node))
+            times.append(hits + cursor)
+            firsts.append(i[hits])
+            seconds.append(j[hits])
+            cursor += i.shape[0]
+            self.release_before(cursor)
+            if cursor < piece:
+                break  # the committed future is exhausted
+        count = cursor - start
+        if not times:
+            empty = np.empty(0, dtype=np.int32)
+            return np.empty(0, dtype=np.int64), empty, empty, count
+        if len(times) == 1:
+            return times[0], firsts[0], seconds[0], count
+        return (
+            np.concatenate(times), np.concatenate(firsts),
+            np.concatenate(seconds), count,
+        )
 
     @classmethod
     def committed_index_matrix(

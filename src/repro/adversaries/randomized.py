@@ -24,10 +24,18 @@ TOMACS 29(1), 2019): :func:`_bounded_uint32` states it, and
 ``tests/test_adversaries.py`` pins it against a word-at-a-time loop.  The
 committed future therefore rests on PCG64's raw output alone, vectorised
 over each chunk, instead of on numpy's per-value loop.
+
+A meeting read (:meth:`~repro.adversaries.committed.
+CommittedBlockAdversary.take_meetings`) keeps only one node's pairs, about
+2/n of them.  For whole chunks past the committed frontier the adversary
+then tests the raw words against that node's word ranges and reduces only
+the words that pass (:func:`_node_meetings`), drawing exactly what the
+pair draw would.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,6 +113,98 @@ def _uniform_pairs(
     return i, j, words.copy()
 
 
+def _word_range(low: int, high: int, bound: int) -> Tuple[int, int]:
+    """The words that reduce into ``[low, high)`` below ``bound``: ``(first, span)``.
+
+    An accepted word ``w`` reduces to ``(w * bound) >> 32``, which lies in
+    ``[low, high)`` exactly when ``w`` lies in ``[ceil(low * 2**32 /
+    bound), ceil(high * 2**32 / bound))``.  ``span`` is that range's length
+    minus one, so that ``(w - first) mod 2**32 <= span`` tests it in uint32
+    even when the range holds every word.
+    """
+    first = -(-(low << 32) // bound)
+    return first, -(-(high << 32) // bound) - first - 1
+
+
+@lru_cache(maxsize=16)
+def _meeting_tables(n: int, node: int) -> Tuple[np.ndarray, ...]:
+    """Read-only per-half constants of :func:`_node_meetings`.
+
+    The bounds of the ``i`` and ``j`` halves (``n`` and ``n - 1``, as a
+    column), their rejection thresholds, the first word and span (columns)
+    of the words that can make ``node`` an endpoint (``i == node``;
+    ``j == node`` needs the pre-skip ``j`` in ``{node - 1, node}``), and
+    the bounds again as the int64 row the survivors are reduced with.
+    """
+    ranges = (
+        _word_range(node, node + 1, n),
+        _word_range(max(node - 1, 0), min(node + 1, n - 1), n - 1),
+    )
+    tables = (
+        np.array([[n], [n - 1]], dtype=np.uint32),
+        np.array([(2**32 - n) % n, (2**32 - n + 1) % (n - 1)], dtype=np.uint32),
+        np.array([[first] for first, _ in ranges], dtype=np.uint32),
+        np.array([[span] for _, span in ranges], dtype=np.uint32),
+        np.array([n, n - 1], dtype=np.int64),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _node_meetings(
+    bitgen: np.random.PCG64, words: np.ndarray, n: int, node: int, k: int,
+    chunks: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """The pairs involving ``node`` among the next ``chunks`` chunks of ``k``.
+
+    One ``random_raw`` call draws the chunks' words, as ``chunks`` calls of
+    :func:`_uniform_pairs` take them when no word is rejected: after the
+    pending ``words``, chunk ``c`` holds ``2k`` words, the first ``k``
+    reduced below ``n`` (its ``i`` values) and the next ``k`` below
+    ``n - 1`` (its ``j`` values before they skip ``i``), and the words left
+    pending stay pending.  A chunk holds a rejected word when either half
+    fails the wrapping-multiply ``.min()`` test of :func:`_bounded_uint32`;
+    the chunks from the first such one on are handed back undrawn, by
+    rewinding the stream to that chunk's start.
+
+    In the chunks before it, ``i == node`` holds exactly when the i-word
+    lies in ``node``'s word range below ``n`` (:func:`_word_range`), and
+    ``j == node`` needs the j-word in the range of ``{node - 1, node}``
+    below ``n - 1``.  Only words in those ranges are reduced, exactly, and
+    filtered.  Needs ``n > 2``: at ``n = 2`` the ``j`` draw takes no word.
+
+    Returns ``(offsets, i, j, clean, words)``: the offsets of the meetings
+    from the first chunk's start (int64) and their endpoints (int32), the
+    number of chunks drawn, and the words left pending after them.
+    """
+    bounds, thresholds, firsts, spans, scales = _meeting_tables(n, node)
+    pending = words.size
+    fresh = bitgen.random_raw(chunks * k).astype("<u8", copy=False).view("<u4")
+    stream = np.concatenate((words, fresh)) if pending else fresh
+    halves = stream[: 2 * chunks * k].reshape(chunks, 2, k)
+    scratch = halves * bounds
+    accepted = scratch.min(axis=2) >= thresholds
+    clean = chunks
+    if not accepted.all():
+        clean = int(np.argmin(accepted.all(axis=1)))
+        bitgen.advance(-(chunks - clean) * k)
+        halves, scratch = halves[:clean], scratch[:clean]
+    if pending:
+        words = stream[2 * clean * k : 2 * clean * k + pending].copy()
+    np.subtract(halves, firsts, out=scratch)
+    inside = scratch <= spans
+    offsets = np.flatnonzero(inside[:, 0] | inside[:, 1])
+    chunk, position = np.divmod(offsets, k)
+    pairs = halves[chunk, :, position].astype(np.int64)
+    pairs *= scales
+    pairs >>= 32
+    pairs[:, 1] += pairs[:, 1] >= pairs[:, 0]
+    keep = np.flatnonzero((pairs == node).any(axis=1))
+    pairs = pairs[keep].astype(np.int32)
+    return offsets[keep], pairs[:, 0], pairs[:, 1], clean, words
+
+
 class RandomizedAdversary(CommittedBlockAdversary):
     """Uniformly random pairwise interactions with a lazily committed future.
 
@@ -149,3 +249,40 @@ class RandomizedAdversary(CommittedBlockAdversary):
             self._bitgen, self._words, len(self._nodes), k
         )
         return i.view(np.int32), j.view(np.int32)
+
+    def _sample_meetings(
+        self, k: int, node: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw ``k`` pairs chunk by chunk, keeping only those of ``node``.
+
+        Runs of chunks go through :func:`_node_meetings`.  A chunk that holds
+        a rejected word, and every chunk at ``n = 2``, is drawn by
+        :func:`_uniform_pairs` from the same words and filtered.
+        """
+        n = len(self._nodes)
+        pieces = []
+        done = 0
+        while done < k:
+            size = min(k - done, COMMIT_CHUNK)
+            chunks = (k - done) // size
+            clean = 0
+            if n > 2:
+                offsets, i, j, clean, self._words = _node_meetings(
+                    self._bitgen, self._words, n, node, size, chunks
+                )
+                pieces.append((offsets + done, i, j))
+                done += clean * size
+            if clean < chunks:
+                i, j, self._words = _uniform_pairs(
+                    self._bitgen, self._words, n, size
+                )
+                offsets = np.flatnonzero((i == node) | (j == node))
+                pieces.append(
+                    (offsets + done, i[offsets].view(np.int32),
+                     j[offsets].view(np.int32))
+                )
+                done += size
+        if len(pieces) == 1:
+            return pieces[0]
+        offsets, i, j = zip(*pieces)
+        return np.concatenate(offsets), np.concatenate(i), np.concatenate(j)

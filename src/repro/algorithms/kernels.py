@@ -28,7 +28,10 @@ with one protocol:
   engine's ``decide`` call sites.  Kernels whose decisions read running
   state (a spanning tree's reported children, the randomized baselines'
   ``random.Random`` stream) defer to it, so they stay seed-for-seed equal
-  to the object form.
+  to the object form;
+* :meth:`DecisionKernel.meeting_node` names the one node whose
+  interactions hold every candidate of a sparse kernel (Waiting's sink),
+  or None; the engine then reads only that node's interactions.
 
 A kernel validates its preconditions in :meth:`DecisionKernel.prepare` and
 raises :class:`KernelUnsupported` when the trial's source or knowledge shape
@@ -48,7 +51,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..adversaries.committed import COMMIT_CHUNK
 from ..core.algorithm import DODAAlgorithm, KNOWLEDGE_MEET_TIME
 from ..knowledge.base import KnowledgeBundle
 from ..obs import current_collector
@@ -159,6 +161,18 @@ class DecisionKernel:
         """
         raise NotImplementedError
 
+    def meeting_node(self, state: Any) -> Optional[int]:
+        """The node whose interactions hold every candidate, or None.
+
+        A ``sparse`` kernel whose candidates all involve one dense index
+        (the sink, for Waiting and the sink's star tree) names it, and the
+        engine may then hand ``decide_block`` only that node's
+        interactions of a window, as ``(iu, iv)`` in raw draw order with
+        the window's first time.  The kernel must decide such a block as
+        it decides those interactions among a full block's.
+        """
+        return None
+
 
 #: algorithm name -> kernel instance.
 KERNELS: Dict[str, DecisionKernel] = {}
@@ -252,6 +266,9 @@ class WaitingKernel(DecisionKernel):
     def decide_block(self, state, iu, iv, start):
         return _sink_meetings(state.sink_index, iu, iv)
 
+    def meeting_node(self, state):
+        return state.sink_index
+
 
 # --------------------------------------------------------------------- #
 # meetTime-based kernel (Waiting Greedy)
@@ -273,12 +290,14 @@ class SinkMeetTable:
     interactions, rounded up to the adversary's chunk-aligned frontier,
     which the run consumes anyway.  Everything past the frontier comes from
     the adversary's :meth:`~repro.adversaries.committed.
-    CommittedBlockAdversary.lookahead` copy, one
-    :data:`~repro.adversaries.committed.COMMIT_CHUNK` piece at a time,
-    released once scanned.  The lookahead draws the committed future
-    itself, so the table answers as if it had read the adversary; but the
-    scan-ahead is never stored, and the run may release the adversary's
-    past at its own cursor.
+    CommittedBlockAdversary.lookahead` copy, through one
+    :meth:`~repro.adversaries.committed.CommittedBlockAdversary.
+    take_meetings` read of the sink's meetings per round, which releases
+    what it read.  The lookahead draws the committed future itself, so the
+    table answers as if it had read the adversary; but the scan-ahead is
+    never stored (the uniform adversary draws its whole chunks without
+    storing them), and the run may release the adversary's past at its own
+    cursor.
 
     Each round keeps three per-node summaries current, from which
     :meth:`summary` and :meth:`summary_one` answer every query at a time
@@ -365,16 +384,19 @@ class SinkMeetTable:
             self._scan(*head.committed_index_block(
                 0, min(head.committed_length, bound)
             ))
-        lookahead = self._lookahead
-        while self._covered < target:
-            stop = min(self._covered + COMMIT_CHUNK, target)
-            self._scan(*lookahead.committed_index_block(self._covered, stop))
-            lookahead.release_before(self._covered)
-            if self._covered < stop:
-                # Short piece: the committed future is exhausted (finite
+        if self._covered < target:
+            times, i, j, count = self._lookahead.take_meetings(
+                self._sink, self._covered, target
+            )
+            if times.size:
+                partners = i + j - self._sink
+                self._partners.append(partners.astype(self._partner_dtype))
+                self._times.append(times)
+            self._covered += count
+            if self._covered < target:
+                # Short read: the committed future is exhausted (finite
                 # trace or max_horizon cap).
                 self._complete = True
-                break
         if self._covered >= bound:
             # The scan reached the sentinel bound.
             self._complete = True
@@ -935,6 +957,9 @@ class SpanningTreeKernel(DecisionKernel):
             parent = state.parent
             offsets = np.flatnonzero((parent[iu] == iv) | (parent[iv] == iu))
         return offsets, np.full(offsets.shape[0], PENDING, dtype=np.int8)
+
+    def meeting_node(self, state):
+        return state.star_sink
 
     def resolve_one(self, state, iu, iv, t):
         if state.parent_list[iu] == iv:

@@ -31,7 +31,10 @@ sparse kernel, call ``decide_block`` once on the raw draw order and gather
 the endpoints of the ``(offsets, directions)`` it returns; for the others,
 keep the ownership-mask survivors in canonical order, call
 ``decide_block`` once for a direction per survivor, and drop
-``NO_TRANSMISSION``.
+``NO_TRANSMISSION``.  A sparse kernel whose candidates are one node's
+interactions (Waiting's sink meetings) reads only those, when its trial
+consumes its adversary (:meth:`~repro.adversaries.committed.
+CommittedBlockAdversary.take_meetings`).
 
 The engine is **metric-identical** to the reference executor — same
 transmission log, same durations, same :class:`~repro.core.execution.
@@ -201,14 +204,18 @@ class _BlockLoops:
 
     The ``engine.lockstep`` span covers the loops alone, not preparation
     or fallback runs: it starts with the first loop and lasts their summed
-    time, as ``engine.committed_draws`` lasts their summed reads.
+    time, as ``engine.committed_draws`` lasts their summed block reads and
+    ``engine.meeting_reads`` their summed meeting reads.
     """
 
     trials: int = 0
     started: float = 0.0
     seconds: float = 0.0
     draw_seconds: float = 0.0
+    meeting_seconds: float = 0.0
     blocks: int = 0
+    meeting_blocks: int = 0
+    meeting_reads: int = 0
     candidates_walked: int = 0
 
     def add_trial(self, started: float, ended: float) -> None:
@@ -232,9 +239,19 @@ class _BlockLoops:
             self.started,
             self.started + self.draw_seconds,
             engine="vectorized",
-            blocks=self.blocks,
+            blocks=self.blocks - self.meeting_blocks,
         )
         collector.counter("engine.candidates_walked", self.candidates_walked)
+        if self.meeting_blocks:
+            collector.add_span(
+                "engine.meeting_reads",
+                self.started,
+                self.started + self.meeting_seconds,
+                engine="vectorized",
+                blocks=self.meeting_blocks,
+                interactions=self.meeting_reads,
+            )
+            collector.counter("engine.meeting_reads", self.meeting_reads)
 
 
 class VectorizedExecutor:
@@ -521,6 +538,15 @@ class VectorizedExecutor:
         scans ahead on a lookahead copy.  Sources without
         ``release_before`` (finite sequences and knowledge prefixes) are
         left alone.
+
+        A kernel that names a meeting node (``meeting_node``) on a trial
+        that releases its adversary reads each window through
+        :meth:`~repro.adversaries.committed.CommittedBlockAdversary.
+        take_meetings` instead, which consumes the window and returns that
+        node's interactions alone (:meth:`_decide_meetings`).  Its windows
+        are all the sparse cap, two chunks at the default, so that from a
+        chunk-aligned cursor each read covers whole chunks, which the
+        uniform adversary draws without storing.
         """
         n = len(self.nodes)
         sink = self.sink_index
@@ -537,6 +563,9 @@ class VectorizedExecutor:
         duration: Optional[int] = None
         fetcher = trial.fetcher
         release = release and hasattr(fetcher, "release_before")
+        # Only a trial that consumes its source may read meetings alone: a
+        # later reader of a shared source needs the whole window.
+        node = trial.kernel.meeting_node(trial.state) if release else None
         horizon = trial.horizon
         if loops is not None:
             started = _now()
@@ -545,38 +574,52 @@ class VectorizedExecutor:
         # the walk only its rare candidates, so longer windows amortise the
         # per-block overhead.  A dense kernel's ownership mask is taken at
         # block start and goes stale within a window, so its windows stay
-        # short.
+        # short.  Meeting reads start at the cap: from a chunk-aligned
+        # cursor, each then covers whole chunks.
         cap = 4 * DEFAULT_BLOCK_SIZE if trial.kernel.sparse else DEFAULT_BLOCK_SIZE
-        window = min(INITIAL_BLOCK, cap)
+        window = cap if node is not None else min(INITIAL_BLOCK, cap)
         while cursor < horizon:
             stop = min(horizon, cursor + window)
             if loops is not None:
-                draw_started = _now()
-            # Read through the class attribute, looked up at each call, so
-            # that a wrapper installed there sees every block.
-            rows_i, rows_j, lengths = (
-                CommittedBlockAdversary.committed_index_matrix(
-                    [fetcher], cursor, stop
-                )
-            )
-            if loops is not None:
-                loops.draw_seconds += _now() - draw_started
-                loops.blocks += 1
-            count = int(lengths[0])
-            if count:
-                candidates, first, second, directions = self._decide_row(
-                    trial, owns, rows_i[0, :count], rows_j[0, :count], cursor
-                )
-                if candidates.size:
-                    if loops is not None:
-                        loops.candidates_walked += int(candidates.size)
-                    duration = self._consume_row(
-                        trial, candidates, first, second, directions, cursor,
-                        owns, owns_list, origin_counts, payload, transmissions,
+                read_started = _now()
+            decided = None
+            if node is None:
+                # Read through the class attribute, looked up at each call,
+                # so that a wrapper installed there sees every block.
+                rows_i, rows_j, lengths = (
+                    CommittedBlockAdversary.committed_index_matrix(
+                        [fetcher], cursor, stop
                     )
-                    if duration is not None:
-                        used = duration
-                        break
+                )
+                if loops is not None:
+                    loops.draw_seconds += _now() - read_started
+                count = int(lengths[0])
+                if count:
+                    decided = self._decide_row(
+                        trial, owns, rows_i[0, :count], rows_j[0, :count],
+                        cursor,
+                    )
+            else:
+                times, iu, iv, count = fetcher.take_meetings(node, cursor, stop)
+                if loops is not None:
+                    loops.meeting_seconds += _now() - read_started
+                    loops.meeting_blocks += 1
+                    loops.meeting_reads += count
+                if times.size:
+                    decided = self._decide_meetings(trial, times, iu, iv, cursor)
+            if loops is not None:
+                loops.blocks += 1
+            if decided is not None and decided[0].size:
+                candidates, first, second, directions = decided
+                if loops is not None:
+                    loops.candidates_walked += int(candidates.size)
+                duration = self._consume_row(
+                    trial, candidates, first, second, directions, cursor,
+                    owns, owns_list, origin_counts, payload, transmissions,
+                )
+                if duration is not None:
+                    used = duration
+                    break
             used = cursor + count
             if used < stop:
                 break  # the committed future is exhausted
@@ -651,6 +694,28 @@ class VectorizedExecutor:
         )
         keep = np.nonzero(directions != NO_TRANSMISSION)[0]
         return offsets[keep], first[keep], second[keep], directions[keep]
+
+    def _decide_meetings(
+        self,
+        trial: _KernelTrial,
+        times: np.ndarray,
+        iu: np.ndarray,
+        iv: np.ndarray,
+        cursor: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One window's meetings, decided: ``(offsets, first, second, directions)``.
+
+        ``times`` are the absolute times of the meeting node's interactions
+        in the window starting at ``cursor``, and ``iu``/``iv`` their
+        endpoints in raw draw order.  The kernel decides them as one
+        block, as it decides them among a full block's interactions; the
+        offsets it returns index the meetings, and are mapped back to
+        offsets from ``cursor``.
+        """
+        offsets, directions = trial.kernel.decide_block(
+            trial.state, iu, iv, cursor
+        )
+        return times[offsets] - cursor, iu[offsets], iv[offsets], directions
 
     # ------------------------------------------------------------------ #
     def _consume_row(

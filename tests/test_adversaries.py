@@ -12,6 +12,7 @@ from repro.adversaries.randomized import (
     RandomizedAdversary,
     _bounded_uint32,
     _uniform_pairs,
+    _word_range,
 )
 from repro.algorithms.kernels import SinkMeetTable
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
@@ -522,3 +523,188 @@ class TestUniformWords:
             want_i += chunk_i
             want_j += chunk_j
         assert i.tolist() == want_i and j.tolist() == want_j
+
+
+def _filtered_block(adversary, node, start, stop):
+    """A block read of ``[start, stop)`` filtered to ``node``: ``take_meetings``' oracle."""
+    i, j = adversary.committed_index_block(start, stop)
+    hits = np.flatnonzero((i == node) | (j == node))
+    return hits + start, i[hits], j[hits], i.shape[0]
+
+
+class TestTakeMeetings:
+    """``take_meetings`` equals a block read plus the two-comparison filter."""
+
+    @staticmethod
+    def twins(n, seed, pending=None, prefix=0, max_horizon=10_000_000):
+        pair = []
+        for _ in range(2):
+            adversary = RandomizedAdversary(
+                list(range(n)), seed=seed, max_horizon=max_horizon
+            )
+            if pending is not None:
+                adversary._words = np.array([pending], dtype=np.uint32)
+            adversary.ensure_committed(prefix)
+            pair.append(adversary)
+        return pair
+
+    @staticmethod
+    def check(adversary, twin, node, windows, start=0):
+        """Read ``windows`` one after another on both; compare everything."""
+        cursor = start
+        for width in windows:
+            times, i, j, count = adversary.take_meetings(
+                node, cursor, cursor + width
+            )
+            want = _filtered_block(twin, node, cursor, cursor + width)
+            assert times.dtype == np.int64
+            assert i.dtype == j.dtype == np.int32
+            assert times.tolist() == want[0].tolist()
+            assert i.tolist() == want[1].tolist()
+            assert j.tolist() == want[2].tolist()
+            assert count == want[3]
+            assert adversary.committed_length == twin.committed_length
+            cursor += count
+            with pytest.raises(ConfigurationError, match="was released"):
+                adversary.committed_pair(cursor - 1)
+            if count < width:
+                break
+        return cursor
+
+    #: Chunk-aligned engine windows, unaligned ones, and long scans.
+    WINDOWS = {
+        "aligned": (2 * COMMIT_CHUNK,) * 4,
+        "unaligned": (
+            1000, 3 * COMMIT_CHUNK + 5, 7, 2 * COMMIT_CHUNK, 9 * COMMIT_CHUNK + 1
+        ),
+        "scan": (11 * COMMIT_CHUNK,),
+    }
+
+    @pytest.mark.parametrize("windows", sorted(WINDOWS))
+    @pytest.mark.parametrize("n", (2, 3, 4, 12, 400, 60_000))
+    def test_reads_equal_a_filtered_block_read(self, n, windows):
+        for node in sorted({0, n // 2, n - 1}):
+            for seed in (0, 1):
+                adversary, twin = self.twins(n, seed)
+                self.check(adversary, twin, node, self.WINDOWS[windows])
+                assert adversary._words.tolist() == twin._words.tolist()
+                assert adversary._bitgen.state == twin._bitgen.state
+                # What follows the reads is the twin's future too.
+                frontier = twin.committed_length
+                assert _filtered_block(
+                    adversary, node, frontier, frontier + 500
+                )[0].tolist() == _filtered_block(
+                    twin, node, frontier, frontier + 500
+                )[0].tolist()
+
+    @pytest.mark.parametrize("n", (3, 400, 60_000))
+    def test_a_pending_word_is_drawn_first(self, n):
+        # A draw that rejects an odd number of words leaves one pending;
+        # the fused chunks take it first and leave the next one pending.
+        # (2**31 reduces to a rejected word at n = 400.)
+        kept = 0
+        for seed, pending in ((0, 7), (3, 2**32 - 1), (5, 2**31)):
+            adversary, twin = self.twins(n, seed, pending=pending)
+            self.check(
+                adversary, twin, n // 2,
+                (4 * COMMIT_CHUNK, 100, 3 * COMMIT_CHUNK),
+            )
+            assert adversary._words.tolist() == twin._words.tolist()
+            assert adversary._bitgen.state == twin._bitgen.state
+            kept += adversary._words.size
+        assert kept >= 1
+
+    @pytest.mark.parametrize("bound", (2, 3, 7, 399, 400, 59_999, 2**31 + 1))
+    def test_word_ranges_hold_exactly_the_words_of_their_values(self, bound):
+        # The reduction is monotone in the word, so the range is right iff
+        # its ends reduce inside [low, high) and the words beside them
+        # outside.
+        def value(word):
+            return (word * bound) >> 32
+
+        for low, high in (
+            (0, 1), (bound // 2, bound // 2 + 1), (bound - 1, bound),
+            (max(bound // 2 - 1, 0), bound // 2 + 1), (0, bound),
+        ):
+            first, span = _word_range(low, high, bound)
+            last = first + span
+            assert 0 <= first <= last < 2**32
+            assert value(first) == low and value(last) == high - 1
+            assert first == 0 or value(first - 1) == low - 1
+            assert last == 2**32 - 1 or value(last + 1) == high
+
+    @pytest.mark.parametrize("n", (3, 400, 60_000))
+    def test_pending_words_at_the_range_ends_meet_the_node(self, n):
+        # The pending word is the first chunk's first i-word: put each end
+        # of node's i-range there, and the words just outside it.
+        # A rejected pending word (2**31 at n = 400) gives no value.
+        node = n // 2
+        first, span = _word_range(node, node + 1, n)
+        for pending in (first - 1, first, first + span, first + span + 1):
+            adversary, twin = self.twins(n, 9, pending=pending)
+            self.check(adversary, twin, node, (2 * COMMIT_CHUNK,))
+            if (pending * n) % 2**32 >= (2**32 - n) % n:
+                inside = first <= pending <= first + span
+                assert (twin.committed_pair(0)[0] == node) == inside
+
+    def test_a_committed_prefix_is_read_before_the_frontier(self):
+        adversary, twin = self.twins(400, 4, prefix=COMMIT_CHUNK + 1)
+        assert adversary.committed_length == 2 * COMMIT_CHUNK
+        self.check(adversary, twin, 0, (COMMIT_CHUNK // 2, 4 * COMMIT_CHUNK))
+
+    def test_reads_continue_from_a_stored_remainder(self):
+        # A window that ends inside a chunk commits that chunk; the next
+        # window reads its rest from the buffers, then draws whole chunks.
+        adversary, twin = self.twins(400, 6)
+        cursor = self.check(adversary, twin, 200, (COMMIT_CHUNK + 300,))
+        assert adversary.committed_length == 2 * COMMIT_CHUNK
+        self.check(adversary, twin, 200, (4 * COMMIT_CHUNK,), start=cursor)
+
+    @pytest.mark.parametrize("n", (2, 400))
+    def test_a_truncated_last_chunk_ends_the_read(self, n):
+        horizon = 3 * COMMIT_CHUNK + 77
+        for windows in ((10 * COMMIT_CHUNK,), (2 * COMMIT_CHUNK,) * 3):
+            adversary, twin = self.twins(n, 2, max_horizon=horizon)
+            assert self.check(adversary, twin, 1, windows) == horizon
+            assert adversary.take_meetings(1, horizon, horizon + 10)[3] == 0
+
+    def test_a_read_below_the_floor_raises(self):
+        adversary, _ = self.twins(12, 0)
+        adversary.take_meetings(3, 0, 2 * COMMIT_CHUNK)
+        with pytest.raises(ConfigurationError, match="committed time 5 was released"):
+            adversary.take_meetings(3, 5, 100)
+
+    def test_a_lookahead_keeps_its_own_sampler(self):
+        adversary, twin = self.twins(400, 8, prefix=1)
+        frontier = adversary.committed_length
+        fork = adversary.lookahead()
+        self.check(fork, twin.lookahead(), 0, (5 * COMMIT_CHUNK,), start=frontier)
+        # The source is untouched: its future is still the twin's.
+        assert adversary.committed_length == frontier
+        self.check(adversary, twin, 0, (4 * COMMIT_CHUNK,), start=frontier)
+
+    def test_rejected_words_fall_back_to_the_pair_draw(self, monkeypatch):
+        # At n = 60,000 about 18% of chunks hold a rejected word.
+        from repro.adversaries import randomized
+
+        draws = []
+        pair_draw = randomized._uniform_pairs
+
+        def counted(bitgen, words, n, k):
+            draws.append(k)
+            return pair_draw(bitgen, words, n, k)
+
+        monkeypatch.setattr(randomized, "_uniform_pairs", counted)
+        adversary, _ = self.twins(60_000, 0)
+        adversary.take_meetings(7, 0, 40 * COMMIT_CHUNK)
+        assert 0 < len(draws) < 20 and set(draws) == {COMMIT_CHUNK}
+
+    def test_other_families_read_through_their_blocks(self):
+        nodes = list(range(30))
+        for family in ("zipf", "hub", "waypoint", "community"):
+            adversary = make_adversary(family, nodes, seed=3, sink=0)
+            twin = make_adversary(family, nodes, seed=3, sink=0)
+            self.check(adversary, twin, 0, self.WINDOWS["unaligned"])
+        replay, twin = _trace_replay(nodes, seed=1), _trace_replay(nodes, seed=1)
+        end = self.check(replay, twin, 5, (2 * COMMIT_CHUNK,) * 4)
+        assert end == 5 * COMMIT_CHUNK + 123 and replay.future_exhausted

@@ -328,6 +328,33 @@ class TestEngineInstrumentation:
         cell = next(span for span in collector.spans if span.name == "sweep.cell")
         assert dict(cell.args)["fallbacks"] == 0
 
+    def test_meeting_reads_are_counted_apart_from_the_draws(self):
+        # A seed-0 uniform waiting cell reads the sink's meetings alone:
+        # 59 windows of 16,384 interactions over its 8 trials, counted as
+        # engine.meeting_reads, never as engine.committed_draws.
+        def cell():
+            return run_sweep_cell(
+                algorithm_factory_for("waiting"), 200, 8, master_seed=0,
+                experiment="campaign",
+            )
+
+        untraced = cell()
+        collector = RecordingCollector()
+        with use_collector(collector):
+            traced = cell()
+        assert traced == untraced
+        (counter,) = [
+            c for c in collector.counters if c.name == "engine.meeting_reads"
+        ]
+        assert counter.value == 966_656 == 59 * 16_384
+        (span,) = [s for s in collector.spans if s.name == "engine.meeting_reads"]
+        assert dict(span.args)["interactions"] == 966_656
+        assert dict(span.args)["blocks"] == 59
+        (draws,) = [
+            s for s in collector.spans if s.name == "engine.committed_draws"
+        ]
+        assert dict(draws.args)["blocks"] == 0
+
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_tracing_does_not_change_metrics(self, engine):
         from repro.algorithms.gathering import Gathering

@@ -39,6 +39,7 @@ from repro.algorithms.kernels import (
 from repro.algorithms.spanning_tree import SpanningTreeAggregation
 from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
+from repro.campaign.spec import algorithm_factory_for
 from repro.core.algorithm import registry
 from repro.core.data import MAX, MIN
 from repro.core.execution import BatchTrial, Executor
@@ -53,6 +54,7 @@ from repro.core.vector_execution import (
 )
 from repro.graph.traces import VehicularGridTrace
 from repro.knowledge import KnowledgeBundle, UnderlyingGraphKnowledge
+from repro.obs import RecordingCollector, use_collector
 from repro.offline.convergecast import opt
 from repro.ratio import kernels as ratio_kernels
 from repro.ratio.semantics import UNREACHABLE, opt_cost_from_end
@@ -1040,46 +1042,207 @@ class TestSparseKernelProtocol:
 
 
 class TestWindowSchedule:
-    """Windows double from ``INITIAL_BLOCK`` up to the kernel kind's cap."""
+    """Windows double from ``INITIAL_BLOCK`` up to the kernel kind's cap;
+    meeting reads take the sparse cap from the start."""
 
     @pytest.fixture
     def windows(self, monkeypatch):
-        """The window lengths the engine's block reads ask for, in order."""
+        """The window lengths the engine's reads ask for, in order, by kind."""
         read = CommittedBlockAdversary.committed_index_matrix
-        lengths = []
+        take = CommittedBlockAdversary.take_meetings
+        lengths = {"blocks": [], "meetings": []}
 
         def recording(rows, start, stop, *args, **kwargs):
-            lengths.append(stop - start)
+            lengths["blocks"].append(stop - start)
             return read(rows, start, stop, *args, **kwargs)
+
+        def meetings(self, node, start, stop):
+            lengths["meetings"].append(stop - start)
+            return take(self, node, start, stop)
 
         monkeypatch.setattr(
             CommittedBlockAdversary, "committed_index_matrix",
             staticmethod(recording),
         )
+        monkeypatch.setattr(CommittedBlockAdversary, "take_meetings", meetings)
         return lengths
 
     @staticmethod
     def doubling(count, cap):
         return [min(INITIAL_BLOCK << k, cap) for k in range(count)]
 
-    def test_a_sparse_trial_doubles_up_to_four_times_the_cap(self, windows):
-        assert get_kernel("waiting").sparse
-        assert run_engine(VectorizedExecutor, "waiting", 200, 0).terminated
-        assert windows[:6] == [1024, 2048, 4096, 8192, 16384, 16384]
-        assert windows == self.doubling(len(windows), 4 * DEFAULT_BLOCK_SIZE)
+    @pytest.mark.parametrize("name", ("waiting", "spanning_tree"))
+    def test_a_meeting_read_trial_reads_the_sparse_cap(self, windows, name):
+        kernel = get_kernel(name)
+        assert kernel.sparse and type(kernel).meeting_node is not (
+            type(get_kernel("gathering")).meeting_node
+        )
+        assert run_engine(VectorizedExecutor, name, 200, 0).terminated
+        cap = 4 * DEFAULT_BLOCK_SIZE
+        assert cap == 2 * COMMIT_CHUNK
+        assert windows["blocks"] == []
+        assert len(windows["meetings"]) > 2
+        assert set(windows["meetings"]) == {cap}
+
+    def test_a_sparse_block_trial_doubles_up_to_four_times_the_cap(
+        self, windows
+    ):
+        # A finite sequence is never released, so Waiting reads it whole.
+        nodes = list(range(200))
+        sequence = make_adversary("uniform", nodes, seed=0, sink=0).committed_prefix(
+            400_000
+        )
+        assert VectorizedExecutor(nodes, 0, Waiting()).run(sequence).terminated
+        blocks = windows["blocks"]
+        assert blocks[:6] == [1024, 2048, 4096, 8192, 16384, 16384]
+        assert blocks == self.doubling(len(blocks), 4 * DEFAULT_BLOCK_SIZE)
+        assert windows["meetings"] == []
 
     def test_a_dense_trial_stops_doubling_at_the_cap(self, windows):
         assert not get_kernel("gathering").sparse
         assert run_engine(VectorizedExecutor, "gathering", 200, 0).terminated
-        assert windows[:5] == [1024, 2048, 4096, 4096, 4096]
-        assert windows == self.doubling(len(windows), DEFAULT_BLOCK_SIZE)
+        blocks = windows["blocks"]
+        assert blocks[:5] == [1024, 2048, 4096, 4096, 4096]
+        assert blocks == self.doubling(len(blocks), DEFAULT_BLOCK_SIZE)
 
-    @pytest.mark.parametrize("name, cap", (("waiting", 64), ("gathering", 16)))
-    def test_block_window_sets_both_caps(self, windows, name, cap):
+    @pytest.mark.parametrize(
+        "name, kind, cap", (("waiting", "meetings", 64), ("gathering", "blocks", 16))
+    )
+    def test_block_window_sets_both_caps(self, windows, name, kind, cap):
         assert run_engine(
             VectorizedExecutor, name, 30, 0, window=16
         ).terminated
-        assert len(windows) > 2 and set(windows) == {cap}
+        assert len(windows[kind]) > 2 and set(windows[kind]) == {cap}
+
+
+class TestMeetingReads:
+    """Waiting and the sink's star tree read the sink's meetings alone.
+
+    ``take_meetings`` draws whole uniform chunks without storing them and
+    reads every other family, and any window that ends inside a chunk,
+    through committed blocks; the runs must equal the reference engine's
+    either way.
+    """
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Counts of meeting reads and of fused uniform draws."""
+        from repro.adversaries.randomized import RandomizedAdversary
+
+        counts = {"meetings": 0, "fused": 0}
+        take = CommittedBlockAdversary.take_meetings
+        fuse = RandomizedAdversary._sample_meetings
+
+        def meetings(self, node, start, stop):
+            counts["meetings"] += 1
+            return take(self, node, start, stop)
+
+        def fused(self, k, node):
+            counts["fused"] += 1
+            return fuse(self, k, node)
+
+        monkeypatch.setattr(CommittedBlockAdversary, "take_meetings", meetings)
+        monkeypatch.setattr(RandomizedAdversary, "_sample_meetings", fused)
+        return counts
+
+    @pytest.mark.parametrize("window", (None, 16), ids=("default", "window16"))
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("name", ("waiting", "spanning_tree"))
+    def test_trials_match_reference(self, reads, name, family, window):
+        n = 24
+        for seed, sink in ((0, 0), (1, n // 2), (2, n - 1)):
+            vectorized = run_engine(
+                VectorizedExecutor, name, n, seed, sink=sink, family=family,
+                window=window,
+            )
+            reference = run_engine(Executor, name, n, seed, sink=sink, family=family)
+            assert vectorized == reference, (seed, sink)
+        assert reads["meetings"] >= 3
+        # Only whole uniform chunks are drawn fused: never in 64-long windows.
+        assert (reads["fused"] > 0) == (family == "uniform" and window is None)
+
+    @pytest.mark.parametrize("seed", (1, 5))
+    def test_a_shared_source_reads_blocks_until_its_last_reader(
+        self, reads, seed
+    ):
+        # The first trials of a batch read the shared adversary whole from
+        # time 0; only the last reader consumes it, through meeting reads.
+        n = 40
+        nodes = list(range(n))
+        horizon = default_horizon(Waiting(), n)
+
+        def batch(adversary):
+            knowledge = KnowledgeBundle(UnderlyingGraphKnowledge.complete(nodes))
+            return [
+                BatchTrial(source=adversary, max_interactions=horizon,
+                           algorithm=Waiting()),
+                BatchTrial(source=adversary, max_interactions=horizon,
+                           algorithm=SpanningTreeAggregation(),
+                           knowledge=knowledge),
+                BatchTrial(source=adversary, max_interactions=horizon,
+                           algorithm=Waiting()),
+            ]
+
+        def adversary():
+            return make_adversary("uniform", nodes, seed=seed, sink=0)
+
+        shared = adversary()
+        vectorized = VectorizedExecutor(nodes, 0, Waiting()).run_many(batch(shared))
+        reference = Executor(nodes, 0, Waiting()).run_many(batch(adversary()))
+        assert vectorized == reference
+        assert reads["meetings"] > 0 and reads["fused"] > 0
+        with pytest.raises(ConfigurationError, match="was released"):
+            shared.committed_prefix(1)
+
+    @pytest.mark.parametrize(
+        "family, trials, scanned, searched, walked",
+        (
+            ("uniform", 48, 13_206_900, 1, 62_242),
+            ("zipf", 8, 638_400, 6_793, 14_419),
+        ),
+    )
+    def test_meet_table_work_is_unchanged(
+        self, family, trials, scanned, searched, walked
+    ):
+        # Waiting Greedy's meet table reads its lookahead through
+        # take_meetings, with the scan targets it had before: the seed-0
+        # n = 400 cells scan, search and walk exactly what they did.
+        collector = RecordingCollector()
+        with use_collector(collector):
+            run_sweep_cell(
+                algorithm_factory_for("waiting_greedy"), 400, trials,
+                master_seed=0, adversary=family,
+                adversary_params={"exponent": 1.0} if family == "zipf" else None,
+            )
+        totals = {}
+        for counter in collector.counters:
+            totals[counter.name] = totals.get(counter.name, 0) + counter.value
+        assert totals["kernels.meet_table_scanned"] == scanned
+        assert totals["kernels.meet_table_searched"] == searched
+        assert totals["engine.candidates_walked"] == walked
+        assert "engine.meeting_reads" not in totals
+
+    @pytest.mark.parametrize("name", ("waiting", "spanning_tree"))
+    def test_capture_opt_reads_a_stored_prefix_then_fuses(self, reads, name):
+        n = 60
+        nodes = list(range(n))
+        algorithm = make_algorithm(name, n)
+        horizon = default_horizon(algorithm, n)
+        results = []
+        for engine_cls in (VectorizedExecutor, Executor):
+            adversary = build_trial_adversary("uniform", nodes, 3, horizon, 0, None)
+            knowledge, _ = build_knowledge_for_random_run(
+                algorithm, adversary, nodes, 0, horizon
+            )
+            results.append(engine_cls(
+                nodes, 0, algorithm, knowledge=knowledge, capture_opt=True
+            ).run(adversary, max_interactions=horizon))
+        vectorized, reference = results
+        assert vectorized == reference and vectorized.opt_cost is not None
+        # Capture commits the first chunk at prepare: the run reads it from
+        # the buffers, and draws the chunk after it fused.
+        assert vectorized.interactions_used > COMMIT_CHUNK
+        assert reads["meetings"] > 0 and reads["fused"] > 0
 
 
 class TestSweepPaths:
